@@ -299,16 +299,6 @@ def _int_form(coeffs) -> BinaryForm:
     return BinaryForm(poly, ("x0", "x1"), d)
 
 
-def form_coefficients(F: BinaryForm) -> list:
-    """Rational coefficients [f_0, ..., f_d] of a concrete binary form."""
-    x0n, x1n = F.xpair
-    out = []
-    for t in range(F.degree + 1):
-        cof = F.poly.coefficient_of({x0n: F.degree - t, x1n: t})
-        out.append(cof.constant_value())
-    return out
-
-
 def is_power_of_quadratic(coeffs) -> bool:
     """Whether sum coeffs[t] x0^(d-t) x1^t is the e-th power of some
     quadratic over the complex numbers (d = 2e).

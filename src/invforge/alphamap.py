@@ -10,6 +10,7 @@ degree-d monomials.
 """
 
 import itertools
+import math
 import os
 
 from fractions import Fraction
@@ -75,9 +76,7 @@ def exact_rank(entries) -> int:
         lcm = 1
         for x in row:
             if isinstance(x, Fraction):
-                d = x.denominator
-                g = gcd_int(lcm, d)
-                lcm = lcm // g * d
+                lcm = math.lcm(lcm, x.denominator)
         M.append([int(x * lcm) if lcm != 1 else int(x) for x in row])
 
     rank = 0
@@ -104,12 +103,6 @@ def exact_rank(entries) -> int:
         prev = piv
         rank += 1
     return rank
-
-
-def gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def alpha_image(forms, e: int, n: int) -> Poly:

@@ -15,8 +15,8 @@ form and reports the first non-vanishing element as a witness.
 """
 
 from fractions import Fraction
+from math import perm
 
-from .arith import factorial
 from .closedform import n2
 from .transvect import BinaryForm, _omega_diagonal
 
@@ -53,9 +53,8 @@ def _u_cov_ranged(d, i, j, F, cache) -> BinaryForm:
         cache[i] = hraw
     u = 2 * d - 4 * i
     raw = _omega_diagonal(hraw, F.poly, j, F.xpair)
-    scale = Fraction(factorial(d - 2 * i) ** 2, factorial(d) ** 2) * Fraction(
-        factorial(u - j) * factorial(d - j), factorial(u) * factorial(d)
-    )
+    # (d-2i)!^2/d!^2 * (u-j)!(d-j)!/(u!d!), as falling factorials
+    scale = Fraction(1, perm(d, 2 * i) ** 2 * perm(u, j) * perm(d, j))
     return BinaryForm(raw * scale, F.xpair, 3 * d - 4 * i - 2 * j)
 
 

@@ -195,29 +195,51 @@ def tau(r: int, e: int, p: int, registry: VarRegistry = None) -> Poly:
       / prod m_ij!
 
     in variables t, z_1..z_r (all factorials over every entry of M).
+
+    The entries of every M sum to 2re-2p, so each prod m_ij! divides
+    L = (2re-2p)!.  The sum is accumulated in place as integer numerators
+    over L, and divided by L once at the end.
     """
     if registry is None:
         registry = VarRegistry(["t"] + [f"z{i}" for i in range(1, r + 1)])
     t = Poly.variable(registry, "t")
-    z = [None] + [Poly.variable(registry, f"z{i}") for i in range(1, r + 1)]
-    total = Poly.zero(registry)
+    z = [Poly.variable(registry, f"z{i}") for i in range(1, r + 1)]
+    common = factorial(2 * r * e - 2 * p)
+    facts = [factorial(m) for m in range(max(e, r * e - 2 * p) + 1)]
+    # 0-based: z[i] is z_{i+1}, and index r is the border row and column
+    powers = {}  # (i, j, m) -> (z[i] - z[j])^m, or (t - z[i])^m when j = r
+
+    def factor_power(i, j, m):
+        key = (i, j, m)
+        got = powers.get(key)
+        if got is None:
+            base = z[i] - z[j] if j < r else t - z[i]
+            got = powers[key] = base**m
+        return got
+
+    acc = {}
+    get = acc.get
     for M in transport_matrices(r, e, p):
-        prod = Poly.const(registry, 1)
+        # entries (i, j) and (j, i) share one factor, since
+        # z[j] - z[i] = -(z[i] - z[j]), and both border entries of index i
+        # are powers of t - z[i]
+        prod = None
         denom = 1
-        for i in range(r + 1):
-            for j in range(r + 1):
-                m = M[i][j]
-                denom *= factorial(m)
-                if not m:
-                    continue
-                if i < r and j < r:
-                    prod = prod * (z[i + 1] - z[j + 1]) ** m
-                elif i < r:
-                    prod = prod * (t - z[i + 1]) ** m
-                else:
-                    prod = prod * (t - z[j + 1]) ** m
-        total = total + prod * Fraction(1, denom)
-    return total
+        sign = 1
+        for i in range(r):
+            row = M[i]
+            for j in range(i + 1, r + 1):
+                m, n = row[j], M[j][i]
+                if m or n:
+                    denom *= facts[m] * facts[n]
+                    if n & 1 and j < r:
+                        sign = -sign
+                    f = factor_power(i, j, m + n)
+                    prod = f if prod is None else prod * f
+        weight = sign * (common // denom)
+        for exps, c in prod.terms.items():
+            acc[exps] = get(exps, 0) + c * weight
+    return Poly(registry, acc) * Fraction(1, common)
 
 
 def tau_transvectant_check(r: int, e: int, p: int) -> bool:

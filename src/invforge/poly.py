@@ -6,14 +6,21 @@ rational coefficients.  Registries are append-only: variables may be added
 after polynomials exist, and an older Poly is carried into the grown registry
 with an explicit lift().
 
-Coefficients are Python ints or Fractions.  Integer coefficients are kept as
-ints on purpose: the inner loops of the differential-operator calculus stay in
-(fast) integer arithmetic, and the rational normalizations are applied once at
-the end as scalar multiples.
+Coefficients are Python ints or Fractions, under one invariant: no stored
+coefficient is 0, and every integral coefficient is an int (never a Fraction
+with denominator 1).  parse() and every operation keep it, so the inner loops
+of the differential-operator calculus stay in (fast) integer arithmetic, and
+the rational normalizations are applied once at the end as scalar multiples.
+
+The public constructor Poly(registry, terms) validates and copies its input.
+The ring operations build their results through Poly._trusted, which skips
+both; every caller of _trusted must hand over a fresh dict, of exponent
+vectors of the stated width, whose coefficients already keep the invariant.
 """
 
 import re
 from fractions import Fraction
+from math import perm
 from operator import add as _add
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -83,17 +90,29 @@ class Poly:
     def __init__(self, registry: VarRegistry, terms: dict):
         self.registry = registry
         self.width = len(registry)
-        clean = {}
-        for exps, c in terms.items():
+        for exps in terms:
             if len(exps) != self.width:
                 raise ValueError(
                     f"exponent vector length {len(exps)} != registry size {self.width}"
                 )
-            if c:
-                clean[exps] = c
-        self.terms = clean
+        self.terms = _settle(dict(terms))
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, registry, width, terms):
+        """Wrap terms without validation or copy (see the module docstring)."""
+        p = object.__new__(cls)
+        p.registry = registry
+        p.width = width
+        p.terms = terms
+        return p
+
+    def _const(self, c):
+        # a constant at this Poly's width, which may trail a grown registry
+        c = _demoted(c)
+        terms = {(0,) * self.width: c} if c else {}
+        return Poly._trusted(self.registry, self.width, terms)
 
     @classmethod
     def zero(cls, registry):
@@ -182,27 +201,32 @@ class Poly:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.registry, other)
+            other = self._const(other)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
         out = dict(self.terms)
+        get = out.get
         for exps, c in other.terms.items():
-            s = out.get(exps, 0) + c
+            s = get(exps, 0) + c
             if s:
+                if type(s) is Fraction and s.denominator == 1:
+                    s = s.numerator
                 out[exps] = s
-            elif exps in out:
+            else:
                 del out[exps]
-        return Poly(self.registry, out)
+        return Poly._trusted(self.registry, self.width, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.registry, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(
+            self.registry, self.width, {e: -c for e, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.registry, other)
+            other = self._const(other)
         if not isinstance(other, Poly):
             return NotImplemented
         return self + (-other)
@@ -212,32 +236,33 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            other = _demoted(other)
             if not other:
-                return Poly.zero(self.registry)
-            return Poly(self.registry, {e: c * other for e, c in self.terms.items()})
+                return self._const(0)
+            out = {e: c * other for e, c in self.terms.items()}
+            _demote_in_place(out)
+            return Poly._trusted(self.registry, self.width, out)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        b = list(b.items())
         out = {}
+        get = out.get
         for ea, ca in a.items():
-            for eb, cb in b.items():
+            for eb, cb in b:
                 key = tuple(map(_add, ea, eb))
-                s = out.get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return Poly(self.registry, out)
+                out[key] = get(key, 0) + ca * cb
+        return Poly._trusted(self.registry, self.width, _settle(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.const(self.registry, 1)
+        result = self._const(1)
         base = self
         while n:
             if n & 1:
@@ -253,18 +278,16 @@ class Poly:
         if times < 0:
             raise ValueError("negative differentiation count")
         i = self.registry.index(var)
-        terms = self.terms
-        for _ in range(times):
-            out = {}
-            for exps, c in terms.items():
-                k = exps[i]
-                if k:
-                    key = exps[:i] + (k - 1,) + exps[i + 1 :]
-                    out[key] = c * k
-            terms = out
-            if not terms:
-                break
-        return Poly(self.registry, terms)
+        if i >= self.width:
+            return self._const(0) if times else self
+        # d^t/dx^t x^k = k!/(k-t)! x^(k-t): one pass, one falling factorial
+        out = {}
+        for exps, c in self.terms.items():
+            k = exps[i]
+            if k >= times:
+                out[exps[:i] + (k - times,) + exps[i + 1 :]] = c * perm(k, times)
+        _demote_in_place(out)
+        return Poly._trusted(self.registry, self.width, out)
 
     def substitute(self, bindings: dict):
         """Simultaneous substitution name -> Poly, fully expanded.
@@ -300,6 +323,7 @@ class Poly:
                 (bexps, bcoeff), = p.terms.items()
                 mono[i] = (bexps, bcoeff)
             out = {}
+            get = out.get
             for exps, c in self.terms.items():
                 vec = [0] * width
                 coeff = c
@@ -317,12 +341,8 @@ class Poly:
                             if be:
                                 vec[j] += be * e
                 key = tuple(vec)
-                s = out.get(key, 0) + coeff
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-            return Poly(reg, out)
+                out[key] = get(key, 0) + coeff
+            return Poly._trusted(reg, width, _settle(out))
 
         # General path: per-term products with a power cache.
         powcache = {}
@@ -335,22 +355,19 @@ class Poly:
             return got
 
         acc = {}
+        get = acc.get
         for exps, c in self.terms.items():
             vec = [0] * width
             for i, e in enumerate(exps):
                 if e and i not in bound:
                     vec[carry[i]] += e
-            prod = Poly(reg, {tuple(vec): c})
+            prod = Poly._trusted(reg, width, {tuple(vec): c})
             for i, e in enumerate(exps):
                 if e and i in bound:
                     prod = prod * powered(i, e)
             for key, cc in prod.terms.items():
-                s = acc.get(key, 0) + cc
-                if s:
-                    acc[key] = s
-                elif key in acc:
-                    del acc[key]
-        return Poly(reg, acc)
+                acc[key] = get(key, 0) + cc
+        return Poly._trusted(reg, width, _settle(acc))
 
     def coefficient_of(self, assignment: dict):
         """Coefficient polynomial of the monomial fixed by assignment.
@@ -372,7 +389,7 @@ class Poly:
             if all(exps[i] == e for i, e in idx.items()):
                 key = tuple(0 if i in idx else v for i, v in enumerate(exps))
                 out[key] = c
-        return Poly(self.registry, out)
+        return Poly._trusted(self.registry, self.width, out)
 
     def lift(self, target: VarRegistry = None):
         """Re-express in a larger registry (or this registry after growth).
@@ -384,7 +401,9 @@ class Poly:
             if self.width == len(target):
                 return self
             pad = (0,) * (len(target) - self.width)
-            return Poly(target, {e + pad: c for e, c in self.terms.items()})
+            return Poly._trusted(
+                target, len(target), {e + pad: c for e, c in self.terms.items()}
+            )
         used = [False] * self.width
         for exps in self.terms:
             for i, e in enumerate(exps):
@@ -402,7 +421,7 @@ class Poly:
                 if e:
                     vec[remap[i]] = e
             out[tuple(vec)] = c
-        return Poly(target, out)
+        return Poly._trusted(target, nt, out)
 
     # -- text --------------------------------------------------------------
 
@@ -440,6 +459,29 @@ class Poly:
         return f"Poly({self})"
 
 
+def _demoted(c):
+    """c, or its numerator when c is a Fraction with denominator 1."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _demote_in_place(terms):
+    # the scan for any Fraction at all runs in C; all-int terms stop there
+    if Fraction in map(type, terms.values()):
+        for exps, c in terms.items():
+            if type(c) is Fraction and c.denominator == 1:
+                terms[exps] = c.numerator
+
+
+def _settle(terms):
+    """terms made to keep the coefficient invariant, in place where it can be."""
+    if 0 in terms.values():
+        terms = {e: c for e, c in terms.items() if c}
+    _demote_in_place(terms)
+    return terms
+
+
 # -- parsing ----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -474,6 +516,8 @@ def parse(text: str, registry: VarRegistry) -> Poly:
     """Parse the polynomial grammar: terms joined by + or -, each term an
     optional rational coefficient ("p/q" or integer) followed by
     "*"-separated variable powers "name^k" (k omitted means 1).
+
+    Integral coefficients (including "4/2") are stored as int.
     """
     tokens = _tokenize(text)
     i = 0
@@ -489,12 +533,12 @@ def parse(text: str, registry: VarRegistry) -> Poly:
 
     def parse_term(sign):
         kind, value, pos = peek()
-        coeff = Fraction(sign)
+        coeff = sign
         powers = []
         if kind == "num":
             advance()
             try:
-                coeff *= Fraction(value)
+                coeff *= _demoted(Fraction(value))
             except ZeroDivisionError:
                 raise ParseError("zero denominator in coefficient", pos) from None
         elif kind != "name":
@@ -554,11 +598,7 @@ def parse(text: str, registry: VarRegistry) -> Poly:
         raise ParseError("empty input", pos)
     while True:
         exps, coeff = parse_term(sign)
-        s = result.get(exps, 0) + coeff
-        if s:
-            result[exps] = s
-        elif exps in result:
-            del result[exps]
+        result[exps] = result.get(exps, 0) + coeff
         kind, value, pos = peek()
         if kind == "end":
             break

@@ -17,8 +17,9 @@ A(x)B(y) in four variables.
 """
 
 from fractions import Fraction
+from math import perm
 
-from .arith import binomial, factorial
+from .arith import binomial
 from .poly import Poly, VarRegistry
 
 
@@ -147,7 +148,8 @@ def transvectant(A: BinaryForm, B: BinaryForm, k: int) -> BinaryForm:
     if k > min(a, b):
         return BinaryForm(Poly.zero(A.poly.registry), A.xpair, degree)
     raw = _omega_diagonal(A.poly, B.poly, k, A.xpair)
-    norm = Fraction(factorial(a - k) * factorial(b - k), factorial(a) * factorial(b))
+    # (a-k)!(b-k)!/(a!b!) as falling factorials: no factorial of a or b
+    norm = Fraction(1, perm(a, k) * perm(b, k))
     return BinaryForm(raw * norm, A.xpair, degree)
 
 

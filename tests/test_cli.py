@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -165,6 +166,15 @@ def test_size_cap_env(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "alpha-rank", "--n", "1", "--d", "4", "--r", "2")
     assert code == 1
     assert "INVFORGE_SIZE_CAP" in json.loads(err)["error"]
+
+
+def test_large_exponent_transvect_is_fast(capsys):
+    # the scale (a-k)!(b-k)!/(a!b!) must not take a factorial of a = 2^20
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "transvect", "--a", "x0^1048576", "--b", "x1", "--k", "0")
+    assert time.perf_counter() - t0 < 2
+    assert code == 0
+    assert out == '{"result":"x0^1048576*x1"}\n'
 
 
 # -- whole-program paths ------------------------------------------------------

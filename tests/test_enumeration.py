@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,8 @@ from invforge.enumeration import (
     tau_transvectant_check,
     transport_matrices,
 )
-from invforge.poly import Poly
+from invforge.arith import factorial
+from invforge.poly import Poly, VarRegistry
 
 
 def brute_multigraphs(e, p):
@@ -156,6 +158,43 @@ def test_tau_2_1_0_golden():
     z1 = Poly.variable(t.registry, "z1")
     z2 = Poly.variable(t.registry, "z2")
     assert t == ((tv - z1) * (tv - z2)) ** 2
+
+
+def tau_reference(r, e, p):
+    """tau as one Poly sum per matrix, each term scaled by its own 1/prod m_ij!."""
+    registry = VarRegistry(["t"] + [f"z{i}" for i in range(1, r + 1)])
+    t = Poly.variable(registry, "t")
+    z = [None] + [Poly.variable(registry, f"z{i}") for i in range(1, r + 1)]
+    total = Poly.zero(registry)
+    for M in transport_matrices(r, e, p):
+        prod = Poly.const(registry, 1)
+        denom = 1
+        for i in range(r + 1):
+            for j in range(r + 1):
+                m = M[i][j]
+                denom *= factorial(m)
+                if not m:
+                    continue
+                if i < r and j < r:
+                    prod = prod * (z[i + 1] - z[j + 1]) ** m
+                elif i < r:
+                    prod = prod * (t - z[i + 1]) ** m
+                else:
+                    prod = prod * (t - z[j + 1]) ** m
+        total = total + prod * Fraction(1, denom)
+    return total
+
+
+@pytest.mark.parametrize(
+    "r,e,p",
+    [(r, e, p) for r in (2, 3) for e in (1, 2) for p in range(r * e // 2 + 1)]
+    + [(4, 1, p) for p in range(3)],
+)
+def test_tau_matches_reference_accumulation(r, e, p):
+    got, want = tau(r, e, p), tau_reference(r, e, p)
+    assert got.registry.names == want.registry.names
+    assert got.terms == want.terms
+    assert str(got) == str(want)
 
 
 def test_tau_symmetric_in_z():

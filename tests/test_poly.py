@@ -128,6 +128,72 @@ def test_scalar_paths():
     assert -(x - y) == y - x
 
 
+# -- the coefficient invariant ---------------------------------------------
+
+
+def keeps_invariant(p):
+    """No stored 0, and no Fraction with denominator 1."""
+    return all(
+        c != 0 and not (isinstance(c, Fraction) and c.denominator == 1)
+        for c in p.terms.values()
+    )
+
+
+def naive_product(a, b):
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            key = tuple(u + v for u, v in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+scalars = coeffs | st.integers(-9, 9).map(lambda k: Fraction(k, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_triples(), scalars)
+def test_operations_keep_coefficient_invariant(triple, k):
+    a, b, c = triple
+    reg = a.registry
+    half_y = Poly.term(reg, Fraction(1, 2), {"y": 1})
+    results = [
+        parse(str(a), reg),
+        a + b,
+        a - b,
+        a * b,
+        a * k,
+        k * a,
+        a.differentiate("x"),
+        a.differentiate("y", 3),
+        a.substitute({"x": b, "z": c}),
+        a.substitute({"x": half_y, "z": Poly.const(reg, 2)}),
+    ]
+    for i, r in enumerate(results):
+        assert keeps_invariant(r), (i, r.terms)
+    assert (a * b).terms == naive_product(a, b)
+
+
+def test_integral_coefficients_are_int():
+    reg, (x, y, _) = make_ring()
+    half = Fraction(1, 2)
+    assert type((x * half + x * half).terms[(1, 0, 0)]) is int
+    assert type((x * half * 4).terms[(1, 0, 0)]) is int
+    assert type((x * Fraction(3, 1)).terms[(1, 0, 0)]) is int
+    assert type(((x * half) * (y * 2)).terms[(1, 1, 0)]) is int
+    assert type((x**2 * half).differentiate("x").terms[(1, 0, 0)]) is int
+    parsed = parse("4/2*x + 1/2*y + 1/2*y + 3", reg)
+    assert all(type(c) is int for c in parsed.terms.values())
+    assert Poly(reg, {(1, 0, 0): Fraction(6, 3)}).terms == {(1, 0, 0): 2}
+
+
+def test_public_constructor_validates():
+    reg = VarRegistry(["x", "y"])
+    with pytest.raises(ValueError):
+        Poly(reg, {(1,): 1})
+    assert Poly(reg, {(1, 0): 0, (0, 1): 2}).terms == {(0, 1): 2}
+
+
 def test_differentiate():
     reg, (x, y, _) = make_ring()
     p = x**3 * y + 2 * x
@@ -201,6 +267,11 @@ def test_registry_growth_and_lift():
     assert x.degree_in(["y"]) == 0
     assert not x.uses("y")
     assert x.coefficient_of({"y": 1}).is_zero()
+    # constants made by the operations take x's own width
+    assert x**2 == x * x
+    assert (x + 1) - 1 == x
+    assert (x * 0).is_zero() and (x * 0).width == 1
+    assert x.differentiate("y").is_zero()
 
 
 def test_mismatched_registries_raise():
