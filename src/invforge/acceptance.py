@@ -198,7 +198,8 @@ def criterion_7() -> tuple:
             coeffs = [rng.randint(-5, 5) for _ in range(d + 1)]
             if all(c == 0 for c in coeffs) or is_power_of_quadratic(coeffs):
                 continue
-            F = _int_form(coeffs)
+            terms = {(d - t, t): c for t, c in enumerate(coeffs)}
+            F = BinaryForm(Poly(VarRegistry(["x0", "x1"]), terms), ("x0", "x1"), d)
             ok, witness = membership(F)
             if ok or witness is None:
                 return False, f"non-power {coeffs} accepted"
@@ -286,17 +287,6 @@ def run_all() -> list:
 
 
 # -- independent power-extraction oracle ----------------------------------
-
-
-def _int_form(coeffs) -> BinaryForm:
-    """The binary form sum coeffs[t] x0^(d-t) x1^t."""
-    d = len(coeffs) - 1
-    reg = VarRegistry(["x0", "x1"])
-    poly = Poly.zero(reg)
-    for t, c in enumerate(coeffs):
-        if c:
-            poly = poly + Poly.term(reg, c, {"x0": d - t, "x1": t})
-    return BinaryForm(poly, ("x0", "x1"), d)
 
 
 def is_power_of_quadratic(coeffs) -> bool:

@@ -12,6 +12,9 @@ of order 3d-4i-2j, the rational constants mu_{i,j}, and the combinations
 assemble into a set S whose common vanishing characterizes the forms that
 are e-th powers of quadratics.  membership() evaluates that set on a given
 form and reports the first non-vanishing element as a witness.
+
+CovariantExpr is the one evaluation path: u_cov() and phi() construct one
+and evaluate it, and its constructor validates every index set.
 """
 
 from fractions import Fraction
@@ -28,34 +31,9 @@ def in_range(d: int, i: int, j: int) -> bool:
 
 
 def u_cov(d: int, i: int, j: int, F: BinaryForm) -> BinaryForm:
-    """The covariant ((F,F)_{2i}, F)_j of a degree-d form, exactly.
-
-    Outside the index window this is the zero form.  Both transvectants
-    are computed unnormalized and the rational scale is applied once at
-    the end, so integer coefficients stay integer until the last step.
-    """
-    if d % 2:
-        raise ValueError(f"u_cov needs even degree, got d={d}")
-    if F.degree != d:
-        raise ValueError(f"form has degree {F.degree}, expected {d}")
-    order = max(3 * d - 4 * i - 2 * j, 0)
-    if not in_range(d, i, j):
-        return BinaryForm.zero_like(F, order)
-    return _u_cov_ranged(d, i, j, F, {})
-
-
-def _u_cov_ranged(d, i, j, F, cache) -> BinaryForm:
-    # cache maps i -> unnormalized (F,F)_{2i}; callers share it across j's
-    if i in cache:
-        hraw = cache[i]
-    else:
-        hraw = _omega_diagonal(F.poly, F.poly, 2 * i, F.xpair)
-        cache[i] = hraw
-    u = 2 * d - 4 * i
-    raw = _omega_diagonal(hraw, F.poly, j, F.xpair)
-    # (d-2i)!^2/d!^2 * (u-j)!(d-j)!/(u!d!), as falling factorials
-    scale = Fraction(1, perm(d, 2 * i) ** 2 * perm(u, j) * perm(d, j))
-    return BinaryForm(raw * scale, F.xpair, 3 * d - 4 * i - 2 * j)
+    """The covariant ((F,F)_{2i}, F)_j of a degree-d form, exactly; the
+    zero form outside the index window."""
+    return CovariantExpr("U", d, (i, j)).evaluate(F)
 
 
 def mu(e: int, i: int, j: int) -> Fraction:
@@ -72,30 +50,14 @@ def mu(e: int, i: int, j: int) -> Fraction:
 def phi(d: int, i: int, j: int, i2: int, j2: int, F: BinaryForm) -> BinaryForm:
     """mu_{i2,j2} U(i,j) - mu_{i,j} U(i2,j2), for pairs with equal 2i+j and
     both j's even."""
-    _check_phi_indices(d, i, j, i2, j2)
-    e = d // 2
-    a = u_cov(d, i, j, F)
-    b = u_cov(d, i2, j2, F)
-    combo = a.poly * mu(e, i2, j2) - b.poly * mu(e, i, j)
-    return BinaryForm(combo, F.xpair, a.degree)
-
-
-def _check_phi_indices(d, i, j, i2, j2):
-    if d % 2:
-        raise ValueError(f"phi needs even degree, got d={d}")
-    if j % 2 or j2 % 2:
-        raise ValueError(f"phi needs even orders, got j={j}, j2={j2}")
-    if 2 * i + j != 2 * i2 + j2:
-        raise ValueError(
-            f"phi needs 2i+j = 2i2+j2, got {2 * i + j} != {2 * i2 + j2}"
-        )
-    if not (in_range(d, i, j) and in_range(d, i2, j2)):
-        raise ValueError(f"phi indices out of range: {(i, j, i2, j2)}")
+    return CovariantExpr("Phi", d, (i, j, i2, j2)).evaluate(F)
 
 
 class CovariantExpr:
     """A named element of the defining set: a single U(i,j) or a
-    difference Phi(i,j,i2,j2)."""
+    difference Phi(i,j,i2,j2).  d must be even; a Phi needs even j's,
+    equal 2i+j and both pairs in the window.  A U outside the window
+    evaluates to the zero form."""
 
     __slots__ = ("kind", "d", "indices")
 
@@ -106,6 +68,18 @@ class CovariantExpr:
             raise ValueError("U takes two indices")
         if kind == "Phi" and len(indices) != 4:
             raise ValueError("Phi takes four indices")
+        if d % 2:
+            raise ValueError(f"{kind} needs even degree, got d={d}")
+        if kind == "Phi":
+            i, j, i2, j2 = indices
+            if j % 2 or j2 % 2:
+                raise ValueError(f"Phi needs even orders, got j={j}, j2={j2}")
+            if 2 * i + j != 2 * i2 + j2:
+                raise ValueError(
+                    f"Phi needs 2i+j = 2i2+j2, got {2 * i + j} != {2 * i2 + j2}"
+                )
+            if not (in_range(d, i, j) and in_range(d, i2, j2)):
+                raise ValueError(f"Phi indices out of range: {tuple(indices)}")
         self.kind = kind
         self.d = d
         self.indices = tuple(indices)
@@ -126,16 +100,30 @@ class CovariantExpr:
         if cache is None:
             cache = {}
         if self.kind == "U":
-            i, j = self.indices
-            if not in_range(self.d, i, j):
-                return BinaryForm.zero_like(F, max(self.order, 0))
-            return _u_cov_ranged(self.d, i, j, F, cache)
+            return self._u(*self.indices, F, cache)
         i, j, i2, j2 = self.indices
         e = self.d // 2
-        a = _u_cov_ranged(self.d, i, j, F, cache)
-        b = _u_cov_ranged(self.d, i2, j2, F, cache)
+        a = self._u(i, j, F, cache)
+        b = self._u(i2, j2, F, cache)
         combo = a.poly * mu(e, i2, j2) - b.poly * mu(e, i, j)
         return BinaryForm(combo, F.xpair, a.degree)
+
+    def _u(self, i, j, F, cache) -> BinaryForm:
+        # U(i,j) with both transvectants unnormalized and the rational
+        # scale applied once, so integer coefficients stay integer until
+        # the last step; cache maps i -> unnormalized (F,F)_{2i}
+        d = self.d
+        order = 3 * d - 4 * i - 2 * j
+        if not in_range(d, i, j):
+            return BinaryForm.zero_like(F, max(order, 0))
+        hraw = cache.get(i)
+        if hraw is None:
+            hraw = cache[i] = _omega_diagonal(F.poly, F.poly, 2 * i, F.xpair)
+        u = 2 * d - 4 * i
+        raw = _omega_diagonal(hraw, F.poly, j, F.xpair)
+        # (d-2i)!^2/d!^2 * (u-j)!(d-j)!/(u!d!), as falling factorials
+        scale = Fraction(1, perm(d, 2 * i) ** 2 * perm(u, j) * perm(d, j))
+        return BinaryForm(raw * scale, F.xpair, order)
 
     def __repr__(self):
         return f"CovariantExpr({self.name()}, d={self.d})"

@@ -157,23 +157,23 @@ def transport_matrices(r: int, e: int, p: int):
     col_left = list(margins)
     matrix = [[0] * size for _ in range(size)]
 
-    def fill_row(i, j, row_left):
+    def fill_row(i, j, row_left, room):
+        # room: what cells j.. of this row can still absorb (column i excluded)
         if j == size:
             if row_left == 0:
                 yield from fill(i + 1)
             return
         if j == i:
             matrix[i][j] = 0
-            yield from fill_row(i, j + 1, row_left)
+            yield from fill_row(i, j + 1, row_left, room)
             return
-        # upper bound on what later cells of this row can absorb
-        later = sum(col_left[t] for t in range(j + 1, size) if t != i)
+        later = room - col_left[j]
         lo = max(0, row_left - later)
         hi = min(row_left, col_left[j])
         for v in range(lo, hi + 1):
             matrix[i][j] = v
             col_left[j] -= v
-            yield from fill_row(i, j + 1, row_left - v)
+            yield from fill_row(i, j + 1, row_left - v, later)
             col_left[j] += v
         matrix[i][j] = 0
 
@@ -182,7 +182,7 @@ def transport_matrices(r: int, e: int, p: int):
             if all(c == 0 for c in col_left):
                 yield tuple(tuple(row) for row in matrix)
             return
-        yield from fill_row(i, 0, margins[i])
+        yield from fill_row(i, 0, margins[i], sum(col_left) - col_left[i])
 
     yield from fill(0)
 

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +121,25 @@ def test_deterministic_output(capsys):
     first = run_cli(capsys, "membership", "--d", "4", "--f", "x0^4 + x1^4")
     second = run_cli(capsys, "membership", "--d", "4", "--f", "x0^4 + x1^4")
     assert first == second
+
+
+def test_membership_witnesses_replay_recorded_pool(capsys):
+    # the recorded non-member pool (d = 8..20): each first witness in
+    # canonical set order must come back byte for byte
+    recorded = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
+    pool = json.loads(recorded.read_text())["nonmember_pool"]
+    replayed = 0
+    for d_text, entries in pool.items():
+        d = int(d_text)
+        for entry in entries:
+            text = " ".join(
+                f"{'-' if c < 0 else '+'} {abs(c)}*x0^{d - t}*x1^{t}"
+                for t, c in enumerate(entry["coeffs"])
+            )
+            code, out, _ = run_cli(capsys, "membership", "--d", d_text, "--f", text)
+            assert (code, out) == (0, entry["stdout"]), (d, entry["coeffs"])
+            replayed += 1
+    assert replayed == 168
 
 
 # -- failure paths ------------------------------------------------------------

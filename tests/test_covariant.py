@@ -106,6 +106,14 @@ def test_u_cov_input_guards():
         u_cov(3, 0, 1, form(x0**3))
     with pytest.raises(ValueError):
         u_cov(4, 0, 1, form(x0**3))
+    # odd degree is refused when the expression is built, before any form
+    for d, indices in [(3, (0, 1)), (5, (0, 1))]:
+        with pytest.raises(ValueError):
+            CovariantExpr("U", d, indices)
+    with pytest.raises(ValueError):
+        CovariantExpr("U", 4, (0, 1, 2))
+    with pytest.raises(ValueError):
+        CovariantExpr("V", 4, (0, 1))
 
 
 # -- the coefficients ---------------------------------------------------------
@@ -142,12 +150,21 @@ def test_phi_index_constraints():
     x0 = Poly.variable(reg, "x0")
     x1 = Poly.variable(reg, "x1")
     F = form(x0**4 + x1**4)
+    malformed = [
+        (4, (0, 2, 1, 1)),  # odd order
+        (4, (0, 2, 1, 2)),  # weights differ
+        (4, (0, 2, 3, 0)),  # second pair out of range
+        (4, (0, 6, 1, 4)),  # first pair out of range
+        (5, (0, 2, 1, 0)),  # odd degree
+    ]
+    for d, indices in malformed:
+        with pytest.raises(ValueError):
+            phi(d, *indices, F)
+        # refused at construction, so set members and direct callers share the check
+        with pytest.raises(ValueError):
+            CovariantExpr("Phi", d, indices)
     with pytest.raises(ValueError):
-        phi(4, 0, 2, 1, 1, F)  # odd order
-    with pytest.raises(ValueError):
-        phi(4, 0, 2, 1, 2, F)  # weights differ
-    with pytest.raises(ValueError):
-        phi(4, 0, 2, 3, 0, F)  # second pair out of range
+        CovariantExpr("Phi", 4, (0, 2, 1))
 
 
 def test_phi_kills_power_of_quadratic():

@@ -33,6 +33,24 @@ def brute_multigraphs(e, p):
     return out
 
 
+def brute_transport(r, e, p):
+    """Every row with zero diagonal and the right sum, combined row by row and
+    filtered on column sums; independent of the backtracking stream."""
+    size = r + 1
+    margins = [e] * r + [r * e - 2 * p]
+    rows = []
+    for i, m in enumerate(margins):
+        rows.append([
+            values[:i] + (0,) + values[i:]
+            for values in itertools.product(range(m + 1), repeat=size - 1)
+            if sum(values) == m
+        ])
+    return [
+        M for M in itertools.product(*rows)
+        if [sum(col) for col in zip(*M)] == margins
+    ]
+
+
 # -- multigraphs ------------------------------------------------------------
 
 
@@ -133,6 +151,13 @@ def test_transport_margins_hold():
             assert [sum(row) for row in M] == margins
             assert [sum(col) for col in zip(*M)] == margins
         assert seen
+
+
+def test_transport_matches_brute_filter_in_order():
+    grid = [(r, e, p) for r, e in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)]
+            for p in range(r * e // 2 + 1)]
+    for r, e, p in grid:
+        assert list(transport_matrices(r, e, p)) == brute_transport(r, e, p), (r, e, p)
 
 
 def test_transport_range_guards():
