@@ -36,6 +36,8 @@ def s2_dim(dim: int) -> int:
 def monomial_exponents(nvars: int, degree: int):
     """Exponent tuples of the degree-`degree` monomials in `nvars`
     variables, in graded-lex descending order (x0^d first)."""
+    if nvars < 1:
+        raise ValueError(f"monomial_exponents needs nvars >= 1, got {nvars}")
     if nvars == 1:
         return [(degree,)]
     out = []
@@ -175,6 +177,8 @@ def alpha_matrix(n: int, d: int, r: int, size_cap: int = None) -> ExactMatrix:
         raise ValueError(f"alpha_matrix needs even degree, got d={d}")
     if r < 1:
         raise ValueError(f"alpha_matrix needs r >= 1, got {r}")
+    if n < 0:
+        raise ValueError(f"alpha_matrix needs n >= 0, got {n}")
     e = d // 2
     if size_cap is None:
         size_cap = int(os.environ.get(SIZE_CAP_ENV, DEFAULT_SIZE_CAP))
@@ -204,7 +208,7 @@ def alpha_matrix(n: int, d: int, r: int, size_cap: int = None) -> ExactMatrix:
     entries = [[0] * len(cols) for _ in range(nrows)]
     for c, combo in enumerate(cols):
         image = alpha_image([basis[i] for i in combo], e, n)
-        for exps, coeff in image.terms.items():
+        for exps, coeff in image.exponent_terms().items():
             named = dict(zip(image.registry.names, exps))
             xe = tuple(named[f"x{l}"] for l in range(n + 1))
             ye = tuple(named[f"y{l}"] for l in range(n + 1))

@@ -217,35 +217,37 @@ def tau(r: int, e: int, p: int, registry: VarRegistry = None) -> Poly:
             got = powers[key] = base**m
         return got
 
-    acc = {}
-    get = acc.get
-    for M in transport_matrices(r, e, p):
-        # entries (i, j) and (j, i) share one factor, since
-        # z[j] - z[i] = -(z[i] - z[j]), and both border entries of index i
-        # are powers of t - z[i]
-        prod = None
-        denom = 1
-        sign = 1
-        for i in range(r):
-            row = M[i]
-            for j in range(i + 1, r + 1):
-                m, n = row[j], M[j][i]
-                if m or n:
-                    denom *= facts[m] * facts[n]
-                    if n & 1 and j < r:
-                        sign = -sign
-                    f = factor_power(i, j, m + n)
-                    prod = f if prod is None else prod * f
-        weight = sign * (common // denom)
-        for exps, c in prod.terms.items():
-            acc[exps] = get(exps, 0) + c * weight
-    return Poly(registry, acc) * Fraction(1, common)
+    def weighted_products():
+        for M in transport_matrices(r, e, p):
+            # entries (i, j) and (j, i) share one factor, since
+            # z[j] - z[i] = -(z[i] - z[j]), and both border entries of index
+            # i are powers of t - z[i]
+            prod = None
+            denom = 1
+            sign = 1
+            for i in range(r):
+                row = M[i]
+                for j in range(i + 1, r + 1):
+                    m, n = row[j], M[j][i]
+                    if m or n:
+                        denom *= facts[m] * facts[n]
+                        if n & 1 and j < r:
+                            sign = -sign
+                        f = factor_power(i, j, m + n)
+                        prod = f if prod is None else prod * f
+            yield sign * (common // denom), prod
+
+    return Poly.weighted_sum(registry, weighted_products()) * Fraction(1, common)
 
 
 def tau_transvectant_check(r: int, e: int, p: int) -> bool:
     """Check that the transvectant (prod l_i^e, prod l_j^e)_{2p} of symbolic
     linear forms, dehomogenized by l_{i,0} = z_i, l_{i,1} = 1, x0 = -1,
     x1 = t, equals (re-2p)!^2 (2p)! e!^(2r) / (re)!^2 times tau(r, e, p)."""
+    if r < 2 or e < 1:
+        raise ValueError(f"tau_transvectant_check needs r >= 2, e >= 1, got {(r, e)}")
+    if not (0 <= 2 * p <= r * e):
+        raise ValueError(f"tau_transvectant_check needs 0 <= 2p <= re, got p={p}")
     names = ["x0", "x1", "t"] + [f"z{i}" for i in range(1, r + 1)]
     for i in range(1, r + 1):
         names += [f"l{i}_0", f"l{i}_1"]

@@ -1,10 +1,29 @@
 """Sparse multivariate polynomials over exact rationals.
 
 A VarRegistry fixes an ordered alphabet of variable names; a Poly is a sparse
-map from exponent vectors (one entry per registered variable) to nonzero
-rational coefficients.  Registries are append-only: variables may be added
-after polynomials exist, and an older Poly is carried into the grown registry
-with an explicit lift().
+map from monomials to nonzero rational coefficients.  Registries are
+append-only: variables may be added after polynomials exist, and an older
+Poly is carried into the grown registry with an explicit lift().
+
+Monomials are packed exponent vectors (Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007).  The exponent of variable i occupies bits [W*i, W*(i+1)) of one
+nonnegative int key, with field width W = 32, so the product of two
+monomials is one integer add and a dict lookup hashes one int.  Variables
+registered later take higher bits, so a key stays valid when its registry
+grows: lift() into the same registry changes the width and nothing else.
+
+A field must never carry into its neighbour.  Every Poly records `bound`,
+an upper bound on each single exponent it holds (the maximum under +, the
+sum under *), and Poly._trusted raises ValueError when the bound reaches
+2^W.  Exponents up to 2^W - 1 work; the bound is not exact, so a product
+may be refused whose true exponents would still fit.
+
+`terms` is the stored dict, keyed by packed ints; read it for sizes and
+coefficients.  exponent_terms() is the view keyed by exponent tuples (one
+entry per variable up to the Poly's width), for readers that need the
+exponents themselves.  Poly.weighted_sum adds many integer multiples of
+Poly values in one dict, so no caller has to handle packed keys.
 
 Coefficients are Python ints or Fractions, under one invariant: no stored
 coefficient is 0, and every integral coefficient is an int (never a Fraction
@@ -12,21 +31,26 @@ with denominator 1).  parse() and every operation keep it, so the inner loops
 of the differential-operator calculus stay in (fast) integer arithmetic, and
 the rational normalizations are applied once at the end as scalar multiples.
 
-The public constructor Poly(registry, terms) validates and copies its input.
-The ring operations build their results through Poly._trusted, which skips
-both; every caller of _trusted must hand over a fresh dict, of exponent
-vectors of the stated width, whose coefficients already keep the invariant.
+The public constructor Poly(registry, terms) takes exponent tuples, and
+validates, packs and copies them.  The ring operations build their results
+through Poly._trusted, which skips all three; every caller of _trusted must
+hand over a fresh dict of packed keys, valid at the stated width, whose
+coefficients already keep the invariant, with a true exponent bound.
 """
 
 import re
 from fractions import Fraction
+from functools import reduce
 from math import perm
-from operator import add as _add
+from operator import or_
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 # Guard against absurd exponents sneaking in through parsed input.
 _EXPONENT_CAP = 2**20
+
+_W = 32  # bits per exponent field
+_MASK = (1 << _W) - 1
 
 
 class VarRegistry:
@@ -78,51 +102,84 @@ class VarRegistry:
         return f"VarRegistry({list(self._names)!r})"
 
 
+def _pack(exps) -> int:
+    key = 0
+    for e in reversed(exps):
+        key = (key << _W) | e
+    return key
+
+
+def _unpack(key: int, width: int) -> tuple:
+    return tuple((key >> s) & _MASK for s in range(0, _W * width, _W))
+
+
+def _used_indices(keys):
+    """Indices of the variables with a nonzero exponent in some key."""
+    used = reduce(or_, keys, 0)
+    i = 0
+    while used:
+        if used & _MASK:
+            yield i
+        used >>= _W
+        i += 1
+
+
 class Poly:
     """Immutable sparse polynomial over a VarRegistry.
 
-    terms maps exponent tuples (length = registry size at creation) to
-    nonzero coefficients.  Do not mutate terms after construction.
+    terms maps packed monomial keys to nonzero coefficients (see the module
+    docstring); exponent_terms() gives the same map keyed by exponent
+    tuples.  Do not mutate terms after construction.
     """
 
-    __slots__ = ("registry", "terms", "width")
+    __slots__ = ("registry", "terms", "width", "bound")
 
     def __init__(self, registry: VarRegistry, terms: dict):
         self.registry = registry
-        self.width = len(registry)
-        for exps in terms:
-            if len(exps) != self.width:
+        self.width = width = len(registry)
+        packed = {}
+        bound = 0
+        for exps, c in terms.items():
+            if len(exps) != width:
                 raise ValueError(
-                    f"exponent vector length {len(exps)} != registry size {self.width}"
+                    f"exponent vector length {len(exps)} != registry size {width}"
                 )
-        self.terms = _settle(dict(terms))
+            if min(exps, default=0) < 0:
+                raise ValueError(f"negative exponent in {exps}")
+            bound = max(bound, max(exps, default=0))
+            packed[_pack(exps)] = c
+        if bound > _MASK:
+            raise _overflow(bound)
+        self.bound = bound
+        self.terms = _settle(packed)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, registry, width, terms):
+    def _trusted(cls, registry, width, terms, bound):
         """Wrap terms without validation or copy (see the module docstring)."""
+        if bound > _MASK:
+            raise _overflow(bound)
         p = object.__new__(cls)
         p.registry = registry
         p.width = width
         p.terms = terms
+        p.bound = bound
         return p
 
     def _const(self, c):
         # a constant at this Poly's width, which may trail a grown registry
         c = _demoted(c)
-        terms = {(0,) * self.width: c} if c else {}
-        return Poly._trusted(self.registry, self.width, terms)
+        return Poly._trusted(self.registry, self.width, {0: c} if c else {}, 0)
 
     @classmethod
     def zero(cls, registry):
-        return cls(registry, {})
+        return cls._trusted(registry, len(registry), {}, 0)
 
     @classmethod
     def const(cls, registry, c):
-        if not c:
-            return cls(registry, {})
-        return cls(registry, {(0,) * len(registry): c})
+        c = _demoted(c)
+        return cls._trusted(registry, len(registry), {0: c} if c else {}, 0)
 
     @classmethod
     def variable(cls, registry, name):
@@ -131,14 +188,37 @@ class Poly:
     @classmethod
     def term(cls, registry, coeff, powers: dict):
         """Single term coeff * prod(name^k)."""
-        exps = [0] * len(registry)
+        key = bound = 0
         for name, k in powers.items():
             if k < 0:
                 raise ValueError(f"negative exponent {k} for {name!r}")
-            exps[registry.index(name)] += k
-        return cls(registry, {tuple(exps): coeff})
+            key += k << (_W * registry.index(name))
+            bound = max(bound, k)
+        c = _demoted(coeff)
+        return cls._trusted(registry, len(registry), {key: c} if c else {}, bound)
+
+    @classmethod
+    def weighted_sum(cls, registry, pairs):
+        """sum of w * p over (int w, Poly p) pairs, accumulated in place in
+        one dict, with no intermediate Poly.  Every p must be over registry
+        (at any width it has had)."""
+        acc = {}
+        get = acc.get
+        bound = 0
+        for w, p in pairs:
+            if p.registry is not registry:
+                raise ValueError("registry mismatch in weighted_sum")
+            bound = max(bound, p.bound)
+            for key, c in p.terms.items():
+                acc[key] = get(key, 0) + c * w
+        return cls._trusted(registry, len(registry), _settle(acc), bound)
 
     # -- predicates and bookkeeping ---------------------------------------
+
+    def exponent_terms(self) -> dict:
+        """A fresh dict of this Poly's terms keyed by exponent tuples."""
+        width = self.width
+        return {_unpack(key, width): c for key, c in self.terms.items()}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -162,38 +242,40 @@ class Poly:
         """Max term degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(_unpack(key, self.width)) for key in self.terms)
 
-    def _indices(self, names):
-        # variables registered after this Poly was created count as absent
-        return [i for i in (self.registry.index(n) for n in names) if i < self.width]
+    def _degrees_in(self, names):
+        # combined degree of each term in the named variables; variables
+        # registered after this Poly was created count as absent
+        idx = [self.registry.index(n) for n in names]
+        shifts = [_W * i for i in idx if i < self.width]
+        return (sum((key >> s) & _MASK for s in shifts) for key in self.terms)
 
     def degree_in(self, names) -> int:
         """Max combined degree in the given variables; -1 for zero."""
         if not self.terms:
             return -1
-        idx = self._indices(names)
-        return max(sum(e[i] for i in idx) for e in self.terms)
+        return max(self._degrees_in(names))
 
     def is_homogeneous_in(self, names, degree: int) -> bool:
         """True iff every term has the given combined degree in names."""
-        idx = self._indices(names)
-        return all(sum(e[i] for i in idx) == degree for e in self.terms)
+        return all(d == degree for d in self._degrees_in(names))
 
     def uses(self, name) -> bool:
         """True iff the variable appears with nonzero exponent."""
         i = self.registry.index(name)
         if i >= self.width:
             return False
-        return any(e[i] for e in self.terms)
+        field = _MASK << (_W * i)
+        return any(key & field for key in self.terms)
 
     def constant_value(self) -> Fraction:
         """The value of a variable-free polynomial."""
         if not self.terms:
             return Fraction(0)
         if len(self.terms) == 1:
-            ((exps, coeff),) = self.terms.items()
-            if not any(exps):
+            ((key, coeff),) = self.terms.items()
+            if not key:
                 return Fraction(coeff)
         raise ValueError("polynomial is not constant")
 
@@ -207,21 +289,25 @@ class Poly:
         self._check_compatible(other)
         out = dict(self.terms)
         get = out.get
-        for exps, c in other.terms.items():
-            s = get(exps, 0) + c
+        for key, c in other.terms.items():
+            s = get(key, 0) + c
             if s:
                 if type(s) is Fraction and s.denominator == 1:
                     s = s.numerator
-                out[exps] = s
+                out[key] = s
             else:
-                del out[exps]
-        return Poly._trusted(self.registry, self.width, out)
+                del out[key]
+        bound = max(self.bound, other.bound)
+        return Poly._trusted(self.registry, self.width, out, bound)
 
     __radd__ = __add__
 
     def __neg__(self):
         return Poly._trusted(
-            self.registry, self.width, {e: -c for e, c in self.terms.items()}
+            self.registry,
+            self.width,
+            {key: -c for key, c in self.terms.items()},
+            self.bound,
         )
 
     def __sub__(self, other):
@@ -239,9 +325,9 @@ class Poly:
             other = _demoted(other)
             if not other:
                 return self._const(0)
-            out = {e: c * other for e, c in self.terms.items()}
+            out = {key: c * other for key, c in self.terms.items()}
             _demote_in_place(out)
-            return Poly._trusted(self.registry, self.width, out)
+            return Poly._trusted(self.registry, self.width, out, self.bound)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
@@ -251,11 +337,12 @@ class Poly:
         b = list(b.items())
         out = {}
         get = out.get
-        for ea, ca in a.items():
-            for eb, cb in b:
-                key = tuple(map(_add, ea, eb))
+        for ka, ca in a.items():
+            for kb, cb in b:
+                key = ka + kb
                 out[key] = get(key, 0) + ca * cb
-        return Poly._trusted(self.registry, self.width, _settle(out))
+        bound = self.bound + other.bound
+        return Poly._trusted(self.registry, self.width, _settle(out), bound)
 
     __rmul__ = __mul__
 
@@ -278,16 +365,20 @@ class Poly:
         if times < 0:
             raise ValueError("negative differentiation count")
         i = self.registry.index(var)
+        if not times:
+            return self
         if i >= self.width:
-            return self._const(0) if times else self
+            return self._const(0)
         # d^t/dx^t x^k = k!/(k-t)! x^(k-t): one pass, one falling factorial
+        shift = _W * i
+        drop = times << shift
         out = {}
-        for exps, c in self.terms.items():
-            k = exps[i]
+        for key, c in self.terms.items():
+            k = (key >> shift) & _MASK
             if k >= times:
-                out[exps[:i] + (k - times,) + exps[i + 1 :]] = c * perm(k, times)
+                out[key - drop] = c * perm(k, times)
         _demote_in_place(out)
-        return Poly._trusted(self.registry, self.width, out)
+        return Poly._trusted(self.registry, self.width, out, self.bound)
 
     def substitute(self, bindings: dict):
         """Simultaneous substitution name -> Poly, fully expanded.
@@ -310,39 +401,43 @@ class Poly:
         bound = {}
         for name, p in bindings.items():
             bound[self.registry.index(name)] = p
-        carry = {}
-        for i, name in enumerate(self.registry.names[: self.width]):
-            if i not in bound:
-                carry[i] = reg.index(name)
+        # one entry per variable this Poly uses: (shift, image); an unbound
+        # variable keeps its name, so its image is that name's unit key
+        names = self.registry.names
+        plan = []
+        carried = spread = 0  # unbound variables; sum of the images' bounds
+        for i in _used_indices(self.terms):
+            p = bound.get(i)
+            if p is None:
+                plan.append((_W * i, None, 1 << (_W * reg.index(names[i]))))
+                carried += 1
+            else:
+                plan.append((_W * i, i, p))
+                spread += p.bound
+        out_bound = self.bound * (carried + spread)
 
         # Fast path: every replacement is a single term.  Then each input
-        # term maps to exactly one output term.
+        # term maps to exactly one output term, key to key.
         if all(len(p.terms) == 1 for p in bound.values()):
-            mono = {}
-            for i, p in bound.items():
-                (bexps, bcoeff), = p.terms.items()
-                mono[i] = (bexps, bcoeff)
+            mono = []
+            for shift, i, image in plan:
+                if i is None:
+                    mono.append((shift, image, 1))
+                else:
+                    ((ikey, icoeff),) = image.terms.items()
+                    mono.append((shift, ikey, icoeff))
             out = {}
             get = out.get
-            for exps, c in self.terms.items():
-                vec = [0] * width
-                coeff = c
-                for i, e in enumerate(exps):
-                    if not e:
-                        continue
-                    hit = mono.get(i)
-                    if hit is None:
-                        vec[carry[i]] += e
-                    else:
-                        bexps, bcoeff = hit
-                        if bcoeff != 1:
-                            coeff = coeff * bcoeff**e
-                        for j, be in enumerate(bexps):
-                            if be:
-                                vec[j] += be * e
-                key = tuple(vec)
-                out[key] = get(key, 0) + coeff
-            return Poly._trusted(reg, width, _settle(out))
+            for key, c in self.terms.items():
+                okey = 0
+                for shift, ikey, icoeff in mono:
+                    e = (key >> shift) & _MASK
+                    if e:
+                        okey += e * ikey
+                        if icoeff != 1:
+                            c = c * icoeff**e
+                out[okey] = get(okey, 0) + c
+            return Poly._trusted(reg, width, _settle(out), out_bound)
 
         # General path: per-term products with a power cache.
         powcache = {}
@@ -356,18 +451,20 @@ class Poly:
 
         acc = {}
         get = acc.get
-        for exps, c in self.terms.items():
-            vec = [0] * width
-            for i, e in enumerate(exps):
-                if e and i not in bound:
-                    vec[carry[i]] += e
-            prod = Poly._trusted(reg, width, {tuple(vec): c})
-            for i, e in enumerate(exps):
-                if e and i in bound:
-                    prod = prod * powered(i, e)
-            for key, cc in prod.terms.items():
-                acc[key] = get(key, 0) + cc
-        return Poly._trusted(reg, width, _settle(acc))
+        for key, c in self.terms.items():
+            okey = 0
+            for shift, i, image in plan:
+                if i is None:
+                    okey += ((key >> shift) & _MASK) * image
+            prod = Poly._trusted(reg, width, {okey: c}, self.bound * carried)
+            for shift, i, image in plan:
+                if i is not None:
+                    e = (key >> shift) & _MASK
+                    if e:
+                        prod = prod * powered(i, e)
+            for pkey, cc in prod.terms.items():
+                acc[pkey] = get(pkey, 0) + cc
+        return Poly._trusted(reg, width, _settle(acc), out_bound)
 
     def coefficient_of(self, assignment: dict):
         """Coefficient polynomial of the monomial fixed by assignment.
@@ -376,20 +473,20 @@ class Poly:
         is the polynomial in the remaining variables multiplying that
         monomial (zero polynomial when absent).
         """
-        idx = {}
+        fields = want = 0
         for n, e in assignment.items():
             i = self.registry.index(n)
-            if i >= self.width:
+            if i >= self.width or not 0 <= e <= _MASK:
                 if e != 0:
-                    return Poly.zero(self.registry)
+                    return self._const(0)
             else:
-                idx[i] = e
+                fields |= _MASK << (_W * i)
+                want |= e << (_W * i)
         out = {}
-        for exps, c in self.terms.items():
-            if all(exps[i] == e for i, e in idx.items()):
-                key = tuple(0 if i in idx else v for i, v in enumerate(exps))
-                out[key] = c
-        return Poly._trusted(self.registry, self.width, out)
+        for key, c in self.terms.items():
+            if key & fields == want:
+                out[key - want] = c
+        return Poly._trusted(self.registry, self.width, out, self.bound)
 
     def lift(self, target: VarRegistry = None):
         """Re-express in a larger registry (or this registry after growth).
@@ -400,28 +497,19 @@ class Poly:
             target = self.registry
             if self.width == len(target):
                 return self
-            pad = (0,) * (len(target) - self.width)
-            return Poly._trusted(
-                target, len(target), {e + pad: c for e, c in self.terms.items()}
-            )
-        used = [False] * self.width
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used[i] = True
-        remap = {}
-        for i, name in enumerate(self.registry.names[: self.width]):
-            if used[i]:
-                remap[i] = target.index(name)
-        nt = len(target)
+            # later variables take higher bits: the keys stay as they are
+            return Poly._trusted(target, len(target), self.terms, self.bound)
+        names = self.registry.names
+        moves = [  # (source shift, target shift) per used variable
+            (_W * i, _W * target.index(names[i])) for i in _used_indices(self.terms)
+        ]
         out = {}
-        for exps, c in self.terms.items():
-            vec = [0] * nt
-            for i, e in enumerate(exps):
-                if e:
-                    vec[remap[i]] = e
-            out[tuple(vec)] = c
-        return Poly._trusted(target, nt, out)
+        for key, c in self.terms.items():
+            okey = 0
+            for shift, tshift in moves:
+                okey |= ((key >> shift) & _MASK) << tshift
+            out[okey] = c
+        return Poly._trusted(target, len(target), out, self.bound)
 
     # -- text --------------------------------------------------------------
 
@@ -431,7 +519,9 @@ class Poly:
         names = self.registry.names
         # graded lexicographic, highest first: degree, then exponent vector
         ordered = sorted(
-            self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True
+            self.exponent_terms().items(),
+            key=lambda kv: (sum(kv[0]), kv[0]),
+            reverse=True,
         )
         pieces = []
         for exps, c in ordered:
@@ -459,6 +549,10 @@ class Poly:
         return f"Poly({self})"
 
 
+def _overflow(bound):
+    return ValueError(f"exponent bound {bound} does not fit the {_W}-bit packed field")
+
+
 def _demoted(c):
     """c, or its numerator when c is a Fraction with denominator 1."""
     if type(c) is Fraction and c.denominator == 1:
@@ -469,15 +563,15 @@ def _demoted(c):
 def _demote_in_place(terms):
     # the scan for any Fraction at all runs in C; all-int terms stop there
     if Fraction in map(type, terms.values()):
-        for exps, c in terms.items():
+        for key, c in terms.items():
             if type(c) is Fraction and c.denominator == 1:
-                terms[exps] = c.numerator
+                terms[key] = c.numerator
 
 
 def _settle(terms):
     """terms made to keep the coefficient invariant, in place where it can be."""
     if 0 in terms.values():
-        terms = {e: c for e, c in terms.items() if c}
+        terms = {key: c for key, c in terms.items() if c}
     _demote_in_place(terms)
     return terms
 

@@ -181,6 +181,10 @@ def test_alpha_matrix_input_guards():
         alpha_matrix(1, 3, 2)
     with pytest.raises(ValueError):
         alpha_matrix(1, 4, 0)
+    with pytest.raises(ValueError, match="n >= 0"):
+        alpha_matrix(-1, 4, 2)
+    with pytest.raises(ValueError, match="nvars >= 1"):
+        monomial_exponents(0, 4)
 
 
 def test_alpha_matrix_columns_reconstruct_images():

@@ -152,6 +152,21 @@ def test_domain_error_exits_1(capsys):
     assert "error" in json.loads(err)
 
 
+def test_negative_n_alpha_rank_exits_1(capsys):
+    # monomial_exponents(0, ...) used to recurse until RecursionError
+    code, out, err = run_cli(capsys, "alpha-rank", "--n", "-1", "--d", "4", "--r", "2")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "alpha_matrix needs n >= 0, got -1"}
+
+
+def test_tau_check_range_error_exits_1(capsys):
+    code, out, err = run_cli(capsys, "tau-check", "--r", "2", "--e", "1", "--p", "5")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "tau_transvectant_check needs 0 <= 2p <= re, got p=5"}
+
+
 def test_parse_error_exits_1(capsys):
     code, out, err = run_cli(capsys, "transvect", "--a", "x0^", "--b", "x1", "--k", "0")
     assert code == 1

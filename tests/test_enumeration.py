@@ -247,6 +247,16 @@ def test_tau_transvectant_identity_small():
         assert tau_transvectant_check(r, e, p), (r, e, p)
 
 
+def test_tau_transvectant_check_range_guards():
+    # checked before the transvectant is built, in transport_matrices' style
+    with pytest.raises(ValueError, match=r"^tau_transvectant_check needs 0 <= 2p <= re, got p=5$"):
+        tau_transvectant_check(2, 1, 5)
+    with pytest.raises(ValueError, match=r"^tau_transvectant_check needs 0 <= 2p <= re, got p=-1$"):
+        tau_transvectant_check(2, 1, -1)
+    with pytest.raises(ValueError, match=r"r >= 2, e >= 1, got \(1, 1\)$"):
+        tau_transvectant_check(1, 1, 0)
+
+
 # -- direct Omega-power evaluation -------------------------------------------
 
 

@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invforge.cli import main
 from invforge.poly import ParseError, Poly, VarRegistry, parse
 
 
@@ -102,7 +104,7 @@ def test_euler_identity_on_forced_homogeneous(p):
     # project onto the degree-3 part, then sum x_i dp/dx_i = 3p
     reg = p.registry
     cubic = Poly(
-        reg, {e: c for e, c in p.terms.items() if sum(e) == 3}
+        reg, {e: c for e, c in p.exponent_terms().items() if sum(e) == 3}
     )
     total = Poly.zero(reg)
     for name in reg.names:
@@ -141,8 +143,8 @@ def keeps_invariant(p):
 
 def naive_product(a, b):
     out = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
+    for ea, ca in a.exponent_terms().items():
+        for eb, cb in b.exponent_terms().items():
             key = tuple(u + v for u, v in zip(ea, eb))
             out[key] = out.get(key, 0) + ca * cb
     return {k: c for k, c in out.items() if c}
@@ -171,27 +173,27 @@ def test_operations_keep_coefficient_invariant(triple, k):
     ]
     for i, r in enumerate(results):
         assert keeps_invariant(r), (i, r.terms)
-    assert (a * b).terms == naive_product(a, b)
+    assert (a * b).exponent_terms() == naive_product(a, b)
 
 
 def test_integral_coefficients_are_int():
     reg, (x, y, _) = make_ring()
     half = Fraction(1, 2)
-    assert type((x * half + x * half).terms[(1, 0, 0)]) is int
-    assert type((x * half * 4).terms[(1, 0, 0)]) is int
-    assert type((x * Fraction(3, 1)).terms[(1, 0, 0)]) is int
-    assert type(((x * half) * (y * 2)).terms[(1, 1, 0)]) is int
-    assert type((x**2 * half).differentiate("x").terms[(1, 0, 0)]) is int
+    assert type((x * half + x * half).exponent_terms()[(1, 0, 0)]) is int
+    assert type((x * half * 4).exponent_terms()[(1, 0, 0)]) is int
+    assert type((x * Fraction(3, 1)).exponent_terms()[(1, 0, 0)]) is int
+    assert type(((x * half) * (y * 2)).exponent_terms()[(1, 1, 0)]) is int
+    assert type((x**2 * half).differentiate("x").exponent_terms()[(1, 0, 0)]) is int
     parsed = parse("4/2*x + 1/2*y + 1/2*y + 3", reg)
     assert all(type(c) is int for c in parsed.terms.values())
-    assert Poly(reg, {(1, 0, 0): Fraction(6, 3)}).terms == {(1, 0, 0): 2}
+    assert Poly(reg, {(1, 0, 0): Fraction(6, 3)}).exponent_terms() == {(1, 0, 0): 2}
 
 
 def test_public_constructor_validates():
     reg = VarRegistry(["x", "y"])
     with pytest.raises(ValueError):
         Poly(reg, {(1,): 1})
-    assert Poly(reg, {(1, 0): 0, (0, 1): 2}).terms == {(0, 1): 2}
+    assert Poly(reg, {(1, 0): 0, (0, 1): 2}).exponent_terms() == {(0, 1): 2}
 
 
 def test_differentiate():
@@ -272,6 +274,58 @@ def test_registry_growth_and_lift():
     assert (x + 1) - 1 == x
     assert (x * 0).is_zero() and (x * 0).width == 1
     assert x.differentiate("y").is_zero()
+
+
+def test_lift_after_growth_keeps_keys():
+    reg = VarRegistry(["x", "y"])
+    p = Poly.variable(reg, "x") ** 3 * 2 - Poly.variable(reg, "y")
+    reg.ensure("z")
+    lifted = p.lift()
+    # the new variable takes higher bits: a width change only
+    assert lifted.terms == p.terms
+    assert lifted.width == 3
+    assert lifted == Poly.variable(reg, "x") ** 3 * 2 - Poly.variable(reg, "y")
+    assert lifted == Poly(reg, {(3, 0, 0): 2, (0, 1, 0): -1})
+    assert lifted.exponent_terms() == {(3, 0, 0): 2, (0, 1, 0): -1}
+
+
+# -- packed exponent fields ---------------------------------------------------
+
+
+def test_field_overflow_raises_instead_of_aliasing():
+    reg = VarRegistry(["x0", "x1"])
+    x0 = Poly.variable(reg, "x0")
+    big = x0 ** (2**31)
+    with pytest.raises(ValueError, match="packed field"):
+        big * big
+    with pytest.raises(ValueError, match="packed field"):
+        big.substitute({"x0": x0 * x0})
+    with pytest.raises(ValueError, match="packed field"):
+        Poly(reg, {(2**32, 0): 1})
+    with pytest.raises(ValueError, match="packed field"):
+        Poly.term(reg, 1, {"x0": 2**32})
+    # the largest exponent a field holds stays in its own variable
+    top = Poly.term(reg, 1, {"x0": 2**32 - 1})
+    assert top.exponent_terms() == {(2**32 - 1, 0): 1}
+    assert not top.uses("x1")
+    assert top.differentiate("x0").exponent_terms() == {(2**32 - 2, 0): 2**32 - 1}
+
+
+def test_negative_exponent_rejected():
+    reg = VarRegistry(["x0", "x1"])
+    with pytest.raises(ValueError, match="negative exponent"):
+        Poly(reg, {(-1, 1): 1})
+
+
+def test_parsed_term_crossing_the_field_exits_1(capsys):
+    # 4096 factors of x0^(2^20): each exponent is under the parser's cap,
+    # their sum 2^32 is not under the field's
+    term = "*".join(["x0^1048576"] * 4096)
+    code = main(["transvect", "--a", term, "--b", "x1", "--k", "0"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert "packed field" in json.loads(err)["error"]
 
 
 def test_mismatched_registries_raise():
