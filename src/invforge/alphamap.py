@@ -7,8 +7,19 @@ multiplying, and identifying all the copies.  Its image lands in the
 symmetric square of the degree-re forms, so the matrix rows are indexed by
 unordered pairs of degree-re monomials and the columns by multisets of r
 degree-d monomials.
+
+`alpha_matrix` builds each column from the closed polarization of a
+monomial, (y.dx)^e x^a = e! sum_{|b|=e, b<=a} prod_l C(a_l,b_l) x^(a-b) y^b,
+and stores the matrix sparse, one dict per row.  `ExactMatrix.rank`
+eliminates sparsely mod the prime 2^61-1: rank mod p never exceeds the rank
+over Q, so reaching min(rows, cols) certifies the rank exactly; otherwise
+dense fraction-free Bareiss (`exact_rank`) decides.  `alpha_image` is the
+independent symbolic route (polarize, multiply, rename) that the tests hold
+the matrix against.  `INVFORGE_SIZE_CAP` bounds the rows, the columns and
+the stored nonzeros.
 """
 
+import functools
 import itertools
 import math
 import os
@@ -48,23 +59,80 @@ def monomial_exponents(nvars: int, degree: int):
 
 
 class ExactMatrix:
-    """A dense matrix of exact rationals with labelled rows and columns."""
+    """A sparse matrix of exact rationals with labelled rows and columns.
 
-    __slots__ = ("rows", "cols", "entries")
+    `sparse[i]` maps a column index to the nonzero entry of row i there;
+    `entries` is the dense list-of-rows view, built on demand.  The
+    constructor takes dense rows and checks them against the labels.
+    """
+
+    __slots__ = ("rows", "cols", "sparse")
 
     def __init__(self, rows, cols, entries):
         if len(entries) != len(rows) or any(len(r) != len(cols) for r in entries):
             raise ValueError("entry grid does not match the label shape")
         self.rows = list(rows)
         self.cols = list(cols)
-        self.entries = [list(r) for r in entries]
+        self.sparse = [{j: x for j, x in enumerate(r) if x} for r in entries]
+
+    @classmethod
+    def _from_sparse(cls, rows, cols, sparse):
+        """Adopt row dicts of nonzero entries as they are (no check, no copy)."""
+        mat = cls.__new__(cls)
+        mat.rows, mat.cols, mat.sparse = rows, cols, sparse
+        return mat
 
     @property
     def shape(self) -> tuple:
         return len(self.rows), len(self.cols)
 
+    @property
+    def entries(self) -> list:
+        ncols = range(len(self.cols))
+        return [[row.get(j, 0) for j in ncols] for row in self.sparse]
+
     def rank(self) -> int:
+        """Exact rank.  Rank mod p never exceeds the rank over Q, so when
+        the sparse elimination mod p reaches min(rows, cols) that value is
+        certified; otherwise dense Bareiss over the integers decides."""
+        full = min(self.shape)
+        if _rank_mod_p(self.sparse, full) == full:
+            return full
         return exact_rank(self.entries)
+
+
+MODULUS = 2**61 - 1  # a Mersenne prime: the modulus of the certifying rank
+
+
+def _rank_mod_p(sparse, stop: int) -> int:
+    """Rank mod MODULUS of the rows (dicts of nonzero rationals), each
+    scaled by the lcm of its denominators; stops early at `stop`.
+
+    Rows are reduced one at a time against pivot rows kept monic at their
+    smallest column, so every pivot row's other entries lie to its right.
+    """
+    p = MODULUS
+    pivots = {}
+    for row in sparse:
+        if len(pivots) == stop:
+            break
+        scale = math.lcm(*(x.denominator for x in row.values()))
+        v = {j: y for j, x in row.items() if (y := int(x * scale) % p)}
+        while v:
+            lead = min(v)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(v[lead], -1, p)
+                pivots[lead] = {j: x * inv % p for j, x in v.items()}
+                break
+            f = v[lead]
+            for j, x in piv.items():
+                y = (v.get(j, 0) - f * x) % p
+                if y:
+                    v[j] = y
+                else:
+                    del v[j]
+    return len(pivots)
 
 
 def exact_rank(entries) -> int:
@@ -164,6 +232,35 @@ def alpha_image(forms, e: int, n: int) -> Poly:
     return product.substitute(collapse)
 
 
+def _pack(exps, width: int) -> int:
+    """One int per monomial: exponent l in bits [l*width, (l+1)*width)."""
+    return sum(x << (l * width) for l, x in enumerate(exps))
+
+
+def _polar(a, bs, e: int, width: int, yshift: int) -> dict:
+    """(y.dx)^e x^a = e! sum_{|b|=e, b<=a} prod_l C(a_l,b_l) x^(a-b) y^b,
+    keyed by the packed x exponents plus the packed y exponents shifted up
+    by `yshift` bits.  `bs` lists every exponent tuple of degree e."""
+    out = {}
+    for b in bs:
+        coeff = math.factorial(e) * math.prod(map(math.comb, a, b))  # 0 unless b <= a
+        if coeff:
+            x = [al - bl for al, bl in zip(a, b)]
+            out[_pack(x, width) | _pack(b, width) << yshift] = coeff
+    return out
+
+
+def _mul(p: dict, q: dict) -> dict:
+    """Product of two polynomials held as {packed monomial: coefficient}."""
+    out = {}
+    get = out.get
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return out
+
+
 def alpha_matrix(n: int, d: int, r: int, size_cap: int = None) -> ExactMatrix:
     """Matrix of alpha_r on degree-d forms in n+1 variables.
 
@@ -172,6 +269,11 @@ def alpha_matrix(n: int, d: int, r: int, size_cap: int = None) -> ExactMatrix:
     degree-re monomials; the row value of a bidegree-(re,re) polynomial P is
     the coefficient of m(x) m'(y) + m'(x) m(y) for m != m', and of
     m(x) m(y) on the diagonal.  Symmetry of P makes this well defined.
+
+    Each column is the product of the closed polarizations (`_polar`) of
+    its r monomials, taken as powers of the distinct ones.  The cap bounds
+    the rows, the columns and r before anything is built, and the stored
+    nonzeros after every column.
     """
     if d % 2:
         raise ValueError(f"alpha_matrix needs even degree, got d={d}")
@@ -179,46 +281,71 @@ def alpha_matrix(n: int, d: int, r: int, size_cap: int = None) -> ExactMatrix:
         raise ValueError(f"alpha_matrix needs r >= 1, got {r}")
     if n < 0:
         raise ValueError(f"alpha_matrix needs n >= 0, got {n}")
+    if d < 0:
+        raise ValueError(f"alpha_matrix needs d >= 0, got {d}")
     e = d // 2
     if size_cap is None:
         size_cap = int(os.environ.get(SIZE_CAP_ENV, DEFAULT_SIZE_CAP))
-
-    dmons = monomial_exponents(n + 1, d)
-    remons = monomial_exponents(n + 1, r * e)
-    cols = list(itertools.combinations_with_replacement(range(len(dmons)), r))
-    nrows = s2_dim(len(remons))
-    if nrows * len(cols) > size_cap:
+    ndmons = sym_dim(n, d)
+    nrows = s2_dim(sym_dim(n, r * e))
+    ncols = binomial(ndmons + r - 1, r)
+    if max(nrows, ncols, r) > size_cap:  # each column label holds r monomials
         raise ValueError(
-            f"matrix would have {nrows}x{len(cols)} = {nrows * len(cols)} entries,"
+            f"matrix would have {nrows} rows and {ncols} columns of r = {r} monomials,"
             f" above the cap of {size_cap} (set {SIZE_CAP_ENV} to raise it)"
         )
 
-    xnames = [f"x{l}" for l in range(n + 1)]
-    reg = VarRegistry(xnames)
-    basis = [Poly.term(reg, 1, dict(zip(xnames, exps))) for exps in dmons]
+    dmons = monomial_exponents(n + 1, d)
+    remons = monomial_exponents(n + 1, r * e)
+    width = (r * e).bit_length()
+    yshift = (n + 1) * width
 
+    # the coefficient of x^m y^m' with index(m) >= index(m') is the entry
+    # of row (m', m); the partner x^m' y^m carries the same value
     row_labels = []
-    row_index = {}
+    row_of = {}
     for a in range(len(remons)):
         for b in range(a, len(remons)):
-            row_index[(a, b)] = len(row_labels)
+            key = _pack(remons[b], width) | _pack(remons[a], width) << yshift
+            row_of[key] = len(row_labels)
             row_labels.append((remons[a], remons[b]))
 
-    re_lookup = {exps: i for i, exps in enumerate(remons)}
-    entries = [[0] * len(cols) for _ in range(nrows)]
-    for c, combo in enumerate(cols):
-        image = alpha_image([basis[i] for i in combo], e, n)
-        for exps, coeff in image.exponent_terms().items():
-            named = dict(zip(image.registry.names, exps))
-            xe = tuple(named[f"x{l}"] for l in range(n + 1))
-            ye = tuple(named[f"y{l}"] for l in range(n + 1))
-            a, b = re_lookup[xe], re_lookup[ye]
-            if a < b:
-                continue  # symmetric partner (a > b) carries the pair
-            entries[row_index[(b, a)]][c] += coeff
+    bs = monomial_exponents(n + 1, e)
+    polars = [_polar(a, bs, e, width, yshift) for a in dmons]
+    sparse = [{} for _ in range(nrows)]
+    col_labels = []
+    nnz = 0
+    powers = {}  # (i, m) -> polars[i] ** m, m >= 2, by repeated squaring
 
-    col_labels = [tuple(dmons[i] for i in combo) for combo in cols]
-    return ExactMatrix(row_labels, col_labels, entries)
+    def power(i, m):
+        if m == 1:
+            return polars[i]
+        if (i, m) not in powers:
+            half = power(i, m // 2)
+            square = _mul(half, half)
+            powers[i, m] = _mul(square, polars[i]) if m % 2 else square
+        return powers[i, m]
+
+    # columns come in lex order: share the product of all but the last monomial
+    head = (None, None)
+    combos = itertools.combinations_with_replacement(range(ndmons), r)
+    for c, combo in enumerate(combos):
+        col_labels.append(tuple(dmons[i] for i in combo))
+        if combo[:-1] != head[0]:
+            runs = [power(i, len(list(g))) for i, g in itertools.groupby(combo[:-1])]
+            head = combo[:-1], functools.reduce(_mul, runs, {0: 1})
+        for key, coeff in _mul(head[1], polars[combo[-1]]).items():
+            row = row_of.get(key)
+            if row is not None:
+                sparse[row][c] = coeff
+                nnz += 1
+        if nnz > size_cap:
+            raise ValueError(
+                f"matrix passes the cap of {size_cap} nonzero entries at column"
+                f" {c + 1} of {ncols} (set {SIZE_CAP_ENV} to raise it)"
+            )
+
+    return ExactMatrix._from_sparse(row_labels, col_labels, sparse)
 
 
 def alpha_rank(n: int, d: int, r: int, size_cap: int = None) -> dict:

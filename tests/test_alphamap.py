@@ -1,10 +1,16 @@
+import itertools
 import random
 
 from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from invforge import alphamap
 from invforge.alphamap import (
+    MODULUS,
     SIZE_CAP_ENV,
     ExactMatrix,
     alpha_image,
@@ -15,6 +21,7 @@ from invforge.alphamap import (
     s2_dim,
     sym_dim,
 )
+from invforge.plethysm import m0
 from invforge.poly import Poly, VarRegistry
 from invforge.transvect import BinaryForm, pi_p, transvectant
 
@@ -103,6 +110,59 @@ def test_exact_rank_matches_naive_oracle():
         assert exact_rank(rows) == naive_rank(rows), rows
 
 
+entries_st = st.integers(-6, 6) | st.fractions(
+    min_value=-6, max_value=6, max_denominator=4
+)
+
+
+@st.composite
+def small_matrices(draw):
+    """Dense rows, a third of them a product A*B with a short inner size, so
+    that rank-deficient matrices are common."""
+    nr, nc = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.integers(0, 2)):
+        return [draw(st.lists(entries_st, min_size=nc, max_size=nc)) for _ in range(nr)]
+    k = draw(st.integers(0, min(nr, nc) - 1))
+    A = [draw(st.lists(entries_st, min_size=k, max_size=k)) for _ in range(nr)]
+    B = [draw(st.lists(entries_st, min_size=nc, max_size=nc)) for _ in range(k)]
+    return [
+        [sum((A[i][t] * B[t][j] for t in range(k)), 0) for j in range(nc)] for i in range(nr)
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_matrices())
+def test_matrix_rank_matches_bareiss_and_naive(rows):
+    mat = ExactMatrix(range(len(rows)), range(len(rows[0])), rows)
+    assert mat.entries == rows
+    assert mat.rank() == exact_rank(rows) == naive_rank(rows)
+
+
+def fallback_calls(monkeypatch):
+    calls = []
+
+    def counting(entries):
+        calls.append(entries)
+        return exact_rank(entries)
+
+    monkeypatch.setattr(alphamap, "exact_rank", counting)
+    return calls
+
+
+def test_rank_falls_back_when_mod_p_rank_drops(monkeypatch):
+    # entries that vanish mod p: the modular rank is short, Bareiss decides
+    calls = fallback_calls(monkeypatch)
+    P = MODULUS
+    assert ExactMatrix(["a"], ["c"], [[P]]).rank() == 1
+    assert ExactMatrix(["a", "b"], ["c", "d"], [[1, 1], [1, 1 + P]]).rank() == 2
+    assert ExactMatrix(["a"], ["c"], [[Fraction(P, 3)]]).rank() == 1
+    assert len(calls) == 3
+    # a full modular rank is a certificate: no fallback
+    assert ExactMatrix(["a", "b"], ["c", "d"], [[1, 1], [1, 2 + P]]).rank() == 2
+    assert ExactMatrix(["a"], ["c"], [[Fraction(1, P)]]).rank() == 1
+    assert len(calls) == 3
+
+
 # -- the polarization map -----------------------------------------------------
 
 
@@ -183,6 +243,8 @@ def test_alpha_matrix_input_guards():
         alpha_matrix(1, 4, 0)
     with pytest.raises(ValueError, match="n >= 0"):
         alpha_matrix(-1, 4, 2)
+    with pytest.raises(ValueError, match="d >= 0"):
+        alpha_matrix(1, -4, 2)
     with pytest.raises(ValueError, match="nvars >= 1"):
         monomial_exponents(0, 4)
 
@@ -213,6 +275,43 @@ def test_alpha_matrix_columns_reconstruct_images():
         assert recon == alpha_image(forms, 2, 1).lift(reg)
 
 
+def symbolic_alpha_matrix(n, d, r):
+    """Row labels, column labels and dense entries of the alpha_r matrix,
+    assembled column by column from alpha_image."""
+    e = d // 2
+    dmons = monomial_exponents(n + 1, d)
+    remons = monomial_exponents(n + 1, r * e)
+    lookup = {m: i for i, m in enumerate(remons)}
+    pairs = [(a, b) for a in range(len(remons)) for b in range(a, len(remons))]
+    row_of = {pair: i for i, pair in enumerate(pairs)}
+    combos = list(itertools.combinations_with_replacement(range(len(dmons)), r))
+    xn = [f"x{l}" for l in range(n + 1)]
+    reg = VarRegistry(xn)
+    entries = [[0] * len(combos) for _ in pairs]
+    for c, combo in enumerate(combos):
+        forms = [Poly.term(reg, 1, dict(zip(xn, dmons[i]))) for i in combo]
+        image = alpha_image(forms, e, n)
+        for exps, coeff in image.exponent_terms().items():
+            named = dict(zip(image.registry.names, exps))
+            a = lookup[tuple(named[f"x{l}"] for l in range(n + 1))]
+            b = lookup[tuple(named[f"y{l}"] for l in range(n + 1))]
+            if a >= b:
+                entries[row_of[(b, a)]][c] += coeff
+    rows = [(remons[a], remons[b]) for a, b in pairs]
+    cols = [tuple(dmons[i] for i in combo) for combo in combos]
+    return rows, cols, entries
+
+
+@pytest.mark.parametrize(
+    "n,d,r",
+    [(1, d, r) for d in (2, 4, 6) for r in (1, 2, 3)] + [(2, 4, 1), (2, 4, 2)],
+)
+def test_closed_build_matches_symbolic_polarization(n, d, r):
+    mat = alpha_matrix(n, d, r)
+    assert (mat.rows, mat.cols, mat.entries) == symbolic_alpha_matrix(n, d, r)
+    assert all(all(row.values()) for row in mat.sparse)
+
+
 def test_alpha_matrix_size_cap(monkeypatch):
     monkeypatch.setenv(SIZE_CAP_ENV, "10")
     with pytest.raises(ValueError, match=SIZE_CAP_ENV):
@@ -222,6 +321,32 @@ def test_alpha_matrix_size_cap(monkeypatch):
 
 
 # -- ranks --------------------------------------------------------------------
+
+
+def test_alpha_matrix_cap_counts_nonzeros():
+    # 15 rows and 15 columns fit a cap of 20; the 24 nonzeros do not
+    assert sum(len(row) for row in alpha_matrix(1, 4, 2, size_cap=24).sparse) == 24
+    with pytest.raises(ValueError, match=f"cap of 20 nonzero entries.*{SIZE_CAP_ENV}"):
+        alpha_matrix(1, 4, 2, size_cap=20)
+    # a dimension above the cap is refused before any column is built
+    with pytest.raises(ValueError, match="1035 rows and 3060 columns"):
+        alpha_matrix(2, 4, 4, size_cap=3000)
+    # so is r, the length of every column label, even for a 1x1 matrix
+    with pytest.raises(ValueError, match="r = 11 monomials"):
+        alpha_matrix(0, 4, 11, size_cap=10)
+    assert alpha_rank(0, 4, 10, size_cap=10) == {"rows": 1, "cols": 1, "rank": 1}
+    assert alpha_matrix(0, 4, 10).entries == [[12**10]]
+
+
+def test_alpha_rank_ternary_quartic_at_m0(monkeypatch):
+    # r = m0(2,2) = 4: full row rank, 1035 = dim S^2(S^8 C^3), certified mod p
+    # without the Bareiss fallback
+    calls = fallback_calls(monkeypatch)
+    r = m0(2, 2)
+    assert r == 4
+    assert s2_dim(sym_dim(2, 2 * r)) == 1035
+    assert alpha_rank(2, 4, r) == {"rows": 1035, "cols": 3060, "rank": 1035}
+    assert calls == []
 
 
 def test_alpha_rank_reports():

@@ -160,6 +160,23 @@ def test_negative_n_alpha_rank_exits_1(capsys):
     assert json.loads(err) == {"error": "alpha_matrix needs n >= 0, got -1"}
 
 
+def test_negative_d_alpha_rank_exits_1(capsys):
+    # an even negative degree used to give an empty 0x0 matrix and exit 0
+    code, out, err = run_cli(capsys, "alpha-rank", "--n", "1", "--d", "-4", "--r", "2")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "alpha_matrix needs d >= 0, got -4"}
+
+
+def test_ternary_quartic_alpha_rank_under_default_cap(capsys, monkeypatch):
+    monkeypatch.delenv("INVFORGE_SIZE_CAP", raising=False)
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "alpha-rank", "--n", "2", "--d", "4", "--r", "4")
+    assert time.perf_counter() - t0 < 5
+    assert code == 0
+    assert out == '{"rows":1035,"cols":3060,"rank":1035}\n'
+
+
 def test_tau_check_range_error_exits_1(capsys):
     code, out, err = run_cli(capsys, "tau-check", "--r", "2", "--e", "1", "--p", "5")
     assert code == 1
