@@ -15,8 +15,8 @@ eliminates sparsely mod the prime 2^61-1: rank mod p never exceeds the rank
 over Q, so reaching min(rows, cols) certifies the rank exactly; otherwise
 dense fraction-free Bareiss (`exact_rank`) decides.  `alpha_image` is the
 independent symbolic route (polarize, multiply, rename) that the tests hold
-the matrix against.  `INVFORGE_SIZE_CAP` bounds the rows, the columns and
-the stored nonzeros.
+the matrix against.  `INVFORGE_SIZE_CAP` bounds the labels before the
+build and the term pairs it multiplies, hence its work and its nonzeros.
 """
 
 import functools
@@ -251,7 +251,15 @@ def _polar(a, bs, e: int, width: int, yshift: int) -> dict:
 
 
 def _mul(p: dict, q: dict) -> dict:
-    """Product of two polynomials held as {packed monomial: coefficient}."""
+    """Product of two polynomials held as {packed monomial: coefficient}.
+
+    The build does not go through `Poly`: its factors have a handful of
+    terms, so a `Poly.__mul__` call would cost more in registry checks,
+    coefficient settling and exponent-bound upkeep than in the product, and
+    bench/tracing.py would count every such call as poly-layer work
+    (`poly.mul`).  The fields here are (r*e).bit_length() bits wide, enough
+    for the largest exponent re of the bidegree-(re, re) products.
+    """
     out = {}
     get = out.get
     for k1, c1 in p.items():
@@ -271,9 +279,10 @@ def alpha_matrix(n: int, d: int, r: int, size_cap: int = None) -> ExactMatrix:
     m(x) m(y) on the diagonal.  Symmetry of P makes this well defined.
 
     Each column is the product of the closed polarizations (`_polar`) of
-    its r monomials, taken as powers of the distinct ones.  The cap bounds
-    the rows, the columns and r before anything is built, and the stored
-    nonzeros after every column.
+    its r monomials.  The cap is checked twice: before anything is built
+    against the row labels and the r*cols monomials of the column labels,
+    and while building against the term pairs multiplied so far, which
+    bound both the work and the nonzeros stored.
     """
     if d % 2:
         raise ValueError(f"alpha_matrix needs even degree, got d={d}")
@@ -289,7 +298,7 @@ def alpha_matrix(n: int, d: int, r: int, size_cap: int = None) -> ExactMatrix:
     ndmons = sym_dim(n, d)
     nrows = s2_dim(sym_dim(n, r * e))
     ncols = binomial(ndmons + r - 1, r)
-    if max(nrows, ncols, r) > size_cap:  # each column label holds r monomials
+    if max(nrows, r * ncols) > size_cap:
         raise ValueError(
             f"matrix would have {nrows} rows and {ncols} columns of r = {r} monomials,"
             f" above the cap of {size_cap} (set {SIZE_CAP_ENV} to raise it)"
@@ -314,36 +323,30 @@ def alpha_matrix(n: int, d: int, r: int, size_cap: int = None) -> ExactMatrix:
     polars = [_polar(a, bs, e, width, yshift) for a in dmons]
     sparse = [{} for _ in range(nrows)]
     col_labels = []
-    nnz = 0
-    powers = {}  # (i, m) -> polars[i] ** m, m >= 2, by repeated squaring
+    pairs = 0  # term pairs multiplied so far
 
-    def power(i, m):
-        if m == 1:
-            return polars[i]
-        if (i, m) not in powers:
-            half = power(i, m // 2)
-            square = _mul(half, half)
-            powers[i, m] = _mul(square, polars[i]) if m % 2 else square
-        return powers[i, m]
+    def charge(p, q):
+        nonlocal pairs
+        pairs += len(p) * len(q)
+        if pairs > size_cap:
+            raise ValueError(
+                f"matrix build passes the cap of {size_cap} multiplied term pairs"
+                f" at column {len(col_labels)} of {ncols} (set {SIZE_CAP_ENV} to raise it)"
+            )
+        return _mul(p, q)
 
     # columns come in lex order: share the product of all but the last monomial
-    head = (None, None)
+    head_key = head = None
     combos = itertools.combinations_with_replacement(range(ndmons), r)
     for c, combo in enumerate(combos):
         col_labels.append(tuple(dmons[i] for i in combo))
-        if combo[:-1] != head[0]:
-            runs = [power(i, len(list(g))) for i, g in itertools.groupby(combo[:-1])]
-            head = combo[:-1], functools.reduce(_mul, runs, {0: 1})
-        for key, coeff in _mul(head[1], polars[combo[-1]]).items():
+        if combo[:-1] != head_key:
+            head_key = combo[:-1]
+            head = functools.reduce(charge, (polars[i] for i in head_key), {0: 1})
+        for key, coeff in charge(head, polars[combo[-1]]).items():
             row = row_of.get(key)
             if row is not None:
                 sparse[row][c] = coeff
-                nnz += 1
-        if nnz > size_cap:
-            raise ValueError(
-                f"matrix passes the cap of {size_cap} nonzero entries at column"
-                f" {c + 1} of {ncols} (set {SIZE_CAP_ENV} to raise it)"
-            )
 
     return ExactMatrix._from_sparse(row_labels, col_labels, sparse)
 

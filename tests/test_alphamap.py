@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from invforge import alphamap
 from invforge.alphamap import (
+    DEFAULT_SIZE_CAP,
     MODULUS,
     SIZE_CAP_ENV,
     ExactMatrix,
@@ -323,19 +324,26 @@ def test_alpha_matrix_size_cap(monkeypatch):
 # -- ranks --------------------------------------------------------------------
 
 
-def test_alpha_matrix_cap_counts_nonzeros():
-    # 15 rows and 15 columns fit a cap of 20; the 24 nonzeros do not
-    assert sum(len(row) for row in alpha_matrix(1, 4, 2, size_cap=24).sparse) == 24
-    with pytest.raises(ValueError, match=f"cap of 20 nonzero entries.*{SIZE_CAP_ENV}"):
-        alpha_matrix(1, 4, 2, size_cap=20)
+def test_alpha_matrix_cap_counts_term_pairs():
+    # 15 rows and 2 * 15 label monomials fit a cap of 58; the 59 term pairs
+    # the build multiplies (24 of them stored as nonzeros) do not
+    assert sum(len(row) for row in alpha_matrix(1, 4, 2, size_cap=59).sparse) == 24
+    with pytest.raises(ValueError, match=f"cap of 58 multiplied term pairs.*{SIZE_CAP_ENV}"):
+        alpha_matrix(1, 4, 2, size_cap=58)
+    # 5151 rows and 100 * 5151 label monomials fit; 13 million pairs do not
+    with pytest.raises(ValueError, match="cap of 600000 multiplied term pairs at column"):
+        alpha_matrix(1, 2, 100, size_cap=600_000)
     # a dimension above the cap is refused before any column is built
     with pytest.raises(ValueError, match="1035 rows and 3060 columns"):
         alpha_matrix(2, 4, 4, size_cap=3000)
-    # so is r, the length of every column label, even for a 1x1 matrix
+    # so are the column labels, r monomials each, even for a 1x1 matrix
     with pytest.raises(ValueError, match="r = 11 monomials"):
         alpha_matrix(0, 4, 11, size_cap=10)
     assert alpha_rank(0, 4, 10, size_cap=10) == {"rows": 1, "cols": 1, "rank": 1}
     assert alpha_matrix(0, 4, 10).entries == [[12**10]]
+    # 501501 rows and columns each fit the default cap, their labels do not
+    with pytest.raises(ValueError, match="501501 columns of r = 1000 monomials"):
+        alpha_matrix(1, 2, 1000, size_cap=DEFAULT_SIZE_CAP)
 
 
 def test_alpha_rank_ternary_quartic_at_m0(monkeypatch):

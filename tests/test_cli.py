@@ -177,6 +177,18 @@ def test_ternary_quartic_alpha_rank_under_default_cap(capsys, monkeypatch):
     assert out == '{"rows":1035,"cols":3060,"rank":1035}\n'
 
 
+def test_long_alpha_rank_refused_at_once(capsys, monkeypatch):
+    # 501501 rows and columns, each under the default cap; the column labels
+    # alone would hold 501501 * 1000 monomials, so nothing is built
+    monkeypatch.delenv("INVFORGE_SIZE_CAP", raising=False)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "alpha-rank", "--n", "1", "--d", "2", "--r", "1000")
+    assert time.perf_counter() - t0 < 1
+    assert code == 1
+    assert out == ""
+    assert "r = 1000 monomials" in json.loads(err)["error"]
+
+
 def test_tau_check_range_error_exits_1(capsys):
     code, out, err = run_cli(capsys, "tau-check", "--r", "2", "--e", "1", "--p", "5")
     assert code == 1
