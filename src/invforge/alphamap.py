@@ -49,12 +49,15 @@ def monomial_exponents(nvars: int, degree: int):
     variables, in graded-lex descending order (x0^d first)."""
     if nvars < 1:
         raise ValueError(f"monomial_exponents needs nvars >= 1, got {nvars}")
-    if nvars == 1:
-        return [(degree,)]
+    # stars and bars: nvars - 1 bars among degree + nvars - 1 slots, the
+    # gaps between them the exponents; lex order of the bar positions is
+    # lex order of the exponents, so reversing it puts x0^d first
+    slots = degree + nvars - 1
     out = []
-    for first in range(degree, -1, -1):
-        for rest in monomial_exponents(nvars - 1, degree - first):
-            out.append((first,) + rest)
+    for bars in itertools.combinations(range(slots), nvars - 1):
+        ends = (-1, *bars, slots)
+        out.append(tuple(b - a - 1 for a, b in itertools.pairwise(ends)))
+    out.reverse()
     return out
 
 

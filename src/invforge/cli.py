@@ -42,7 +42,7 @@ def _parse_poly(text: str, registry: VarRegistry) -> Poly:
 
 
 def _form(text: str, registry: VarRegistry, degree=None) -> BinaryForm:
-    poly = _parse_poly(text, registry).lift()
+    poly = _parse_poly(text, registry)
     if poly.is_zero() and degree is not None:
         return BinaryForm(poly, ("x0", "x1"), degree)
     form = BinaryForm(poly, ("x0", "x1"))
@@ -69,7 +69,7 @@ def cmd_transvect(args) -> int:
 
 def cmd_pi_p(args) -> int:
     reg = VarRegistry(["x0", "x1", "y0", "y1"])
-    G = _parse_poly(args.g, reg).lift()
+    G = _parse_poly(args.g, reg)
     result = pi_p(G, args.p)
     return _emit({"result": str(result), "degree": result.degree})
 

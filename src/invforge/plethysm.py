@@ -17,20 +17,36 @@ from functools import lru_cache
 from .arith import binomial
 
 
-@lru_cache(maxsize=None)
 def box_partitions(total: int, parts: int, largest: int) -> int:
     """Number of partitions of `total` into at most `parts` parts, each of
     size at most `largest`."""
     if total == 0:
         return 1
-    if total < 0 or parts <= 0 or largest <= 0:
+    if total < 0 or parts <= 0 or largest <= 0 or total > parts * largest:
         return 0
-    if largest > total:
-        largest = total
-    return sum(
-        box_partitions(total - first, parts - 1, first)
-        for first in range(1, largest + 1)
-    )
+    return _gaussian_binomial(parts, largest)[total]
+
+
+@lru_cache(maxsize=64)
+def _gaussian_binomial(parts: int, largest: int) -> tuple:
+    """Coefficients of the Gaussian binomial [parts+largest choose parts]_q,
+    whose q^t coefficient counts the partitions of t in a parts x largest
+    box.  Built as prod_{i<=k} (1 - q^(n-k+i)) / (1 - q^i) with n the sum
+    and k the smaller of the two; each partial product is itself a Gaussian
+    binomial, so every division is exact."""
+    n = parts + largest
+    k = min(parts, largest)
+    coeffs = [1] + [0] * (k * (n - k + 1))  # room for the last product
+    top = 0  # degree of the partial product
+    for i in range(1, k + 1):
+        rise = n - k + i
+        top += rise
+        for j in range(top, rise - 1, -1):  # times (1 - q^rise)
+            coeffs[j] -= coeffs[j - rise]
+        for j in range(i, top + 1):  # divided by (1 - q^i): exact, so
+            coeffs[j] += coeffs[j - i]  # the top i coefficients become 0
+        top -= i
+    return tuple(coeffs[: top + 1])
 
 
 def mult_binary(r: int, d: int, m: int) -> int:

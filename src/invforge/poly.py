@@ -2,16 +2,17 @@
 
 A VarRegistry fixes an ordered alphabet of variable names; a Poly is a sparse
 map from monomials to nonzero rational coefficients.  Registries are
-append-only: variables may be added after polynomials exist, and an older
-Poly is carried into the grown registry with an explicit lift().
+append-only: variables may be added after polynomials exist, and a Poly made
+before its registry grew combines freely with one made after.
 
 Monomials are packed exponent vectors (Monagan & Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
 2007).  The exponent of variable i occupies bits [W*i, W*(i+1)) of one
 nonnegative int key, with field width W = 32, so the product of two
 monomials is one integer add and a dict lookup hashes one int.  Variables
-registered later take higher bits, so a key stays valid when its registry
-grows: lift() into the same registry changes the width and nothing else.
+registered later take higher bits, and an unused field reads 0, so a key
+means the same monomial at every size its registry has had.  lift() moves
+fields by name into another registry.
 
 A field must never carry into its neighbour.  Every Poly records `bound`,
 an upper bound on each single exponent it holds (the maximum under +, the
@@ -21,7 +22,7 @@ may be refused whose true exponents would still fit.
 
 `terms` is the stored dict, keyed by packed ints; read it for sizes and
 coefficients.  exponent_terms() is the view keyed by exponent tuples (one
-entry per variable up to the Poly's width), for readers that need the
+entry per variable of the registry as it is now), for readers that need the
 exponents themselves.  Poly.weighted_sum adds many integer multiples of
 Poly values in one dict, so no caller has to handle packed keys.
 
@@ -34,7 +35,7 @@ the rational normalizations are applied once at the end as scalar multiples.
 The public constructor Poly(registry, terms) takes exponent tuples, and
 validates, packs and copies them.  The ring operations build their results
 through Poly._trusted, which skips all three; every caller of _trusted must
-hand over a fresh dict of packed keys, valid at the stated width, whose
+hand over a fresh dict of packed keys over the stated registry, whose
 coefficients already keep the invariant, with a true exponent bound.
 """
 
@@ -132,11 +133,11 @@ class Poly:
     tuples.  Do not mutate terms after construction.
     """
 
-    __slots__ = ("registry", "terms", "width", "bound")
+    __slots__ = ("registry", "terms", "bound")
 
     def __init__(self, registry: VarRegistry, terms: dict):
         self.registry = registry
-        self.width = width = len(registry)
+        width = len(registry)
         packed = {}
         bound = 0
         for exps, c in terms.items():
@@ -156,30 +157,24 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, registry, width, terms, bound):
+    def _trusted(cls, registry, terms, bound):
         """Wrap terms without validation or copy (see the module docstring)."""
         if bound > _MASK:
             raise _overflow(bound)
         p = object.__new__(cls)
         p.registry = registry
-        p.width = width
         p.terms = terms
         p.bound = bound
         return p
 
-    def _const(self, c):
-        # a constant at this Poly's width, which may trail a grown registry
-        c = _demoted(c)
-        return Poly._trusted(self.registry, self.width, {0: c} if c else {}, 0)
-
     @classmethod
     def zero(cls, registry):
-        return cls._trusted(registry, len(registry), {}, 0)
+        return cls._trusted(registry, {}, 0)
 
     @classmethod
     def const(cls, registry, c):
         c = _demoted(c)
-        return cls._trusted(registry, len(registry), {0: c} if c else {}, 0)
+        return cls._trusted(registry, {0: c} if c else {}, 0)
 
     @classmethod
     def variable(cls, registry, name):
@@ -195,13 +190,12 @@ class Poly:
             key += k << (_W * registry.index(name))
             bound = max(bound, k)
         c = _demoted(coeff)
-        return cls._trusted(registry, len(registry), {key: c} if c else {}, bound)
+        return cls._trusted(registry, {key: c} if c else {}, bound)
 
     @classmethod
     def weighted_sum(cls, registry, pairs):
         """sum of w * p over (int w, Poly p) pairs, accumulated in place in
-        one dict, with no intermediate Poly.  Every p must be over registry
-        (at any width it has had)."""
+        one dict, with no intermediate Poly.  Every p must be over registry."""
         acc = {}
         get = acc.get
         bound = 0
@@ -211,13 +205,13 @@ class Poly:
             bound = max(bound, p.bound)
             for key, c in p.terms.items():
                 acc[key] = get(key, 0) + c * w
-        return cls._trusted(registry, len(registry), _settle(acc), bound)
+        return cls._trusted(registry, _settle(acc), bound)
 
     # -- predicates and bookkeeping ---------------------------------------
 
     def exponent_terms(self) -> dict:
         """A fresh dict of this Poly's terms keyed by exponent tuples."""
-        width = self.width
+        width = len(self.registry)
         return {_unpack(key, width): c for key, c in self.terms.items()}
 
     def is_zero(self) -> bool:
@@ -226,29 +220,23 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return (
-            self.registry is other.registry
-            and self.width == other.width
-            and self.terms == other.terms
-        )
+        return self.registry is other.registry and self.terms == other.terms
 
     __hash__ = None
 
     def _check_compatible(self, other):
-        if self.registry is not other.registry or self.width != other.width:
+        if self.registry is not other.registry:
             raise ValueError("registry mismatch (lift one operand first)")
 
     def total_degree(self) -> int:
         """Max term degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(_unpack(key, self.width)) for key in self.terms)
+        width = len(self.registry)
+        return max(sum(_unpack(key, width)) for key in self.terms)
 
     def _degrees_in(self, names):
-        # combined degree of each term in the named variables; variables
-        # registered after this Poly was created count as absent
-        idx = [self.registry.index(n) for n in names]
-        shifts = [_W * i for i in idx if i < self.width]
+        shifts = [_W * self.registry.index(n) for n in names]
         return (sum((key >> s) & _MASK for s in shifts) for key in self.terms)
 
     def degree_in(self, names) -> int:
@@ -263,10 +251,7 @@ class Poly:
 
     def uses(self, name) -> bool:
         """True iff the variable appears with nonzero exponent."""
-        i = self.registry.index(name)
-        if i >= self.width:
-            return False
-        field = _MASK << (_W * i)
+        field = _MASK << (_W * self.registry.index(name))
         return any(key & field for key in self.terms)
 
     def constant_value(self) -> Fraction:
@@ -283,7 +268,7 @@ class Poly:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self._const(other)
+            other = Poly.const(self.registry, other)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
@@ -298,21 +283,18 @@ class Poly:
             else:
                 del out[key]
         bound = max(self.bound, other.bound)
-        return Poly._trusted(self.registry, self.width, out, bound)
+        return Poly._trusted(self.registry, out, bound)
 
     __radd__ = __add__
 
     def __neg__(self):
         return Poly._trusted(
-            self.registry,
-            self.width,
-            {key: -c for key, c in self.terms.items()},
-            self.bound,
+            self.registry, {key: -c for key, c in self.terms.items()}, self.bound
         )
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self._const(other)
+            other = Poly.const(self.registry, other)
         if not isinstance(other, Poly):
             return NotImplemented
         return self + (-other)
@@ -324,10 +306,10 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             other = _demoted(other)
             if not other:
-                return self._const(0)
+                return Poly.zero(self.registry)
             out = {key: c * other for key, c in self.terms.items()}
             _demote_in_place(out)
-            return Poly._trusted(self.registry, self.width, out, self.bound)
+            return Poly._trusted(self.registry, out, self.bound)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
@@ -342,14 +324,14 @@ class Poly:
                 key = ka + kb
                 out[key] = get(key, 0) + ca * cb
         bound = self.bound + other.bound
-        return Poly._trusted(self.registry, self.width, _settle(out), bound)
+        return Poly._trusted(self.registry, _settle(out), bound)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = self._const(1)
+        result = Poly.const(self.registry, 1)
         base = self
         while n:
             if n & 1:
@@ -364,13 +346,10 @@ class Poly:
         """Iterated exact partial derivative with respect to var."""
         if times < 0:
             raise ValueError("negative differentiation count")
-        i = self.registry.index(var)
+        shift = _W * self.registry.index(var)
         if not times:
             return self
-        if i >= self.width:
-            return self._const(0)
         # d^t/dx^t x^k = k!/(k-t)! x^(k-t): one pass, one falling factorial
-        shift = _W * i
         drop = times << shift
         out = {}
         for key, c in self.terms.items():
@@ -378,7 +357,7 @@ class Poly:
             if k >= times:
                 out[key - drop] = c * perm(k, times)
         _demote_in_place(out)
-        return Poly._trusted(self.registry, self.width, out, self.bound)
+        return Poly._trusted(self.registry, out, self.bound)
 
     def substitute(self, bindings: dict):
         """Simultaneous substitution name -> Poly, fully expanded.
@@ -394,9 +373,9 @@ class Poly:
                 raise TypeError("bindings must map names to Poly values")
             if target is None:
                 target = p
-            elif p.registry is not target.registry or p.width != target.width:
+            elif p.registry is not target.registry:
                 raise ValueError("registry mismatch among replacement polynomials")
-        reg, width = target.registry, target.width
+        reg = target.registry
 
         bound = {}
         for name, p in bindings.items():
@@ -437,7 +416,7 @@ class Poly:
                         if icoeff != 1:
                             c = c * icoeff**e
                 out[okey] = get(okey, 0) + c
-            return Poly._trusted(reg, width, _settle(out), out_bound)
+            return Poly._trusted(reg, _settle(out), out_bound)
 
         # General path: per-term products with a power cache.
         powcache = {}
@@ -456,7 +435,7 @@ class Poly:
             for shift, i, image in plan:
                 if i is None:
                     okey += ((key >> shift) & _MASK) * image
-            prod = Poly._trusted(reg, width, {okey: c}, self.bound * carried)
+            prod = Poly._trusted(reg, {okey: c}, self.bound * carried)
             for shift, i, image in plan:
                 if i is not None:
                     e = (key >> shift) & _MASK
@@ -464,7 +443,7 @@ class Poly:
                         prod = prod * powered(i, e)
             for pkey, cc in prod.terms.items():
                 acc[pkey] = get(pkey, 0) + cc
-        return Poly._trusted(reg, width, _settle(acc), out_bound)
+        return Poly._trusted(reg, _settle(acc), out_bound)
 
     def coefficient_of(self, assignment: dict):
         """Coefficient polynomial of the monomial fixed by assignment.
@@ -475,30 +454,24 @@ class Poly:
         """
         fields = want = 0
         for n, e in assignment.items():
-            i = self.registry.index(n)
-            if i >= self.width or not 0 <= e <= _MASK:
-                if e != 0:
-                    return self._const(0)
-            else:
-                fields |= _MASK << (_W * i)
-                want |= e << (_W * i)
+            shift = _W * self.registry.index(n)
+            if not 0 <= e <= _MASK:
+                return Poly.zero(self.registry)
+            fields |= _MASK << shift
+            want |= e << shift
         out = {}
         for key, c in self.terms.items():
             if key & fields == want:
                 out[key - want] = c
-        return Poly._trusted(self.registry, self.width, out, self.bound)
+        return Poly._trusted(self.registry, out, self.bound)
 
-    def lift(self, target: VarRegistry = None):
-        """Re-express in a larger registry (or this registry after growth).
+    def lift(self, target: VarRegistry):
+        """Re-express in another registry, moving each variable by name.
 
         Every variable actually used must exist in the target by name.
         """
-        if target is None or target is self.registry:
-            target = self.registry
-            if self.width == len(target):
-                return self
-            # later variables take higher bits: the keys stay as they are
-            return Poly._trusted(target, len(target), self.terms, self.bound)
+        if target is self.registry:
+            return self
         names = self.registry.names
         moves = [  # (source shift, target shift) per used variable
             (_W * i, _W * target.index(names[i])) for i in _used_indices(self.terms)
@@ -509,7 +482,7 @@ class Poly:
             for shift, tshift in moves:
                 okey |= ((key >> shift) & _MASK) << tshift
             out[okey] = c
-        return Poly._trusted(target, len(target), out, self.bound)
+        return Poly._trusted(target, out, self.bound)
 
     # -- text --------------------------------------------------------------
 

@@ -81,7 +81,6 @@ def omega_apply(P: Poly, xpair, ypair, k: int) -> Poly:
         raise ValueError(f"variable clash among {xpair} and {ypair}")
     for name in (x0, x1, y0, y1):
         P.registry.index(name)
-    P = P.lift()
     total = Poly.zero(P.registry)
     for i in range(k + 1):
         branch = (
@@ -103,15 +102,14 @@ def polarize(P: Poly, xvars, yvars, times: int = 1) -> Poly:
         raise ValueError("variable lists must have equal length")
     if times < 0:
         raise ValueError("negative polarization count")
-    out = P.lift()
     for _ in range(times):
         acc = Poly.zero(P.registry)
         for xv, yv in zip(xvars, yvars):
-            d = out.differentiate(xv)
+            d = P.differentiate(xv)
             if not d.is_zero():
                 acc = acc + d * Poly.variable(P.registry, yv)
-        out = acc
-    return out
+        P = acc
+    return P
 
 
 def _omega_diagonal(apoly: Poly, bpoly: Poly, k: int, xpair) -> Poly:
@@ -122,8 +120,6 @@ def _omega_diagonal(apoly: Poly, bpoly: Poly, k: int, xpair) -> Poly:
     normalization to a single scalar multiply.
     """
     x0, x1 = xpair
-    apoly = apoly.lift()
-    bpoly = bpoly.lift()
     total = Poly.zero(apoly.registry)
     for i in range(k + 1):
         da = apoly.differentiate(x0, k - i).differentiate(x1, i)
@@ -160,7 +156,6 @@ def pi_p(G: Poly, p: int, xpair=("x0", "x1"), ypair=("y0", "y1")) -> BinaryForm:
     """
     if p < 0:
         raise ValueError("negative projection index")
-    G = G.lift()
     n = G.degree_in(xpair)
     if G.is_zero():
         return BinaryForm(G, xpair, 0)
@@ -204,6 +199,5 @@ def generic_form(registry: VarRegistry, d: int, xpair=("x0", "x1"), prefix="f") 
     total = Poly.zero(registry)
     for i in range(d + 1):
         registry.ensure(f"{prefix}{i}")
-        total = total.lift()
         total = total + Poly.term(registry, 1, {f"{prefix}{i}": 1, x0: d - i, x1: i})
     return BinaryForm(total, xpair, d)

@@ -53,6 +53,19 @@ def test_monomial_exponents_order():
         assert all(sum(m) == deg for m in mons)
         assert len(set(mons)) == len(mons)
 
+    def recursive(nvars, degree):
+        if nvars == 1:
+            return [(degree,)]
+        return [
+            (first,) + rest
+            for first in range(degree, -1, -1)
+            for rest in recursive(nvars - 1, degree - first)
+        ]
+
+    for nvars in range(1, 5):
+        for deg in range(7):
+            assert monomial_exponents(nvars, deg) == recursive(nvars, deg)
+
 
 def test_exact_matrix_shape_validation():
     ExactMatrix(["a", "b"], ["c"], [[1], [2]])

@@ -189,6 +189,23 @@ def test_long_alpha_rank_refused_at_once(capsys, monkeypatch):
     assert "r = 1000 monomials" in json.loads(err)["error"]
 
 
+def test_many_variable_alpha_rank_exits_0(capsys):
+    # 1201 variables, more than Python's default recursion depth
+    code, out, _ = run_cli(capsys, "alpha-rank", "--n", "1200", "--d", "0", "--r", "1")
+    assert code == 0
+    assert out == '{"rows":1,"cols":1,"rank":1}\n'
+
+
+def test_long_plethysm_is_fast(capsys):
+    # 3000 parts, more than Python's default recursion depth
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "plethysm", "--r", "3000", "--d", "2")
+    assert time.perf_counter() - t0 < 2
+    assert code == 0
+    # S_r(S_2) is the sum of S_(2r-4p) over 0 <= p <= r/2
+    assert json.loads(out) == {"weights": [[6000 - 4 * p, 1] for p in range(1501)]}
+
+
 def test_tau_check_range_error_exits_1(capsys):
     code, out, err = run_cli(capsys, "tau-check", "--r", "2", "--e", "1", "--p", "5")
     assert code == 1

@@ -262,17 +262,16 @@ def test_registry_growth_and_lift():
     x = Poly.variable(reg, "x")
     reg.ensure("y")
     y = Poly.variable(reg, "y")
-    # x was created before y existed; lift pads it
-    assert x.width == 1 and y.width == 2
-    assert x.lift() + y == y + x.lift()
-    # out-of-width variables count as absent, not as errors
+    # x was created before y existed and needs no lift
+    assert x + y == y + x
+    # variables registered after x count as absent, not as errors
     assert x.degree_in(["y"]) == 0
     assert not x.uses("y")
     assert x.coefficient_of({"y": 1}).is_zero()
-    # constants made by the operations take x's own width
+    # constants made by the operations are over x's registry
     assert x**2 == x * x
     assert (x + 1) - 1 == x
-    assert (x * 0).is_zero() and (x * 0).width == 1
+    assert (x * 0).is_zero()
     assert x.differentiate("y").is_zero()
 
 
@@ -280,13 +279,31 @@ def test_lift_after_growth_keeps_keys():
     reg = VarRegistry(["x", "y"])
     p = Poly.variable(reg, "x") ** 3 * 2 - Poly.variable(reg, "y")
     reg.ensure("z")
-    lifted = p.lift()
-    # the new variable takes higher bits: a width change only
-    assert lifted.terms == p.terms
-    assert lifted.width == 3
-    assert lifted == Poly.variable(reg, "x") ** 3 * 2 - Poly.variable(reg, "y")
-    assert lifted == Poly(reg, {(3, 0, 0): 2, (0, 1, 0): -1})
-    assert lifted.exponent_terms() == {(3, 0, 0): 2, (0, 1, 0): -1}
+    after = Poly.variable(reg, "x") ** 3 * 2 - Poly.variable(reg, "y")
+    # the new variable takes higher bits: the keys do not change
+    assert after.terms == p.terms
+    assert p == after
+    assert p == Poly(reg, {(3, 0, 0): 2, (0, 1, 0): -1})
+    assert p.exponent_terms() == {(3, 0, 0): 2, (0, 1, 0): -1}
+
+
+def test_poly_made_before_growth_combines_without_lift():
+    reg = VarRegistry(["x"])
+    x = Poly.variable(reg, "x")
+    reg.ensure("y")
+    y = Poly.variable(reg, "y")
+    assert x + y == Poly(reg, {(1, 0): 1, (0, 1): 1})
+    assert x * y == Poly(reg, {(1, 1): 1})
+    assert x == Poly(reg, {(1, 0): 1})
+    assert str(x * y + x) == "x*y + x"
+
+
+def test_lift_into_own_registry_is_identity():
+    reg = VarRegistry(["x", "y"])
+    p = Poly.variable(reg, "x") * 2 + Poly.variable(reg, "y")
+    assert p.lift(p.registry) is p
+    reg.ensure("z")
+    assert p.lift(reg) is p
 
 
 # -- packed exponent fields ---------------------------------------------------

@@ -103,7 +103,7 @@ def test_polarize_middle_is_symmetric():
 def test_polarize_count_zero_is_identity():
     reg, (x0, x1, y0, y1) = xy4_ring()
     F = x0**2
-    assert polarize(F, ["x0", "x1"], ["y0", "y1"], 0) == F.lift()
+    assert polarize(F, ["x0", "x1"], ["y0", "y1"], 0) == F
 
 
 # -- transvectants ----------------------------------------------------------
