@@ -50,12 +50,12 @@ def criterion_1() -> tuple:
     u, v, w = (Poly.variable(reg, n) for n in "uvw")
     x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")
     qpoly = u * x0**2 + v * x0 * x1 + w * x1**2
-    Q = BinaryForm(qpoly, ("x0", "x1"), 2)
+    Q = BinaryForm(qpoly, 2)
     checked = 0
     for p in range(5):
-        A = BinaryForm(qpoly**p, ("x0", "x1"), 2 * p)
+        A = BinaryForm(qpoly**p, 2 * p)
         for q in range(5):
-            B = BinaryForm(qpoly**q, ("x0", "x1"), 2 * q)
+            B = BinaryForm(qpoly**q, 2 * q)
             for k in range(2 * min(p, q) + 1):
                 got = transvectant(A, B, k)
                 want = transvectant_power_closed(p, q, k, Q)
@@ -186,7 +186,7 @@ def criterion_7() -> tuple:
         b0, b1 = Poly.variable(reg, "b0"), Poly.variable(reg, "b1")
         L1 = a0 * x0 + a1 * x1
         L2 = b0 * x0 + b1 * x1
-        F = BinaryForm((L1 * L2) ** e, ("x0", "x1"), d)
+        F = BinaryForm((L1 * L2) ** e, d)
         ok, witness = membership(F)
         if not ok:
             return False, f"symbolic power of degree {d} rejected by {witness}"
@@ -199,7 +199,7 @@ def criterion_7() -> tuple:
             if all(c == 0 for c in coeffs) or is_power_of_quadratic(coeffs):
                 continue
             terms = {(d - t, t): c for t, c in enumerate(coeffs)}
-            F = BinaryForm(Poly(VarRegistry(["x0", "x1"]), terms), ("x0", "x1"), d)
+            F = BinaryForm(Poly(VarRegistry(["x0", "x1"]), terms), d)
             ok, witness = membership(F)
             if ok or witness is None:
                 return False, f"non-power {coeffs} accepted"

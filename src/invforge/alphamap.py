@@ -272,7 +272,7 @@ def _mul(p: dict, q: dict) -> dict:
     return out
 
 
-def alpha_matrix(n: int, d: int, r: int, size_cap: int = None) -> ExactMatrix:
+def alpha_matrix(n: int, d: int, r: int) -> ExactMatrix:
     """Matrix of alpha_r on degree-d forms in n+1 variables.
 
     Columns: multisets of r degree-d monomials (combinations with
@@ -296,8 +296,7 @@ def alpha_matrix(n: int, d: int, r: int, size_cap: int = None) -> ExactMatrix:
     if d < 0:
         raise ValueError(f"alpha_matrix needs d >= 0, got {d}")
     e = d // 2
-    if size_cap is None:
-        size_cap = int(os.environ.get(SIZE_CAP_ENV, DEFAULT_SIZE_CAP))
+    size_cap = int(os.environ.get(SIZE_CAP_ENV, DEFAULT_SIZE_CAP))
     ndmons = sym_dim(n, d)
     nrows = s2_dim(sym_dim(n, r * e))
     ncols = binomial(ndmons + r - 1, r)
@@ -354,8 +353,8 @@ def alpha_matrix(n: int, d: int, r: int, size_cap: int = None) -> ExactMatrix:
     return ExactMatrix._from_sparse(row_labels, col_labels, sparse)
 
 
-def alpha_rank(n: int, d: int, r: int, size_cap: int = None) -> dict:
+def alpha_rank(n: int, d: int, r: int) -> dict:
     """Shape and exact rank of the alpha_r matrix, as a small report."""
-    mat = alpha_matrix(n, d, r, size_cap=size_cap)
+    mat = alpha_matrix(n, d, r)
     nrows, ncols = mat.shape
     return {"rows": nrows, "cols": ncols, "rank": mat.rank()}

@@ -44,8 +44,8 @@ def _parse_poly(text: str, registry: VarRegistry) -> Poly:
 def _form(text: str, registry: VarRegistry, degree=None) -> BinaryForm:
     poly = _parse_poly(text, registry)
     if poly.is_zero() and degree is not None:
-        return BinaryForm(poly, ("x0", "x1"), degree)
-    form = BinaryForm(poly, ("x0", "x1"))
+        return BinaryForm(poly, degree)
+    form = BinaryForm(poly)
     if degree is not None and form.degree != degree:
         raise ValueError(f"form has degree {form.degree}, expected {degree}")
     return form

@@ -93,10 +93,10 @@ def transvectant_power_closed(p: int, q: int, k: int, Q: BinaryForm) -> BinaryFo
     degree = max(2 * (p + q) - 2 * k, 0)
     reg = Q.poly.registry
     if k % 2 == 1 or k > 2 * min(p, q):
-        return BinaryForm(Poly.zero(reg), Q.xpair, degree)
+        return BinaryForm(Poly.zero(reg), degree)
     m = k // 2
     value = Q.poly ** (p + q - 2 * m) * (-discriminant(Q)) ** m * n2(p, q, m)
-    return BinaryForm(value, Q.xpair, degree)
+    return BinaryForm(value, degree)
 
 
 def f32_term(a, b, c, d, e) -> Fraction:

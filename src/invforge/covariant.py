@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import perm
 
 from .closedform import n2
+from .poly import Poly
 from .transvect import BinaryForm, _omega_diagonal
 
 
@@ -106,7 +107,7 @@ class CovariantExpr:
         a = self._u(i, j, F, cache)
         b = self._u(i2, j2, F, cache)
         combo = a.poly * mu(e, i2, j2) - b.poly * mu(e, i, j)
-        return BinaryForm(combo, F.xpair, a.degree)
+        return BinaryForm(combo, a.degree)
 
     def _u(self, i, j, F, cache) -> BinaryForm:
         # U(i,j) with both transvectants unnormalized and the rational
@@ -115,15 +116,15 @@ class CovariantExpr:
         d = self.d
         order = 3 * d - 4 * i - 2 * j
         if not in_range(d, i, j):
-            return BinaryForm.zero_like(F, max(order, 0))
+            return BinaryForm(Poly.zero(F.poly.registry), max(order, 0))
         hraw = cache.get(i)
         if hraw is None:
-            hraw = cache[i] = _omega_diagonal(F.poly, F.poly, 2 * i, F.xpair)
+            hraw = cache[i] = _omega_diagonal(F.poly, F.poly, 2 * i)
         u = 2 * d - 4 * i
-        raw = _omega_diagonal(hraw, F.poly, j, F.xpair)
+        raw = _omega_diagonal(hraw, F.poly, j)
         # (d-2i)!^2/d!^2 * (u-j)!(d-j)!/(u!d!), as falling factorials
         scale = Fraction(1, perm(d, 2 * i) ** 2 * perm(u, j) * perm(d, j))
-        return BinaryForm(raw * scale, F.xpair, order)
+        return BinaryForm(raw * scale, order)
 
     def __repr__(self):
         return f"CovariantExpr({self.name()}, d={self.d})"

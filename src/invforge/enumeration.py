@@ -259,7 +259,7 @@ def tau_transvectant_check(r: int, e: int, p: int) -> bool:
             reg, 1, {f"l{i}_1": 1, "x1": 1}
         )
         product = product * li**e
-    form = BinaryForm(product, ("x0", "x1"), r * e)
+    form = BinaryForm(product, r * e)
     trans = transvectant(form, form, 2 * p)
 
     bindings = {"x0": Poly.const(reg, -1), "x1": Poly.variable(reg, "t")}
@@ -300,7 +300,7 @@ def g_direct(r: int, e: int, p: int, pprime: int) -> Poly:
     b_x = b0 * x0 + b1 * x1
     b_y = b0 * y0 + b1 * y1
     G = xy ** (2 * p) * a_x ** (r * e - 2 * p) * a_y ** (r * e - 2 * p) * b_x**e * b_y**e
-    reduced = omega_apply(G, ("x0", "x1"), ("y0", "y1"), 2 * pprime)
+    reduced = omega_apply(G, 2 * pprime)
     return reduced.substitute({"y0": x0, "y1": x1})
 
 

@@ -11,8 +11,12 @@ division using dynamic arrays, heaps, and packed exponent vectors", CASC
 nonnegative int key, with field width W = 32, so the product of two
 monomials is one integer add and a dict lookup hashes one int.  Variables
 registered later take higher bits, and an unused field reads 0, so a key
-means the same monomial at every size its registry has had.  lift() moves
-fields by name into another registry.
+means the same monomial at every size its registry has had.
+
+substitute() runs one loop over the terms: an unbound variable or a one-term
+image adds to the output key (and scales the coefficient), and a longer image
+is multiplied in as a cached power.  lift() is that loop with no bindings: it
+moves fields by name into another registry.
 
 A field must never carry into its neighbour.  Every Poly records `bound`,
 an upper bound on each single exponent it holds (the maximum under +, the
@@ -28,7 +32,9 @@ Poly values in one dict, so no caller has to handle packed keys.
 
 Coefficients are Python ints or Fractions, under one invariant: no stored
 coefficient is 0, and every integral coefficient is an int (never a Fraction
-with denominator 1).  parse() and every operation keep it, so the inner loops
+with denominator 1).  The public constructors (Poly(...), Poly.const,
+Poly.term) raise TypeError for any other coefficient, a float included.
+parse() and every operation keep the invariant, so the inner loops
 of the differential-operator calculus stay in (fast) integer arithmetic, and
 the rational normalizations are applied once at the end as scalar multiples.
 
@@ -148,7 +154,7 @@ class Poly:
             if min(exps, default=0) < 0:
                 raise ValueError(f"negative exponent in {exps}")
             bound = max(bound, max(exps, default=0))
-            packed[_pack(exps)] = c
+            packed[_pack(exps)] = _coefficient(c)
         if bound > _MASK:
             raise _overflow(bound)
         self.bound = bound
@@ -173,7 +179,7 @@ class Poly:
 
     @classmethod
     def const(cls, registry, c):
-        c = _demoted(c)
+        c = _coefficient(c)
         return cls._trusted(registry, {0: c} if c else {}, 0)
 
     @classmethod
@@ -189,7 +195,7 @@ class Poly:
                 raise ValueError(f"negative exponent {k} for {name!r}")
             key += k << (_W * registry.index(name))
             bound = max(bound, k)
-        c = _demoted(coeff)
+        c = _coefficient(coeff)
         return cls._trusted(registry, {key: c} if c else {}, bound)
 
     @classmethod
@@ -375,75 +381,61 @@ class Poly:
                 target = p
             elif p.registry is not target.registry:
                 raise ValueError("registry mismatch among replacement polynomials")
-        reg = target.registry
+        images = {self.registry.index(name): p for name, p in bindings.items()}
+        return self._substitute(target.registry, images)
 
-        bound = {}
-        for name, p in bindings.items():
-            bound[self.registry.index(name)] = p
-        # one entry per variable this Poly uses: (shift, image); an unbound
-        # variable keeps its name, so its image is that name's unit key
+    def _substitute(self, reg, images):
+        """This Poly over reg, with variable i replaced by images[i] and each
+        other variable it uses moved to reg by name.
+
+        An unbound variable or a one-term image folds into the output key and
+        coefficient of each term; a longer image is multiplied in as a power,
+        cached per (variable, exponent).
+        """
         names = self.registry.names
-        plan = []
-        carried = spread = 0  # unbound variables; sum of the images' bounds
+        folded = []  # (shift, image key, image coefficient)
+        powered = []  # (shift, image)
+        # an unbound variable lands in its own field, an image's terms in any
+        carried = fold_spread = spread = 0
         for i in _used_indices(self.terms):
-            p = bound.get(i)
+            p = images.get(i)
             if p is None:
-                plan.append((_W * i, None, 1 << (_W * reg.index(names[i]))))
-                carried += 1
+                folded.append((_W * i, 1 << (_W * reg.index(names[i])), 1))
+                carried = 1
+            elif len(p.terms) == 1:
+                ((ikey, icoeff),) = p.terms.items()
+                folded.append((_W * i, ikey, icoeff))
+                fold_spread += p.bound
             else:
-                plan.append((_W * i, i, p))
+                powered.append((_W * i, p))
                 spread += p.bound
-        out_bound = self.bound * (carried + spread)
+        fold_bound = self.bound * (carried + fold_spread)
 
-        # Fast path: every replacement is a single term.  Then each input
-        # term maps to exactly one output term, key to key.
-        if all(len(p.terms) == 1 for p in bound.values()):
-            mono = []
-            for shift, i, image in plan:
-                if i is None:
-                    mono.append((shift, image, 1))
-                else:
-                    ((ikey, icoeff),) = image.terms.items()
-                    mono.append((shift, ikey, icoeff))
-            out = {}
-            get = out.get
-            for key, c in self.terms.items():
-                okey = 0
-                for shift, ikey, icoeff in mono:
-                    e = (key >> shift) & _MASK
-                    if e:
-                        okey += e * ikey
-                        if icoeff != 1:
-                            c = c * icoeff**e
-                out[okey] = get(okey, 0) + c
-            return Poly._trusted(reg, _settle(out), out_bound)
-
-        # General path: per-term products with a power cache.
-        powcache = {}
-
-        def powered(i, e):
-            got = powcache.get((i, e))
-            if got is None:
-                got = bound[i] ** e
-                powcache[(i, e)] = got
-            return got
-
-        acc = {}
-        get = acc.get
+        powers = {}
+        out = {}
+        get = out.get
         for key, c in self.terms.items():
             okey = 0
-            for shift, i, image in plan:
-                if i is None:
-                    okey += ((key >> shift) & _MASK) * image
-            prod = Poly._trusted(reg, {okey: c}, self.bound * carried)
-            for shift, i, image in plan:
-                if i is not None:
-                    e = (key >> shift) & _MASK
-                    if e:
-                        prod = prod * powered(i, e)
-            for pkey, cc in prod.terms.items():
-                acc[pkey] = get(pkey, 0) + cc
-        return Poly._trusted(reg, _settle(acc), out_bound)
+            for shift, ikey, icoeff in folded:
+                e = (key >> shift) & _MASK
+                if e:
+                    okey += e * ikey
+                    if icoeff != 1:
+                        c = c * icoeff**e
+            if not powered:
+                out[okey] = get(okey, 0) + c
+                continue
+            prod = Poly._trusted(reg, {okey: c}, fold_bound)
+            for shift, p in powered:
+                e = (key >> shift) & _MASK
+                if e:
+                    power = powers.get((shift, e))
+                    if power is None:
+                        power = powers[(shift, e)] = p**e
+                    prod = prod * power
+            for pkey, pc in prod.terms.items():
+                out[pkey] = get(pkey, 0) + pc
+        return Poly._trusted(reg, _settle(out), fold_bound + self.bound * spread)
 
     def coefficient_of(self, assignment: dict):
         """Coefficient polynomial of the monomial fixed by assignment.
@@ -472,17 +464,7 @@ class Poly:
         """
         if target is self.registry:
             return self
-        names = self.registry.names
-        moves = [  # (source shift, target shift) per used variable
-            (_W * i, _W * target.index(names[i])) for i in _used_indices(self.terms)
-        ]
-        out = {}
-        for key, c in self.terms.items():
-            okey = 0
-            for shift, tshift in moves:
-                okey |= ((key >> shift) & _MASK) << tshift
-            out[okey] = c
-        return Poly._trusted(target, out, self.bound)
+        return self._substitute(target, {})
 
     # -- text --------------------------------------------------------------
 
@@ -531,6 +513,13 @@ def _demoted(c):
     if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
+
+
+def _coefficient(c):
+    """c demoted, after refusing anything but an int or a Fraction."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+    return _demoted(c)
 
 
 def _demote_in_place(terms):

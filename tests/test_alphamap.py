@@ -330,33 +330,40 @@ def test_alpha_matrix_size_cap(monkeypatch):
     monkeypatch.setenv(SIZE_CAP_ENV, "10")
     with pytest.raises(ValueError, match=SIZE_CAP_ENV):
         alpha_matrix(1, 4, 2)
-    # an explicit cap argument overrides the environment
-    assert alpha_matrix(1, 4, 2, size_cap=1000).shape == (15, 15)
+    monkeypatch.setenv(SIZE_CAP_ENV, "1000")
+    assert alpha_matrix(1, 4, 2).shape == (15, 15)
 
 
 # -- ranks --------------------------------------------------------------------
 
 
-def test_alpha_matrix_cap_counts_term_pairs():
+def test_alpha_matrix_cap_counts_term_pairs(monkeypatch):
     # 15 rows and 2 * 15 label monomials fit a cap of 58; the 59 term pairs
     # the build multiplies (24 of them stored as nonzeros) do not
-    assert sum(len(row) for row in alpha_matrix(1, 4, 2, size_cap=59).sparse) == 24
+    monkeypatch.setenv(SIZE_CAP_ENV, "59")
+    assert sum(len(row) for row in alpha_matrix(1, 4, 2).sparse) == 24
+    monkeypatch.setenv(SIZE_CAP_ENV, "58")
     with pytest.raises(ValueError, match=f"cap of 58 multiplied term pairs.*{SIZE_CAP_ENV}"):
-        alpha_matrix(1, 4, 2, size_cap=58)
+        alpha_matrix(1, 4, 2)
     # 5151 rows and 100 * 5151 label monomials fit; 13 million pairs do not
+    monkeypatch.setenv(SIZE_CAP_ENV, "600000")
     with pytest.raises(ValueError, match="cap of 600000 multiplied term pairs at column"):
-        alpha_matrix(1, 2, 100, size_cap=600_000)
+        alpha_matrix(1, 2, 100)
     # a dimension above the cap is refused before any column is built
+    monkeypatch.setenv(SIZE_CAP_ENV, "3000")
     with pytest.raises(ValueError, match="1035 rows and 3060 columns"):
-        alpha_matrix(2, 4, 4, size_cap=3000)
+        alpha_matrix(2, 4, 4)
     # so are the column labels, r monomials each, even for a 1x1 matrix
+    monkeypatch.setenv(SIZE_CAP_ENV, "10")
     with pytest.raises(ValueError, match="r = 11 monomials"):
-        alpha_matrix(0, 4, 11, size_cap=10)
-    assert alpha_rank(0, 4, 10, size_cap=10) == {"rows": 1, "cols": 1, "rank": 1}
+        alpha_matrix(0, 4, 11)
+    assert alpha_rank(0, 4, 10) == {"rows": 1, "cols": 1, "rank": 1}
+    monkeypatch.delenv(SIZE_CAP_ENV)
     assert alpha_matrix(0, 4, 10).entries == [[12**10]]
     # 501501 rows and columns each fit the default cap, their labels do not
+    monkeypatch.setenv(SIZE_CAP_ENV, str(DEFAULT_SIZE_CAP))
     with pytest.raises(ValueError, match="501501 columns of r = 1000 monomials"):
-        alpha_matrix(1, 2, 1000, size_cap=DEFAULT_SIZE_CAP)
+        alpha_matrix(1, 2, 1000)
 
 
 def test_alpha_rank_ternary_quartic_at_m0(monkeypatch):

@@ -196,6 +196,28 @@ def test_public_constructor_validates():
     assert Poly(reg, {(1, 0): 0, (0, 1): 2}).exponent_terms() == {(0, 1): 2}
 
 
+def test_constructor_rejects_float_coefficient():
+    reg = VarRegistry(["x0", "x1"])
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        Poly(reg, {(2, 0): 0.1})
+    with pytest.raises(TypeError):
+        Poly(reg, {(0, 0): 1.0})
+
+
+def test_const_rejects_float_coefficient():
+    reg = VarRegistry(["x0", "x1"])
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        Poly.const(reg, 0.5)
+    assert Poly.const(reg, Fraction(4, 2)).terms == {0: 2}
+
+
+def test_term_rejects_float_coefficient():
+    reg = VarRegistry(["x0", "x1"])
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        Poly.term(reg, 1.5, {"x0": 1})
+    assert Poly.term(reg, Fraction(1, 2), {"x0": 1}) == Poly.variable(reg, "x0") * Fraction(1, 2)
+
+
 def test_differentiate():
     reg, (x, y, _) = make_ring()
     p = x**3 * y + 2 * x
@@ -225,9 +247,24 @@ def test_substitute():
     p = x**2 + y
     assert p.substitute({"x": y}) == y**2 + y
     assert p.substitute({"x": x + z, "y": Poly.const(reg, 0)}) == (x + z) ** 2
-    # single-term fast path
     q = x**2 * y
     assert q.substitute({"x": z}) == z**2 * y
+    # y unbound, x -> -2z a one-term image, z -> x + 3 a longer one
+    r = 5 * x**2 * y * z**2 - x * z + 7 * y**3
+    want = (  # (x + 3)^2 = x^2 + 6x + 9, expanded by hand
+        20 * y * z**2 * x**2 + 120 * y * z**2 * x + 180 * y * z**2
+        + 2 * z * x + 6 * z
+        + 7 * y**3
+    )
+    assert r.substitute({"x": -2 * z, "z": x + 3}) == want
+
+
+def test_substitute_rejects_unknown_binding():
+    reg, (x, y, _) = make_ring()
+    with pytest.raises(ValueError, match="unknown variable 'nope'"):
+        (x + y).substitute({"nope": y})
+    with pytest.raises(ValueError, match="unknown variable 'nope'"):
+        (x + y).substitute({"x": y + 1, "nope": y})
 
 
 def test_substitute_into_fresh_registry():
@@ -326,6 +363,10 @@ def test_field_overflow_raises_instead_of_aliasing():
     assert top.exponent_terms() == {(2**32 - 1, 0): 1}
     assert not top.uses("x1")
     assert top.differentiate("x0").exponent_terms() == {(2**32 - 2, 0): 2**32 - 1}
+    # moving fields by name adds no exponents: both 2^31 fields fit
+    both = Poly.term(reg, 1, {"x0": 2**31, "x1": 2**31})
+    moved = both.lift(VarRegistry(["x1", "x0"]))
+    assert moved.exponent_terms() == {(2**31, 2**31): 1}
 
 
 def test_negative_exponent_rejected():
