@@ -8,7 +8,6 @@ exits 0 only if the whole desk-scale battery passes.
 
 import argparse
 import json
-import re
 import sys
 
 from .acceptance import run_all
@@ -28,27 +27,19 @@ from .closedform import (
 from .covariant import membership, u_cov
 from .enumeration import g_closed_form, g_direct, n1_brute, tau, tau_transvectant_check
 from .plethysm import decompose_plethysm, ideal_character, m0, m0_excluded
-from .poly import ParseError, Poly, VarRegistry, parse
+from .poly import NAME_RE, ParseError, Poly, VarRegistry, parse
 from .transvect import BinaryForm, pi_p, transvectant
-
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _parse_poly(text: str, registry: VarRegistry) -> Poly:
     """Parse after registering every identifier in order of appearance."""
-    for name in _NAME.findall(text):
+    for name in NAME_RE.findall(text):
         registry.ensure(name)
     return parse(text, registry)
 
 
 def _form(text: str, registry: VarRegistry, degree=None) -> BinaryForm:
-    poly = _parse_poly(text, registry)
-    if poly.is_zero() and degree is not None:
-        return BinaryForm(poly, degree)
-    form = BinaryForm(poly)
-    if degree is not None and form.degree != degree:
-        raise ValueError(f"form has degree {form.degree}, expected {degree}")
-    return form
+    return BinaryForm(_parse_poly(text, registry), degree)
 
 
 def _emit(obj) -> int:

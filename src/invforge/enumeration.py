@@ -304,19 +304,17 @@ def g_direct(r: int, e: int, p: int, pprime: int) -> Poly:
     return reduced.substitute({"y0": x0, "y1": x1})
 
 
-def g_closed_form(r: int, e: int, p: int, pprime: int, registry=None) -> Poly:
-    """n3(r,e,p',p) * a_x^{2(re-p'-p)} b_x^{2(e-p'+p)} (ab)^{2(p'-p)} on the
-    same variables as g_direct (zero when the characteristic function is).
+def g_closed_form(r: int, e: int, p: int, pprime: int, registry: VarRegistry) -> Poly:
+    """n3(r,e,p',p) * a_x^{2(re-p'-p)} b_x^{2(e-p'+p)} (ab)^{2(p'-p)} over
+    registry, which must hold x0, x1, a0, a1, b0, b1 (zero when the
+    characteristic function is).
 
     Pass the registry of a g_direct result to compare the two directly."""
     value = n3(r, e, pprime, p)
-    reg = registry
-    if reg is None:
-        reg = VarRegistry(["x0", "x1", "y0", "y1", "a0", "a1", "b0", "b1"])
     if value == 0:
-        return Poly.zero(reg)
-    x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")
-    a0, a1, b0, b1 = (Poly.variable(reg, n) for n in ("a0", "a1", "b0", "b1"))
+        return Poly.zero(registry)
+    x0, x1 = Poly.variable(registry, "x0"), Poly.variable(registry, "x1")
+    a0, a1, b0, b1 = (Poly.variable(registry, n) for n in ("a0", "a1", "b0", "b1"))
     a_x = a0 * x0 + a1 * x1
     b_x = b0 * x0 + b1 * x1
     ab = a0 * b1 - a1 * b0

@@ -14,8 +14,6 @@ weight to multiplicity; negative entries are legal in intermediate
 
 from functools import lru_cache
 
-from .arith import binomial
-
 
 def box_partitions(total: int, parts: int, largest: int) -> int:
     """Number of partitions of `total` into at most `parts` parts, each of
@@ -123,8 +121,3 @@ def m0_excluded(n: int, e: int) -> bool:
     """Whether (n, e) is the degenerate quadric case (n=1, e=1) that the
     regularity statement leaves out."""
     return n == 1 and e == 1
-
-
-def plethysm_dimension_check(r: int, d: int) -> bool:
-    """char_dimension(S_r(S_d)) should equal C(d+r, r)."""
-    return char_dimension(decompose_plethysm(r, d)) == binomial(d + r, r)

@@ -30,6 +30,13 @@ entry per variable of the registry as it is now), for readers that need the
 exponents themselves.  Poly.weighted_sum adds many integer multiples of
 Poly values in one dict, so no caller has to handle packed keys.
 
+Text goes both ways.  str() writes terms in graded lexicographic order,
+highest first; parse() reads terms joined by + or -, each an optional
+rational coefficient and "*"-separated variable powers, where every "*" is
+followed by a variable.  NAME_RE is the one pattern for a variable name (a
+letter or underscore, then letters, digits or underscores): VarRegistry.add,
+the tokenizer and the CLI's registration of typed names all use it.
+
 Coefficients are Python ints or Fractions, under one invariant: no stored
 coefficient is 0, and every integral coefficient is an int (never a Fraction
 with denominator 1).  The public constructors (Poly(...), Poly.const,
@@ -51,7 +58,8 @@ from functools import reduce
 from math import perm
 from operator import or_
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# the one variable-name pattern (see the module docstring)
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # Guard against absurd exponents sneaking in through parsed input.
 _EXPONENT_CAP = 2**20
@@ -73,7 +81,7 @@ class VarRegistry:
 
     def add(self, name: str) -> int:
         """Register a new name; returns its index."""
-        if not isinstance(name, str) or not _NAME_RE.match(name):
+        if not isinstance(name, str) or not NAME_RE.fullmatch(name):
             raise ValueError(f"invalid variable name {name!r}")
         if name in self._index:
             raise ValueError(f"duplicate variable name {name!r}")
@@ -201,11 +209,14 @@ class Poly:
     @classmethod
     def weighted_sum(cls, registry, pairs):
         """sum of w * p over (int w, Poly p) pairs, accumulated in place in
-        one dict, with no intermediate Poly.  Every p must be over registry."""
+        one dict, with no intermediate Poly.  Every p must be over registry;
+        any weight but an int raises TypeError."""
         acc = {}
         get = acc.get
         bound = 0
         for w, p in pairs:
+            if not isinstance(w, int):
+                raise TypeError(f"weight {w!r} is not an int")
             if p.registry is not registry:
                 raise ValueError("registry mismatch in weighted_sum")
             bound = max(bound, p.bound)
@@ -233,13 +244,6 @@ class Poly:
     def _check_compatible(self, other):
         if self.registry is not other.registry:
             raise ValueError("registry mismatch (lift one operand first)")
-
-    def total_degree(self) -> int:
-        """Max term degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        width = len(self.registry)
-        return max(sum(_unpack(key, width)) for key in self.terms)
 
     def _degrees_in(self, names):
         shifts = [_W * self.registry.index(n) for n in names]
@@ -543,7 +547,7 @@ def _settle(terms):
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<num>\d+(?:/\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<name>{NAME_RE.pattern})"
     r"|(?P<op>[-+*^])"
 )
 
@@ -570,97 +574,66 @@ def _tokenize(text):
 
 def parse(text: str, registry: VarRegistry) -> Poly:
     """Parse the polynomial grammar: terms joined by + or -, each term an
-    optional rational coefficient ("p/q" or integer) followed by
-    "*"-separated variable powers "name^k" (k omitted means 1).
+    optional rational coefficient ("p/q" or integer) and "*"-separated
+    variable powers "name^k" (k omitted means 1).  Every "*" must be
+    followed by a variable, so a coefficient alone is a term but "3*" is
+    not; every variable must already be in the registry.
 
     Integral coefficients (including "4/2") are stored as int.
     """
     tokens = _tokenize(text)
+    if tokens[0][0] == "end":
+        raise ParseError("empty input", tokens[0][2])
+    result = {}
     i = 0
-
-    def peek():
-        return tokens[i]
-
-    def advance():
-        nonlocal i
-        tok = tokens[i]
-        i += 1
-        return tok
-
-    def parse_term(sign):
-        kind, value, pos = peek()
-        coeff = sign
-        powers = []
+    while True:
+        kind, value, pos = tokens[i]
+        coeff = 1
+        if value in ("+", "-"):
+            coeff = -1 if value == "-" else 1
+            i += 1
+            kind, value, pos = tokens[i]
         if kind == "num":
-            advance()
             try:
                 coeff *= _demoted(Fraction(value))
             except ZeroDivisionError:
                 raise ParseError("zero denominator in coefficient", pos) from None
+            i += 1
+            kind, value, pos = tokens[i]
+            if kind == "name":
+                raise ParseError("missing '*' between coefficient and variable", pos)
         elif kind != "name":
             raise ParseError("expected a coefficient or variable", pos)
-        first = kind == "num"
-        while True:
-            kind, value, pos = peek()
-            if first:
-                first = False
-                # after a leading coefficient, variables need a '*'
-                if kind == "op" and value == "*":
-                    advance()
-                    kind, value, pos = peek()
-                elif kind == "name":
-                    raise ParseError("missing '*' between coefficient and variable", pos)
-                else:
-                    break
-            if kind != "name":
+        exps = [0] * len(registry)
+        # one variable power per pass: the one that opens the term, then one
+        # after each '*'
+        while kind == "name" or value == "*":
+            if value == "*":
+                i += 1
+                kind, value, pos = tokens[i]
                 if kind == "num":
                     raise ParseError("coefficient must lead a term", pos)
-                break
+                if kind != "name":
+                    raise ParseError("dangling '*'", pos)
             if value not in registry:
                 raise ParseError(f"unknown variable {value!r}", pos)
-            advance()
             exp = 1
-            kind2, value2, pos2 = peek()
-            if kind2 == "op" and value2 == "^":
-                advance()
-                kind3, value3, pos3 = peek()
-                if kind3 != "num" or "/" in value3:
-                    raise ParseError("expected integer exponent after '^'", pos3)
-                advance()
-                exp = int(value3)
+            if tokens[i + 1][1] == "^":
+                kind, digits, pos = tokens[i + 2]
+                if kind != "num" or "/" in digits:
+                    raise ParseError("expected integer exponent after '^'", pos)
+                exp = int(digits)
                 if exp > _EXPONENT_CAP:
-                    raise ParseError(f"exponent {exp} exceeds cap {_EXPONENT_CAP}", pos3)
-            powers.append((value, exp))
-            kind4, value4, pos4 = peek()
-            if kind4 == "op" and value4 == "*":
-                advance()
-                kind5, _, pos5 = peek()
-                if kind5 not in ("name", "num"):
-                    raise ParseError("dangling '*'", pos5)
-                continue
-            break
-        exps = [0] * len(registry)
-        for name, exp in powers:
-            exps[registry.index(name)] += exp
-        return tuple(exps), coeff
-
-    result = {}
-    sign = 1
-    kind, value, pos = peek()
-    if kind == "op" and value in "+-":
-        advance()
-        sign = -1 if value == "-" else 1
-    elif kind == "end":
-        raise ParseError("empty input", pos)
-    while True:
-        exps, coeff = parse_term(sign)
-        result[exps] = result.get(exps, 0) + coeff
-        kind, value, pos = peek()
+                    raise ParseError(f"exponent {exp} exceeds cap {_EXPONENT_CAP}", pos)
+                i += 2
+            exps[registry.index(value)] += exp
+            i += 1
+            kind, value, pos = tokens[i]
+            if value != "*":
+                break
+        key = tuple(exps)
+        result[key] = result.get(key, 0) + coeff
         if kind == "end":
-            break
-        if kind == "op" and value in "+-":
-            advance()
-            sign = -1 if value == "-" else 1
-            continue
-        raise ParseError(f"expected '+' or '-', got {value!r}", pos)
-    return Poly(registry, result)
+            return Poly(registry, result)
+        if value not in ("+", "-"):
+            raise ParseError(f"expected '+' or '-', got {value!r}", pos)

@@ -43,10 +43,10 @@ class BinaryForm:
             if poly.is_zero():
                 raise ValueError("zero form needs an explicit degree")
             degree = poly.degree_in(X)
+        if not poly.is_zero() and not poly.is_homogeneous_in(X, degree):
+            raise ValueError(f"not a form of degree {degree} in {X}")
         if degree < 0:
             raise ValueError(f"negative form degree {degree}")
-        if not poly.is_homogeneous_in(X, degree) and not poly.is_zero():
-            raise ValueError(f"polynomial is not homogeneous of degree {degree} in {X}")
         self.poly = poly
         self.degree = degree
 

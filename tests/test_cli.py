@@ -219,6 +219,23 @@ def test_parse_error_exits_1(capsys):
     assert "error" in json.loads(err)
 
 
+def test_dangling_star_after_coefficient_exits_1(capsys):
+    # "3*" used to parse as the constant 3 and print {"result":"3*x0"}
+    code, out, err = run_cli(capsys, "transvect", "--a", "3*", "--b", "x0", "--k", "0")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "dangling '*' at position 2"}
+
+
+@pytest.mark.parametrize("text", ["x0^3", "x0^3 + x1"])
+def test_membership_not_a_form_of_degree_exits_1(capsys, text):
+    # a wrong degree and a non-homogeneous input get one message
+    code, out, err = run_cli(capsys, "membership", "--d", "4", "--f", text)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "not a form of degree 4 in ('x0', 'x1')"}
+
+
 def test_degree_mismatch_exits_1(capsys):
     code, _, err = run_cli(capsys, "covariant", "--d", "4", "--i", "0", "--j", "1", "--f", "x0^3")
     assert code == 1
@@ -271,10 +288,9 @@ def test_module_entry_point():
     assert proc.stdout == '{"value":"1/14"}\n'
 
 
-def test_verify_all_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify-all", "--level", "desk")
+def test_verify_all_passes(verify_all):
+    code, payload = verify_all
     assert code == 0
-    payload = json.loads(out)
     assert payload["level"] == "desk"
     assert payload["all_passed"] is True
     assert len(payload["results"]) == 9

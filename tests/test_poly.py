@@ -218,6 +218,14 @@ def test_term_rejects_float_coefficient():
     assert Poly.term(reg, Fraction(1, 2), {"x0": 1}) == Poly.variable(reg, "x0") * Fraction(1, 2)
 
 
+def test_weighted_sum_rejects_non_int_weight():
+    reg, (x, y, _) = make_ring()
+    assert Poly.weighted_sum(reg, [(2, x), (-1, x), (3, y)]) == x + 3 * y
+    for w in (0.1, Fraction(1, 2), Fraction(2)):
+        with pytest.raises(TypeError):
+            Poly.weighted_sum(reg, [(w, x)])
+
+
 def test_differentiate():
     reg, (x, y, _) = make_ring()
     p = x**3 * y + 2 * x
@@ -232,10 +240,8 @@ def test_differentiate():
 def test_degree_helpers():
     reg, (x, y, z) = make_ring()
     p = x**2 * y + z
-    assert p.total_degree() == 3
     assert p.degree_in(["x"]) == 2
     assert p.degree_in(["x", "y"]) == 3
-    assert Poly.zero(reg).total_degree() == -1
     assert p.is_homogeneous_in(["z"], 1) is False
     assert (x**2 + x * y).is_homogeneous_in(["x", "y"], 2)
     assert p.uses("z") and p.uses("y")
@@ -440,29 +446,57 @@ def test_parse_round_trips_str(p):
     assert parse(str(p), p.registry) == p
 
 
+PARSE_REJECTS = [
+    ("", "empty input", 0),
+    ("x0 +", "expected a coefficient or variable", 4),
+    ("2 2", "expected '+' or '-', got '2'", 2),
+    ("x0^", "expected integer exponent after '^'", 3),
+    ("x0^y", "expected integer exponent after '^'", 3),
+    ("x0^1/2", "expected integer exponent after '^'", 3),
+    ("3x0", "missing '*' between coefficient and variable", 1),
+    ("x0**2", "dangling '*'", 3),
+    ("(x0)", "unexpected character '('", 0),
+    ("x0*", "dangling '*'", 3),
+    ("x0 * * x1", "dangling '*'", 5),
+    ("3/0", "zero denominator in coefficient", 0),
+    ("y9", "unknown variable 'y9'", 0),
+    ("x0^9999999", "exponent 9999999 exceeds cap 1048576", 3),
+    # a '*' after a coefficient needs a variable too
+    ("3*", "dangling '*'", 2),
+    ("3 *", "dangling '*'", 3),
+    ("1/2*", "dangling '*'", 4),
+    ("-3*", "dangling '*'", 3),
+]
+
+
+# ids are the input text alone
 @pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "x0 +",
-        "2 2",
-        "x0^",
-        "x0^y",
-        "x0^1/2",
-        "3x0",
-        "x0**2",
-        "(x0)",
-        "x0*",
-        "x0 * * x1",
-        "3/0",
-        "y9",
-        "x0^9999999",
-    ],
+    "text, message, position", PARSE_REJECTS, ids=[t for t, _, _ in PARSE_REJECTS]
 )
-def test_parse_rejects(text):
+def test_parse_rejects(text, message, position):
     reg = VarRegistry(["x0", "x1"])
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse(text, reg)
+    assert str(err.value) == f"{message} at position {position}"
+    assert err.value.position == position
+
+
+PARSE_ALPHABET = [
+    "x0", "x1", "c", "q", "0", "3", "1/2", "4/2", "3/0", "+", "-", "*", "^", " ", "(",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(PARSE_ALPHABET), max_size=10).map("".join))
+def test_parse_accepts_or_raises_parse_error(text):
+    # any string over the token alphabet parses and round-trips, or raises
+    # ParseError; no other exception may escape
+    reg = VarRegistry(["x0", "x1", "c"])
+    try:
+        p = parse(text, reg)
+    except ParseError:
+        return
+    assert parse(str(p), reg) == p
 
 
 def test_parse_error_carries_position():
