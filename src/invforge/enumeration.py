@@ -17,7 +17,7 @@ from fractions import Fraction
 from .arith import factorial
 from .closedform import n3
 from .poly import Poly, VarRegistry
-from .transvect import BinaryForm, omega_apply, transvectant
+from .transvect import BinaryForm, pi_p, transvectant
 
 
 def multigraphs(e: int, p: int):
@@ -60,10 +60,13 @@ def multigraphs(e: int, p: int):
 
 
 def component_census(G) -> tuple:
-    """(cycles, LL-chains, RR-chains, LR-chains) of a bipartite multigraph.
+    """(cycles, LL-chains, RR-chains, LR-chains) of a bipartite multigraph
+    whose row and column sums are at most 2.
 
-    A double edge m[i][j] = 2 is a 2-cycle.  Isolated vertices count as
-    chains whose two endpoints coincide, hence lie on their own side.
+    A component is a cycle when it has as many edges as vertices (a double
+    edge m[i][j] = 2 is a 2-cycle), else a chain.  A chain alternates sides:
+    an odd edge count means LR, and with an even count both ends (one, for
+    an isolated vertex) lie on the side holding more of its vertices.
     """
     e = len(G)
     # vertices 0..e-1 are L, e..2e-1 are R
@@ -75,46 +78,29 @@ def component_census(G) -> tuple:
             v = parent[v]
         return v
 
-    def union(u, v):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-
-    degree = [0] * (2 * e)
     for i in range(e):
         for j in range(e):
-            m = G[i][j]
-            if m:
-                union(i, e + j)
-                degree[i] += m
-                degree[e + j] += m
+            if G[i][j]:
+                parent[find(i)] = find(e + j)
 
-    members = {}
+    counts = {}  # root -> [vertices, edges, L vertices]
     for v in range(2 * e):
-        members.setdefault(find(v), []).append(v)
+        c = counts.setdefault(find(v), [0, 0, 0])
+        c[0] += 1
+        if v < e:
+            c[1] += sum(G[v])
+            c[2] += 1
 
     cycles = ll = rr = lr = 0
-    for verts in members.values():
-        ends = [v for v in verts if degree[v] < 2]
-        if not ends:
+    for vertices, edges, left in counts.values():
+        if edges == vertices:
             cycles += 1
-            continue
-        if len(verts) == 1:
-            # isolated vertex: both endpoints on its own side
-            v = verts[0]
-            if v < e:
-                ll += 1
-            else:
-                rr += 1
-            continue
-        assert len(ends) == 2, "a path component has exactly two endpoints"
-        left_ends = sum(1 for v in ends if v < e)
-        if left_ends == 2:
-            ll += 1
-        elif left_ends == 0:
-            rr += 1
-        else:
+        elif edges % 2:
             lr += 1
+        elif 2 * left > vertices:
+            ll += 1
+        else:
+            rr += 1
     return cycles, ll, rr, lr
 
 
@@ -282,7 +268,7 @@ def g_direct(r: int, e: int, p: int, pprime: int) -> Poly:
     Omega^{2p'} [ (xy)^{2p} a_x^{re-2p} a_y^{re-2p} b_x^e b_y^e ] at y:=x
 
     over the variables a0, a1, b0, b1, x0, x1, with (xy) = x0 y1 - x1 y0 and
-    a_x = a0 x0 + a1 x1 etc.  Compare with
+    a_x = a0 x0 + a1 x1 etc.: pi_p(G, p') of the bracketed G.  Compare with
     n3(r,e,p',p) * a_x^{2(re-p'-p)} b_x^{2(e-p'+p)} (ab)^{2(p'-p)}.
     """
     if r < 2 or e < 1:
@@ -300,8 +286,7 @@ def g_direct(r: int, e: int, p: int, pprime: int) -> Poly:
     b_x = b0 * x0 + b1 * x1
     b_y = b0 * y0 + b1 * y1
     G = xy ** (2 * p) * a_x ** (r * e - 2 * p) * a_y ** (r * e - 2 * p) * b_x**e * b_y**e
-    reduced = omega_apply(G, 2 * pprime)
-    return reduced.substitute({"y0": x0, "y1": x1})
+    return pi_p(G, pprime).poly
 
 
 def g_closed_form(r: int, e: int, p: int, pprime: int, registry: VarRegistry) -> Poly:

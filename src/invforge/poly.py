@@ -37,19 +37,19 @@ followed by a variable.  NAME_RE is the one pattern for a variable name (a
 letter or underscore, then letters, digits or underscores): VarRegistry.add,
 the tokenizer and the CLI's registration of typed names all use it.
 
-Coefficients are Python ints or Fractions, under one invariant: no stored
-coefficient is 0, and every integral coefficient is an int (never a Fraction
-with denominator 1).  The public constructors (Poly(...), Poly.const,
-Poly.term) raise TypeError for any other coefficient, a float included.
-parse() and every operation keep the invariant, so the inner loops
-of the differential-operator calculus stay in (fast) integer arithmetic, and
-the rational normalizations are applied once at the end as scalar multiples.
+Coefficients are Python ints or Fractions, and no stored coefficient is 0.
+The public constructors (Poly(...), Poly.const, Poly.term) raise TypeError
+for any other coefficient, a float included, and normalize an integral one
+to an int, once; parse() builds through Poly(...), so "4/2" is stored as 2.
+The result of an operation may hold an integral Fraction, which compares
+and prints like the int.  Integer input keeps the operator calculus in
+integer arithmetic; its rational scales are applied once, at the end.
 
 The public constructor Poly(registry, terms) takes exponent tuples, and
 validates, packs and copies them.  The ring operations build their results
 through Poly._trusted, which skips all three; every caller of _trusted must
-hand over a fresh dict of packed keys over the stated registry, whose
-coefficients already keep the invariant, with a true exponent bound.
+hand over a fresh dict of packed keys over the stated registry, holding no
+zero and only int or Fraction coefficients, with a true exponent bound.
 """
 
 import re
@@ -61,8 +61,10 @@ from operator import or_
 # the one variable-name pattern (see the module docstring)
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# Guard against absurd exponents sneaking in through parsed input.
+# Guards on parsed input: absurd exponents, and number tokens too long to
+# convert under every setting of the interpreter's int-string limit (>= 640).
 _EXPONENT_CAP = 2**20
+_NUMBER_CAP = 640
 
 _W = 32  # bits per exponent field
 _MASK = (1 << _W) - 1
@@ -287,8 +289,6 @@ class Poly:
         for key, c in other.terms.items():
             s = get(key, 0) + c
             if s:
-                if type(s) is Fraction and s.denominator == 1:
-                    s = s.numerator
                 out[key] = s
             else:
                 del out[key]
@@ -314,11 +314,9 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _demoted(other)
             if not other:
                 return Poly.zero(self.registry)
             out = {key: c * other for key, c in self.terms.items()}
-            _demote_in_place(out)
             return Poly._trusted(self.registry, out, self.bound)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -366,7 +364,6 @@ class Poly:
             k = (key >> shift) & _MASK
             if k >= times:
                 out[key - drop] = c * perm(k, times)
-        _demote_in_place(out)
         return Poly._trusted(self.registry, out, self.bound)
 
     def substitute(self, bindings: dict):
@@ -526,19 +523,10 @@ def _coefficient(c):
     return _demoted(c)
 
 
-def _demote_in_place(terms):
-    # the scan for any Fraction at all runs in C; all-int terms stop there
-    if Fraction in map(type, terms.values()):
-        for key, c in terms.items():
-            if type(c) is Fraction and c.denominator == 1:
-                terms[key] = c.numerator
-
-
 def _settle(terms):
-    """terms made to keep the coefficient invariant, in place where it can be."""
+    """terms without their zero coefficients (a copy only when there are any)."""
     if 0 in terms.values():
         terms = {key: c for key, c in terms.items() if c}
-    _demote_in_place(terms)
     return terms
 
 
@@ -565,6 +553,8 @@ def _tokenize(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup == "num" and m.end() - pos > _NUMBER_CAP:
+            raise ParseError(f"number longer than {_NUMBER_CAP} characters", pos)
         if m.lastgroup != "ws":
             out.append((m.lastgroup, m.group(), pos))
         pos = m.end()
@@ -579,7 +569,7 @@ def parse(text: str, registry: VarRegistry) -> Poly:
     followed by a variable, so a coefficient alone is a term but "3*" is
     not; every variable must already be in the registry.
 
-    Integral coefficients (including "4/2") are stored as int.
+    Integral coefficients (including "4/2") are stored as int, by Poly().
     """
     tokens = _tokenize(text)
     if tokens[0][0] == "end":
@@ -595,7 +585,7 @@ def parse(text: str, registry: VarRegistry) -> Poly:
             kind, value, pos = tokens[i]
         if kind == "num":
             try:
-                coeff *= _demoted(Fraction(value))
+                coeff *= Fraction(value)
             except ZeroDivisionError:
                 raise ParseError("zero denominator in coefficient", pos) from None
             i += 1

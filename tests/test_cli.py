@@ -219,6 +219,15 @@ def test_parse_error_exits_1(capsys):
     assert "error" in json.loads(err)
 
 
+def test_over_long_number_exits_1(capsys):
+    code, out, err = run_cli(
+        capsys, "transvect", "--a", "x0^" + "9" * 5000, "--b", "x1", "--k", "0"
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "number longer than 640 characters at position 3"}
+
+
 def test_dangling_star_after_coefficient_exits_1(capsys):
     # "3*" used to parse as the constant 3 and print {"result":"3*x0"}
     code, out, err = run_cli(capsys, "transvect", "--a", "3*", "--b", "x0", "--k", "0")

@@ -99,6 +99,26 @@ def test_census_component_count_conserved():
         assert cycles + ll + rr + lr == len(_components(G))
 
 
+def test_census_matches_chain_ends():
+    # a chain's ends are its vertices of degree < 2 (an isolated vertex is
+    # both ends of its chain); classify chains by the sides of their ends
+    for e in range(4):
+        for p in range(e + 1):
+            for G in multigraphs(e, p):
+                degree = [sum(row) for row in G] + [sum(col) for col in zip(*G)]
+                census = [0, 0, 0, 0]  # cycles, LL, RR, LR
+                for vs in _components(G).values():
+                    ends = [v for v in vs if degree[v] < 2]
+                    if not ends:
+                        census[0] += 1
+                        continue
+                    if len(vs) == 1:
+                        ends *= 2
+                    left_ends = sum(v < e for v in ends)
+                    census[{2: 1, 0: 2, 1: 3}[left_ends]] += 1
+                assert component_census(G) == tuple(census), G
+
+
 def _components(G):
     e = len(G)
     parent = list(range(2 * e))
