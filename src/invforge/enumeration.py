@@ -183,9 +183,20 @@ def tau(r: int, e: int, p: int, registry: VarRegistry = None) -> Poly:
     in variables t, z_1..z_r (all factorials over every entry of M).
 
     The entries of every M sum to 2re-2p, so each prod m_ij! divides
-    L = (2re-2p)!.  The sum is accumulated in place as integer numerators
-    over L, and divided by L once at the end.
+    L = (2re-2p)!.  Since z_j - z_i = -(z_i - z_j) and both border entries
+    of index i are powers of t - z_i, M adds the integer weight
+    sign * L // prod m_ij! times a product fixed by its merged exponents
+    m_ij + m_ji, one per pair i < j <= r+1, where sign is -1 to the sum of
+    the m_ji with i < j <= r.  So every matrix is enumerated and its weight
+    summed under its merged key; keys whose weights cancel are dropped, one
+    product per remaining key is accumulated over L, and the sum is divided
+    by L once.  No closed form is used, so tau stays a route independent of
+    the transvectant that tau_transvectant_check compares it with.
     """
+    if r < 2 or e < 1:
+        raise ValueError(f"tau needs r >= 2, e >= 1, got {(r, e)}")
+    if not (0 <= 2 * p <= r * e):
+        raise ValueError(f"tau needs 0 <= 2p <= re, got p={p}")
     if registry is None:
         registry = VarRegistry(["t"] + [f"z{i}" for i in range(1, r + 1)])
     t = Poly.variable(registry, "t")
@@ -193,37 +204,35 @@ def tau(r: int, e: int, p: int, registry: VarRegistry = None) -> Poly:
     common = factorial(2 * r * e - 2 * p)
     facts = [factorial(m) for m in range(max(e, r * e - 2 * p) + 1)]
     # 0-based: z[i] is z_{i+1}, and index r is the border row and column
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r + 1)]
+
+    weights = {}  # merged exponents, one per pair -> summed integer weight
+    for M in transport_matrices(r, e, p):
+        denom = 1
+        sign = 1
+        for i, j in pairs:
+            n = M[j][i]
+            denom *= facts[M[i][j]] * facts[n]
+            if n & 1 and j < r:
+                sign = -sign
+        key = tuple(M[i][j] + M[j][i] for i, j in pairs)
+        weights[key] = weights.get(key, 0) + sign * (common // denom)
+
     powers = {}  # (i, j, m) -> (z[i] - z[j])^m, or (t - z[i])^m when j = r
 
-    def factor_power(i, j, m):
-        key = (i, j, m)
-        got = powers.get(key)
-        if got is None:
-            base = z[i] - z[j] if j < r else t - z[i]
-            got = powers[key] = base**m
-        return got
+    def product(key):
+        prod = None
+        for (i, j), m in zip(pairs, key):
+            if m:
+                f = powers.get((i, j, m))
+                if f is None:
+                    base = z[i] - z[j] if j < r else t - z[i]
+                    f = powers[i, j, m] = base**m
+                prod = f if prod is None else prod * f
+        return prod
 
-    def weighted_products():
-        for M in transport_matrices(r, e, p):
-            # entries (i, j) and (j, i) share one factor, since
-            # z[j] - z[i] = -(z[i] - z[j]), and both border entries of index
-            # i are powers of t - z[i]
-            prod = None
-            denom = 1
-            sign = 1
-            for i in range(r):
-                row = M[i]
-                for j in range(i + 1, r + 1):
-                    m, n = row[j], M[j][i]
-                    if m or n:
-                        denom *= facts[m] * facts[n]
-                        if n & 1 and j < r:
-                            sign = -sign
-                        f = factor_power(i, j, m + n)
-                        prod = f if prod is None else prod * f
-            yield sign * (common // denom), prod
-
-    return Poly.weighted_sum(registry, weighted_products()) * Fraction(1, common)
+    weighted = ((w, product(key)) for key, w in weights.items() if w)
+    return Poly.weighted_sum(registry, weighted) * Fraction(1, common)
 
 
 def tau_transvectant_check(r: int, e: int, p: int) -> bool:

@@ -61,8 +61,9 @@ from operator import or_
 # the one variable-name pattern (see the module docstring)
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# Guards on parsed input: absurd exponents, and number tokens too long to
-# convert under every setting of the interpreter's int-string limit (>= 640).
+# Guards on parsed input: absurd exponents (a variable's total in one term),
+# and number tokens too long to convert under every setting of the
+# interpreter's int-string limit (>= 640).
 _EXPONENT_CAP = 2**20
 _NUMBER_CAP = 640
 
@@ -613,10 +614,11 @@ def parse(text: str, registry: VarRegistry) -> Poly:
                 if kind != "num" or "/" in digits:
                     raise ParseError("expected integer exponent after '^'", pos)
                 exp = int(digits)
-                if exp > _EXPONENT_CAP:
-                    raise ParseError(f"exponent {exp} exceeds cap {_EXPONENT_CAP}", pos)
                 i += 2
-            exps[registry.index(value)] += exp
+            idx = registry.index(value)
+            exps[idx] += exp
+            if exps[idx] > _EXPONENT_CAP:
+                raise ParseError(f"exponent {exps[idx]} exceeds cap {_EXPONENT_CAP}", pos)
             i += 1
             kind, value, pos = tokens[i]
             if value != "*":

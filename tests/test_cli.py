@@ -213,6 +213,16 @@ def test_tau_check_range_error_exits_1(capsys):
     assert json.loads(err) == {"error": "tau_transvectant_check needs 0 <= 2p <= re, got p=5"}
 
 
+def test_tau_range_checked_before_any_factorial(capsys):
+    # checked before any factorial: p = -20000 would need 40,003 of them
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "tau", "--r", "2", "--e", "1", "--p", "-20000")
+    assert time.perf_counter() - t0 < 1
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "tau needs 0 <= 2p <= re, got p=-20000"}
+
+
 def test_parse_error_exits_1(capsys):
     code, out, err = run_cli(capsys, "transvect", "--a", "x0^", "--b", "x1", "--k", "0")
     assert code == 1

@@ -233,13 +233,38 @@ def tau_reference(r, e, p):
 @pytest.mark.parametrize(
     "r,e,p",
     [(r, e, p) for r in (2, 3) for e in (1, 2) for p in range(r * e // 2 + 1)]
-    + [(4, 1, p) for p in range(3)],
+    + [(4, 1, p) for p in range(3)]
+    # most matrices share their merged key here
+    + [(4, 2, 1), (4, 2, 3)],
 )
 def test_tau_matches_reference_accumulation(r, e, p):
     got, want = tau(r, e, p), tau_reference(r, e, p)
     assert got.registry.names == want.registry.names
     assert got.terms == want.terms
     assert str(got) == str(want)
+
+
+def test_tau_builds_one_product_per_merged_key(monkeypatch):
+    # tau(4, 2, 3) enumerates 870 matrices over 158 merged keys: one product
+    # per key takes 859 multiplications, one per matrix would take 5,221
+    calls = 0
+    mul = Poly.__mul__
+
+    def counting_mul(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    tau(4, 2, 3)
+    assert calls <= 2000
+
+
+def test_tau_range_guards():
+    with pytest.raises(ValueError, match=r"^tau needs 0 <= 2p <= re, got p=2$"):
+        tau(2, 1, 2)
+    with pytest.raises(ValueError, match=r"^tau needs r >= 2, e >= 1, got \(2, 0\)$"):
+        tau(2, 0, 0)
 
 
 def test_tau_symmetric_in_z():

@@ -387,13 +387,14 @@ def test_negative_exponent_rejected():
 
 def test_parsed_term_crossing_the_field_exits_1(capsys):
     # 4096 factors of x0^(2^20): each exponent is under the parser's cap,
-    # their sum 2^32 is not under the field's
+    # their sum 2^32 is not under the field's; the parser's cap on the sum
+    # refuses the term first
     term = "*".join(["x0^1048576"] * 4096)
     code = main(["transvect", "--a", term, "--b", "x1", "--k", "0"])
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
-    assert "packed field" in json.loads(err)["error"]
+    assert "exceeds cap 1048576" in json.loads(err)["error"]
 
 
 def test_mismatched_registries_raise():
@@ -465,6 +466,10 @@ PARSE_REJECTS = [
     ("3/0", "zero denominator in coefficient", 0),
     ("y9", "unknown variable 'y9'", 0),
     ("x0^9999999", "exponent 9999999 exceeds cap 1048576", 3),
+    # the cap bounds a variable's total in the term, reported at the factor
+    # (its exponent, if written) that crosses it
+    ("x0^1048576*x0^1048576", "exponent 2097152 exceeds cap 1048576", 14),
+    ("x0*x0^1048576", "exponent 1048577 exceeds cap 1048576", 6),
     # a '*' after a coefficient needs a variable too
     ("3*", "dangling '*'", 2),
     ("3 *", "dangling '*'", 3),
