@@ -14,11 +14,13 @@ are e-th powers of quadratics.  membership() evaluates that set on a given
 form and reports the first non-vanishing element as a witness.
 
 CovariantExpr is the one evaluation path: u_cov() and phi() construct one
-and evaluate it, and its constructor validates every index set.
+and evaluate it, and its constructor validates every index set.  Every U
+is computed unnormalized, once per form over the set (see evaluate), and
+scaled once; a Phi combines two raw U's over one common denominator.
 """
 
 from fractions import Fraction
-from math import perm
+from math import lcm, perm
 
 from .closedform import n2
 from .poly import Poly
@@ -94,37 +96,58 @@ class CovariantExpr:
         return 3 * self.d - 4 * i - 2 * j
 
     def evaluate(self, F: BinaryForm, cache: dict = None) -> BinaryForm:
-        """Evaluate on a form of degree d.  A shared cache dict memoizes
-        the inner transvectants (F,F)_{2i} across set members."""
+        """Evaluate on a form of degree d.
+
+        A cache dict shared across set members memoizes, for one form F,
+        the unnormalized (F,F)_{2i} under key i, and under key (i, j) the
+        unnormalized U(i,j) of a Phi's second pair until the next Phi
+        takes it, so over set_S(d) each is computed once.  A cache belongs
+        to the form it was first used with: another form raises ValueError.
+        """
         if F.degree != self.d:
             raise ValueError(f"form has degree {F.degree}, expected {self.d}")
         if cache is None:
             cache = {}
-        if self.kind == "U":
-            return self._u(*self.indices, F, cache)
-        i, j, i2, j2 = self.indices
-        e = self.d // 2
-        a = self._u(i, j, F, cache)
-        b = self._u(i2, j2, F, cache)
-        combo = a.poly * mu(e, i2, j2) - b.poly * mu(e, i, j)
-        return BinaryForm(combo, a.degree)
-
-    def _u(self, i, j, F, cache) -> BinaryForm:
-        # U(i,j) with both transvectants unnormalized and the rational
-        # scale applied once, so integer coefficients stay integer until
-        # the last step; cache maps i -> unnormalized (F,F)_{2i}
+        owner = cache.setdefault("form", F.poly)
+        if owner is not F.poly and owner != F.poly:
+            raise ValueError("cache was filled for another form")
         d = self.d
-        order = 3 * d - 4 * i - 2 * j
-        if not in_range(d, i, j):
-            return BinaryForm(Poly.zero(F.poly.registry), max(order, 0))
-        hraw = cache.get(i)
-        if hraw is None:
-            hraw = cache[i] = _omega_diagonal(F.poly, F.poly, 2 * i)
-        u = 2 * d - 4 * i
-        raw = _omega_diagonal(hraw, F.poly, j)
+        if self.kind == "U":
+            i, j = self.indices
+            if not in_range(d, i, j):
+                return BinaryForm(Poly.zero(F.poly.registry), max(self.order, 0))
+            return BinaryForm(self._raw(i, j, F, cache) * self._scale(i, j), self.order)
+        # mu_{i2,j2} U(i,j) - mu_{i,j} U(i2,j2) as integer multiples of the
+        # two raw U's over one common denominator, scaled once
+        i, j, i2, j2 = self.indices
+        e = d // 2
+        c = mu(e, i2, j2) * self._scale(i, j)
+        c2 = mu(e, i, j) * self._scale(i2, j2)
+        den = lcm(c.denominator, c2.denominator)
+        a = self._raw(i, j, F, cache)
+        b = self._raw(i2, j2, F, cache, keep=True)
+        combo = a * int(c * den) - b * int(c2 * den)
+        return BinaryForm(combo * Fraction(1, den), self.order)
+
+    def _raw(self, i, j, F, cache, keep=False) -> Poly:
+        # U(i,j) with both transvectants unnormalized; the cache keeps it
+        # only when asked, since in set_S order a U is used twice only as
+        # the second pair of a Phi, which opens the next Phi
+        raw = cache.pop((i, j), None)
+        if raw is None:
+            hraw = cache.get(i)
+            if hraw is None:
+                hraw = cache[i] = _omega_diagonal(F.poly, F.poly, 2 * i)
+            raw = _omega_diagonal(hraw, F.poly, j)
+        if keep:
+            cache[i, j] = raw
+        return raw
+
+    def _scale(self, i, j) -> Fraction:
         # (d-2i)!^2/d!^2 * (u-j)!(d-j)!/(u!d!), as falling factorials
-        scale = Fraction(1, perm(d, 2 * i) ** 2 * perm(u, j) * perm(d, j))
-        return BinaryForm(raw * scale, order)
+        d = self.d
+        u = 2 * d - 4 * i
+        return Fraction(1, perm(d, 2 * i) ** 2 * perm(u, j) * perm(d, j))
 
     def __repr__(self):
         return f"CovariantExpr({self.name()}, d={self.d})"

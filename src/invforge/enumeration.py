@@ -13,6 +13,8 @@ closed forms except the explicit cross-check helpers.
 """
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .arith import factorial
 from .closedform import n3
@@ -188,10 +190,12 @@ def tau(r: int, e: int, p: int, registry: VarRegistry = None) -> Poly:
     sign * L // prod m_ij! times a product fixed by its merged exponents
     m_ij + m_ji, one per pair i < j <= r+1, where sign is -1 to the sum of
     the m_ji with i < j <= r.  So every matrix is enumerated and its weight
-    summed under its merged key; keys whose weights cancel are dropped, one
-    product per remaining key is accumulated over L, and the sum is divided
-    by L once.  No closed form is used, so tau stays a route independent of
-    the transvectant that tau_transvectant_check compares it with.
+    summed under its merged key; keys whose weights cancel are dropped, and
+    each remaining key's product is accumulated over L by one
+    Poly.weighted_sum, which multiplies in its last factor; the sum is
+    divided by L once.  No closed form is used, so tau stays a route
+    independent of the transvectant that tau_transvectant_check compares it
+    with.
     """
     if r < 2 or e < 1:
         raise ValueError(f"tau needs r >= 2, e >= 1, got {(r, e)}")
@@ -219,20 +223,22 @@ def tau(r: int, e: int, p: int, registry: VarRegistry = None) -> Poly:
         weights[key] = weights.get(key, 0) + sign * (common // denom)
 
     powers = {}  # (i, j, m) -> (z[i] - z[j])^m, or (t - z[i])^m when j = r
+    one = Poly.const(registry, 1)
 
-    def product(key):
-        prod = None
-        for (i, j), m in zip(pairs, key):
-            if m:
-                f = powers.get((i, j, m))
-                if f is None:
-                    base = z[i] - z[j] if j < r else t - z[i]
-                    f = powers[i, j, m] = base**m
-                prod = f if prod is None else prod * f
-        return prod
+    def factor(i, j, m):
+        f = powers.get((i, j, m))
+        if f is None:
+            base = z[i] - z[j] if j < r else t - z[i]
+            f = powers[i, j, m] = base**m
+        return f
 
-    weighted = ((w, product(key)) for key, w in weights.items() if w)
-    return Poly.weighted_sum(registry, weighted) * Fraction(1, common)
+    def triple(w, key):
+        # the last factor is multiplied in by weighted_sum's accumulation
+        *head, last = (factor(i, j, m) for (i, j), m in zip(pairs, key) if m)
+        return w, reduce(mul, head) if head else one, last
+
+    triples = (triple(w, key) for key, w in weights.items() if w)
+    return Poly.weighted_sum(registry, triples) * Fraction(1, common)
 
 
 def tau_transvectant_check(r: int, e: int, p: int) -> bool:

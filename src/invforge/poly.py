@@ -27,8 +27,14 @@ may be refused whose true exponents would still fit.
 `terms` is the stored dict, keyed by packed ints; read it for sizes and
 coefficients.  exponent_terms() is the view keyed by exponent tuples (one
 entry per variable of the registry as it is now), for readers that need the
-exponents themselves.  Poly.weighted_sum adds many integer multiples of
-Poly values in one dict, so no caller has to handle packed keys.
+exponents themselves.
+
+Poly.weighted_sum is the one accumulation primitive: it adds w * a * b
+over (int w, Poly a, Poly b) triples into one dict, folding each weight
+into the shorter operand, and builds no intermediate Poly.  A product
+a * b is the sum of the single triple (1, a, b); the Omega expansion of a
+transvectant and the transport sum of tau pass all their triples to one
+call, so no caller has to handle packed keys.
 
 Text goes both ways.  str() writes terms in graded lexicographic order,
 highest first; parse() reads terms joined by + or -, each an optional
@@ -210,21 +216,29 @@ class Poly:
         return cls._trusted(registry, {key: c} if c else {}, bound)
 
     @classmethod
-    def weighted_sum(cls, registry, pairs):
-        """sum of w * p over (int w, Poly p) pairs, accumulated in place in
-        one dict, with no intermediate Poly.  Every p must be over registry;
-        any weight but an int raises TypeError."""
+    def weighted_sum(cls, registry, triples):
+        """sum of w * a * b over (int w, Poly a, Poly b) triples, accumulated
+        in place in one dict, with no intermediate Poly: each weight is
+        folded into the coefficients of the shorter operand.  Every a and b
+        must be over registry; any weight but an int raises TypeError."""
         acc = {}
         get = acc.get
         bound = 0
-        for w, p in pairs:
+        for w, a, b in triples:
             if not isinstance(w, int):
                 raise TypeError(f"weight {w!r} is not an int")
-            if p.registry is not registry:
+            if a.registry is not registry or b.registry is not registry:
                 raise ValueError("registry mismatch in weighted_sum")
-            bound = max(bound, p.bound)
-            for key, c in p.terms.items():
-                acc[key] = get(key, 0) + c * w
+            bound = max(bound, a.bound + b.bound)
+            a, b = a.terms, b.terms
+            if len(a) > len(b):
+                a, b = b, a
+            b = list(b.items())
+            for ka, ca in a.items():
+                ca *= w
+                for kb, cb in b:
+                    key = ka + kb
+                    acc[key] = get(key, 0) + ca * cb
         return cls._trusted(registry, _settle(acc), bound)
 
     # -- predicates and bookkeeping ---------------------------------------
@@ -322,18 +336,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        b = list(b.items())
-        out = {}
-        get = out.get
-        for ka, ca in a.items():
-            for kb, cb in b:
-                key = ka + kb
-                out[key] = get(key, 0) + ca * cb
-        bound = self.bound + other.bound
-        return Poly._trusted(self.registry, _settle(out), bound)
+        return Poly.weighted_sum(self.registry, ((1, self, other),))
 
     __rmul__ = __mul__
 

@@ -106,22 +106,26 @@ def polarize(P: Poly, xvars, yvars, times: int = 1) -> Poly:
 def _omega_diagonal(apoly: Poly, bpoly: Poly, k: int) -> Poly:
     """Unnormalized [Omega^k A(x)B(y)] at y:=x via the factored expansion.
 
-    Equals sum_i (-1)^i C(k,i) [dx0^(k-i) dx1^i A] * [dx0^i dx1^(k-i) B];
-    keeps integer coefficients integer so callers can defer the rational
-    normalization to a single scalar multiply.
+    Equals sum_i (-1)^i C(k,i) [dx0^(k-i) dx1^i A] * [dx0^i dx1^(k-i) B],
+    summed by one Poly.weighted_sum fed the nonzero derivative pairs one
+    at a time, so no pair outlives its accumulation; keeps integer
+    coefficients integer so callers can defer the rational normalization
+    to a single scalar multiply.
     """
     x0, x1 = X
-    total = Poly.zero(apoly.registry)
-    for i in range(k + 1):
-        da = apoly.differentiate(x0, k - i).differentiate(x1, i)
-        if da.is_zero():
-            continue
-        db = bpoly.differentiate(x0, i).differentiate(x1, k - i)
-        if db.is_zero():
-            continue
-        sign = -1 if i % 2 else 1
-        total = total + (da * db) * (sign * binomial(k, i))
-    return total
+
+    def triples():
+        for i in range(k + 1):
+            da = apoly.differentiate(x0, k - i).differentiate(x1, i)
+            if da.is_zero():
+                continue
+            db = bpoly.differentiate(x0, i).differentiate(x1, k - i)
+            if db.is_zero():
+                continue
+            sign = -1 if i % 2 else 1
+            yield sign * binomial(k, i), da, db
+
+    return Poly.weighted_sum(apoly.registry, triples())
 
 
 def transvectant(A: BinaryForm, B: BinaryForm, k: int) -> BinaryForm:

@@ -101,6 +101,19 @@ def test_tau_check_and_g_check(capsys):
     assert out == '{"ok":true,"n3":"1"}\n'
 
 
+def test_parser_built_once_and_handler_found_at_call_time(capsys, monkeypatch):
+    # one parser per process; a handler replaced after the build still runs
+    import invforge.cli as cli
+
+    run_cli(capsys, "m0", "--n", "1", "--e", "1")
+    parser = cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_m0", lambda args: seen.append(args.n) or 0)
+    assert run_cli(capsys, "m0", "--n", "3", "--e", "1")[0] == 0
+    assert seen == [3]
+    assert cli.build_parser() is parser
+
+
 def test_plethysm_weight_lists(capsys):
     code, out, _ = run_cli(capsys, "plethysm", "--r", "2", "--d", "4")
     assert code == 0

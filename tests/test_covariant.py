@@ -211,6 +211,66 @@ def test_expr_evaluate_matches_functions():
     assert CovariantExpr("Phi", 4, (0, 2, 1, 0)).evaluate(F) == phi(4, 0, 2, 1, 0, F)
 
 
+def test_cache_belongs_to_one_form():
+    reg = xreg()
+    x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")
+    G = form(x0**4 + x1**4)
+    F = form(x0**3 * x1 + 2 * x1**4)
+    expr = CovariantExpr("U", 4, (1, 1))
+    cache = {}
+    expr.evaluate(G, cache)
+    with pytest.raises(ValueError, match="another form"):
+        expr.evaluate(F, cache)
+    want = Fraction(-1, 32) * x0**6 - Fraction(5, 4) * x0**3 * x1**3 + x1**6
+    assert expr.evaluate(F).poly == want
+    # an equal form, built apart, may share the cache
+    assert expr.evaluate(form(x0**4 + x1**4), cache) == expr.evaluate(G)
+
+
+def test_shared_cache_matches_definition():
+    # every member of S(8) through one cache equals its definition from
+    # normalized U's, each evaluated on its own
+    rng = random.Random(808)
+    reg = xreg()
+    x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")
+    coeffs = [rng.randint(-4, 4) for _ in range(8)] + [Fraction(1, 3)]
+    F = form(sum((c * x0 ** (8 - t) * x1**t for t, c in enumerate(coeffs)), Poly.zero(reg)))
+    cache = {}
+    nonzero = []
+    for expr in set_S(8):
+        got = expr.evaluate(F, cache)
+        if expr.kind == "U":
+            want = u_cov(8, *expr.indices, F).poly
+        else:
+            i, j, i2, j2 = expr.indices
+            want = mu(4, i2, j2) * u_cov(8, i, j, F).poly - mu(4, i, j) * u_cov(8, i2, j2, F).poly
+        assert got.poly == want, expr.name()
+        assert got.degree == expr.order
+        if expr.kind == "Phi" and not got.is_zero():
+            nonzero.append(expr.name())
+    assert len(nonzero) == 7  # the Phi's with 2i+j >= 6 on this form
+
+
+def test_symbolic_member_evaluates_each_transvectant_once(monkeypatch):
+    # (L1 L2)^6 runs through all of S(12): 7 inner (F,F)_{2i} and one outer
+    # transvectant per distinct U(i,j) in the set, 65
+    import invforge.covariant as covariant
+
+    calls = []
+    kernel = covariant._omega_diagonal
+
+    def counting(a, b, k):
+        calls.append(k)
+        return kernel(a, b, k)
+
+    monkeypatch.setattr(covariant, "_omega_diagonal", counting)
+    reg = xreg(["a0", "a1", "b0", "b1"])
+    a0, a1, b0, b1, x0, x1 = (Poly.variable(reg, n) for n in reg.names)
+    F = form(((a0 * x0 + a1 * x1) * (b0 * x0 + b1 * x1)) ** 6)
+    assert membership(F) == (True, None)
+    assert len(calls) == 72
+
+
 def test_set_s_quartic_canonical_list():
     names = [expr.name() for expr in set_S(4)]
     assert names == [

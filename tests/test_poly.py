@@ -223,11 +223,17 @@ def test_term_rejects_float_coefficient():
 
 
 def test_weighted_sum_rejects_non_int_weight():
-    reg, (x, y, _) = make_ring()
-    assert Poly.weighted_sum(reg, [(2, x), (-1, x), (3, y)]) == x + 3 * y
+    reg, (x, y, z) = make_ring()
+    one = Poly.const(reg, 1)
+    triples = [(2, x, y), (-1, y, x), (3, y, one), (-2, x**2 + z, y - 1)]
+    assert Poly.weighted_sum(reg, triples) == x * y + 3 * y - 2 * (x**2 + z) * (y - 1)
     for w in (0.1, Fraction(1, 2), Fraction(2)):
         with pytest.raises(TypeError):
-            Poly.weighted_sum(reg, [(w, x)])
+            Poly.weighted_sum(reg, [(w, x, y)])
+    stranger = Poly.variable(VarRegistry(["x", "y", "z"]), "x")
+    for a, b in ((stranger, y), (x, stranger)):
+        with pytest.raises(ValueError, match="registry mismatch"):
+            Poly.weighted_sum(reg, [(1, a, b)])
 
 
 def test_differentiate():

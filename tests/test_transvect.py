@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invforge.poly import Poly, VarRegistry
 from invforge.transvect import (
     BinaryForm,
+    _omega_diagonal,
     discriminant,
     generic_form,
     omega_apply,
@@ -74,6 +77,45 @@ def test_omega_needs_y_pair_in_registry():
     for k in (0, 1, 2):
         with pytest.raises(ValueError, match="unknown variable 'y"):
             omega_apply(x0**2 * x1, k)
+
+
+# terms of a binary form: (integer coefficient, exponent of the symbolic s)
+_FORM_TERMS = st.lists(
+    st.tuples(st.integers(-6, 6), st.integers(0, 2)), min_size=1, max_size=6
+)
+
+
+def _form_from_terms(reg, terms, symbolic):
+    d = len(terms) - 1
+    return Poly(
+        reg,
+        {(d - t, t, 0, 0, m if symbolic else 0): c for t, (c, m) in enumerate(terms)},
+    )
+
+
+def _disjoint_product(A, B):
+    # A(x) * B(y) term by term, built without Poly's multiply
+    terms = {}
+    for ea, ca in A.exponent_terms().items():
+        for eb, cb in B.exponent_terms().items():
+            key = tuple(u + v for u, v in zip(ea, eb))
+            terms[key] = terms.get(key, 0) + ca * cb
+    return Poly(A.registry, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FORM_TERMS, _FORM_TERMS, st.booleans(), st.integers(0, 7))
+def test_omega_diagonal_matches_omega_apply(aterms, bterms, symbolic, k):
+    # the factored kernel against the 4-variable route: Omega^k on
+    # A(x) B(y), then y := x
+    reg = VarRegistry(["x0", "x1", "y0", "y1", "s"])
+    x0, x1, y0, y1 = (Poly.variable(reg, n) for n in ("x0", "x1", "y0", "y1"))
+    A = _form_from_terms(reg, aterms, symbolic)
+    B = _form_from_terms(reg, bterms, symbolic)
+    k = min(k, len(aterms), len(bterms))  # k <= min(a, b) + 1
+    B_y = B.substitute({"x0": y0, "x1": y1})
+    want = omega_apply(_disjoint_product(A, B_y), k).substitute({"y0": x0, "y1": x1})
+    assert _omega_diagonal(A, B, k) == want
 
 
 def test_pi_p_squared_bracket():
