@@ -22,16 +22,12 @@ build and the term pairs it multiplies, hence its work and its nonzeros.
 import functools
 import itertools
 import math
-import os
 
 from fractions import Fraction
 
-from .arith import binomial
+from .arith import SIZE_CAP_ENV, binomial, size_cap
 from .poly import Poly, VarRegistry
 from .transvect import polarize
-
-SIZE_CAP_ENV = "INVFORGE_SIZE_CAP"
-DEFAULT_SIZE_CAP = 2_000_000
 
 
 def sym_dim(n: int, m: int) -> int:
@@ -296,14 +292,14 @@ def alpha_matrix(n: int, d: int, r: int) -> ExactMatrix:
     if d < 0:
         raise ValueError(f"alpha_matrix needs d >= 0, got {d}")
     e = d // 2
-    size_cap = int(os.environ.get(SIZE_CAP_ENV, DEFAULT_SIZE_CAP))
+    cap = size_cap()
     ndmons = sym_dim(n, d)
     nrows = s2_dim(sym_dim(n, r * e))
     ncols = binomial(ndmons + r - 1, r)
-    if max(nrows, r * ncols) > size_cap:
+    if max(nrows, r * ncols) > cap:
         raise ValueError(
             f"matrix would have {nrows} rows and {ncols} columns of r = {r} monomials,"
-            f" above the cap of {size_cap} (set {SIZE_CAP_ENV} to raise it)"
+            f" above the cap of {cap} (set {SIZE_CAP_ENV} to raise it)"
         )
 
     dmons = monomial_exponents(n + 1, d)
@@ -330,9 +326,9 @@ def alpha_matrix(n: int, d: int, r: int) -> ExactMatrix:
     def charge(p, q):
         nonlocal pairs
         pairs += len(p) * len(q)
-        if pairs > size_cap:
+        if pairs > cap:
             raise ValueError(
-                f"matrix build passes the cap of {size_cap} multiplied term pairs"
+                f"matrix build passes the cap of {cap} multiplied term pairs"
                 f" at column {len(col_labels)} of {ncols} (set {SIZE_CAP_ENV} to raise it)"
             )
         return _mul(p, q)

@@ -14,12 +14,126 @@ closed forms except the explicit cross-check helpers.
 
 from fractions import Fraction
 from functools import reduce
+from math import comb, prod
 from operator import mul
 
-from .arith import factorial
+from .arith import SIZE_CAP_ENV, factorial, size_cap
 from .closedform import n3
 from .poly import Poly, VarRegistry
 from .transvect import BinaryForm, pi_p, transvectant
+
+
+def _compositions(total: int, caps) -> list:
+    """The tuples v with sum total and 0 <= v[j] <= caps[j], in
+    lexicographic order, built from the last cell to the first."""
+    tails = {0: [()]}  # sum -> the tuples over the cells so far, in order
+    for cap in reversed(caps):
+        grown = {}
+        for v in range(cap + 1):  # v ascending keeps every list in order
+            for s, rows in tails.items():
+                if s + v <= total:
+                    grown.setdefault(s + v, []).extend((v, *row) for row in rows)
+        tails = grown
+    return tails.get(total, [])
+
+
+def _bordered(margins, zero_diagonal: bool, border: bool, name: str):
+    """The square nonnegative integer matrices, of two rows or more, whose
+    row sums and column sums both equal margins, with a zero in the last
+    diagonal cell (the corner) and, if zero_diagonal, in every diagonal
+    cell, in row-major lexicographic order.  Each is yielded as a tuple of
+    row tuples: whole if border, else without its last row and column.
+
+    The rows above the last are chosen from the compositions of their
+    margins, built up front in lexicographic order; the walk places one
+    whole row per level, and the last row is what the columns have left.
+    The columns' remaining sums are packed into one int, a field per column
+    with a guard bit on top, so a row fits when subtracting it clears no
+    guard bit.  A column j with a zero diagonal cell can only be filled by
+    the rows below other than row j, so the walk backs out as soon as its
+    remaining sum passes their margins.
+
+    The candidate rows (a bound on their count, times their length) and
+    then the rows tried while walking, dead ends included, are held to
+    size_cap(); past it this raises ValueError.
+    """
+    cap = size_cap()
+    size = len(margins)
+    last = size - 1
+    width = max(margins).bit_length() + 1
+    field = (1 << width - 1) - 1  # the largest value of a field
+    guard = sum(1 << width * j + width - 1 for j in range(size))
+
+    def pack(values):
+        return sum(v << width * j for j, v in enumerate(values))
+
+    levels = []
+    built = {}  # (margin, zero cell) -> its candidates
+    cells = 0
+    for i in range(last):
+        caps = list(margins)
+        if zero_diagonal:
+            caps[i] = 0
+        key = (margins[i], i if zero_diagonal else None)
+        if key not in built:
+            k = sum(1 for c in caps if c)  # the cells that may be nonzero
+            cells += comb(margins[i] + k - 1, margins[i]) * size if k else size
+            if cells > cap:
+                raise ValueError(
+                    f"{name} would build {cells} cells of candidate rows, above the cap"
+                    f" of {cap} (set {SIZE_CAP_ENV} to raise it)"
+                )
+            built[key] = [
+                (pack(row), row if border else row[:last])
+                for row in _compositions(margins[i], caps)
+            ]
+        levels.append(built[key])
+
+    # after row i, column j > i with a zero diagonal cell can still take
+    # the margins of rows i+1.. other than row j
+    bounds = []
+    below = sum(margins)
+    for i in range(last):
+        below -= margins[i]
+        limits = [field] * size
+        for j in range(i + 1, size):
+            if zero_diagonal or j == last:
+                limits[j] = min(below - margins[j], field)
+        bounds.append(pack(limits) | guard)
+
+    rows = [None] * last
+    lefts = [pack(margins)] + [0] * last  # the columns' sums left before row i
+    stack = [iter(levels[0])]
+    tried = len(levels[0])  # rows tried: a level's whole scan counts as it starts
+
+    while stack:
+        i = len(stack) - 1
+        room = lefts[i] | guard
+        bound = bounds[i]
+        for packed, row in stack[i]:
+            left = room - packed
+            if left & guard != guard:  # the row overfills a column
+                continue
+            left ^= guard
+            if (bound - left) & guard != guard:  # a column can no longer fill
+                continue
+            rows[i] = row
+            if i + 1 < last:
+                tried += len(levels[i + 1])
+                if tried > cap:
+                    raise ValueError(
+                        f"{name} passes the cap of {cap} candidate rows tried"
+                        f" (set {SIZE_CAP_ENV} to raise it)"
+                    )
+                lefts[i + 1] = left
+                stack.append(iter(levels[i + 1]))
+                break
+            if border:
+                yield (*rows, tuple(left >> width * j & field for j in range(size)))
+            else:
+                yield tuple(rows)
+        else:
+            stack.pop()
 
 
 def multigraphs(e: int, p: int):
@@ -27,38 +141,20 @@ def multigraphs(e: int, p: int):
     row and column sum <= 2, in row-major lexicographic order.
 
     Vertex-labelled bipartite multigraphs on L x R: entry m[i][j] is the edge
-    multiplicity between left vertex i and right vertex j.
+    multiplicity between left vertex i and right vertex j.  Each is the
+    inner block of a bordered matrix whose row and column sums are all 2
+    except the border's 2e - 2p: row i's border cell is 2 - l_i, column j's
+    is 2 - c_j, and the corner is zero.  So the candidate rows are the
+    length-e rows with entry sum <= 2, placed one per level; the work is
+    held to INVFORGE_SIZE_CAP, past which this raises ValueError.
     """
     if not (0 <= p <= e):
         raise ValueError(f"multigraphs needs 0 <= p <= e, got {(e, p)}")
-    total = 2 * p
-    row = [0] * (e * e)
-    col_used = [0] * e
-
-    def cells_left(idx):
-        return e * e - idx
-
-    def walk(idx, placed, row_used):
-        if idx == e * e:
-            if placed == total:
-                yield tuple(tuple(row[i * e : (i + 1) * e]) for i in range(e))
-            return
-        i, j = divmod(idx, e)
-        if j == 0:
-            row_used = 0
-        # capacity pruning: remaining cells can still absorb what is left
-        remaining = total - placed
-        if remaining > 2 * cells_left(idx):
-            return
-        cap = min(2 - row_used, 2 - col_used[j], remaining)
-        for v in range(cap + 1):
-            row[idx] = v
-            col_used[j] += v
-            yield from walk(idx + 1, placed + v, row_used + v)
-            col_used[j] -= v
-        row[idx] = 0
-
-    yield from walk(0, 0, 0)
+    if e == 0:  # the empty graph
+        yield ()
+        return
+    margins = [2] * e + [2 * e - 2 * p]
+    yield from _bordered(margins, zero_diagonal=False, border=False, name="multigraphs")
 
 
 def component_census(G) -> tuple:
@@ -111,68 +207,48 @@ def n1_brute(e: int, p: int) -> Fraction:
 
     sum_G (2p)! 2^(2e-2p+C(G)) / [prod m_ij! prod (2-l_i)! prod (2-c_j)!]
     where C(G) counts cycles and l_i, c_j are the row and column sums.
+
+    Each row i divides the weight by prod_j m_ij! (2-l_i)!, looked up once
+    per distinct row, and each column j by (2-c_j)!; each is at most 2, so
+    the terms are summed as integer numerators over 2^(2e), and one
+    Fraction is built at the end.
     """
     if not (0 <= p <= e):
         raise ValueError(f"n1_brute needs 0 <= p <= e, got {(e, p)}")
-    total = Fraction(0)
-    base = factorial(2 * p)
+    common = 2 ** (2 * e)
+    row_factors = {}  # row -> prod m_ij! (2-l_i)!
+    column_factors = [factorial(2 - c) for c in range(3)]
+    total = 0
     for G in multigraphs(e, p):
         cycles, _, _, lr = component_census(G)
         if lr:
             continue
         denom = 1
-        for i in range(e):
-            li = sum(G[i])
-            denom *= factorial(2 - li)
-            for j in range(e):
-                denom *= factorial(G[i][j])
-        for j in range(e):
-            cj = sum(G[i][j] for i in range(e))
-            denom *= factorial(2 - cj)
-        total += Fraction(base * 2 ** (2 * e - 2 * p + cycles), denom)
-    return total
+        for row in G:
+            f = row_factors.get(row)
+            if f is None:
+                f = row_factors[row] = prod(map(factorial, row)) * factorial(2 - sum(row))
+            denom *= f
+        for c in map(sum, zip(*G)):
+            denom *= column_factors[c]
+        total += common // denom << cycles
+    return Fraction(factorial(2 * p) * 2 ** (2 * e - 2 * p) * total, common)
 
 
 def transport_matrices(r: int, e: int, p: int):
     """All (r+1)x(r+1) nonnegative integer matrices with zero diagonal and
-    row sums = column sums = (e, ..., e, re-2p), in row-major order."""
+    row sums = column sums = (e, ..., e, re-2p), in row-major order.
+
+    The candidate rows are the compositions of each margin with a zero on
+    the diagonal, placed one per level; the last row is what the columns
+    have left.  The work is held to INVFORGE_SIZE_CAP, past which this
+    raises ValueError."""
     if r < 2 or e < 1:
         raise ValueError(f"transport_matrices needs r >= 2, e >= 1, got {(r, e)}")
     if not (0 <= 2 * p <= r * e):
         raise ValueError(f"transport_matrices needs 0 <= 2p <= re, got p={p}")
-    size = r + 1
     margins = [e] * r + [r * e - 2 * p]
-    col_left = list(margins)
-    matrix = [[0] * size for _ in range(size)]
-
-    def fill_row(i, j, row_left, room):
-        # room: what cells j.. of this row can still absorb (column i excluded)
-        if j == size:
-            if row_left == 0:
-                yield from fill(i + 1)
-            return
-        if j == i:
-            matrix[i][j] = 0
-            yield from fill_row(i, j + 1, row_left, room)
-            return
-        later = room - col_left[j]
-        lo = max(0, row_left - later)
-        hi = min(row_left, col_left[j])
-        for v in range(lo, hi + 1):
-            matrix[i][j] = v
-            col_left[j] -= v
-            yield from fill_row(i, j + 1, row_left - v, later)
-            col_left[j] += v
-        matrix[i][j] = 0
-
-    def fill(i):
-        if i == size:
-            if all(c == 0 for c in col_left):
-                yield tuple(tuple(row) for row in matrix)
-            return
-        yield from fill_row(i, 0, margins[i], sum(col_left) - col_left[i])
-
-    yield from fill(0)
+    yield from _bordered(margins, zero_diagonal=True, border=True, name="transport_matrices")
 
 
 def tau(r: int, e: int, p: int, registry: VarRegistry = None) -> Poly:

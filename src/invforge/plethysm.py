@@ -14,6 +14,8 @@ weight to multiplicity; negative entries are legal in intermediate
 
 from functools import lru_cache
 
+from .arith import SIZE_CAP_ENV, size_cap
+
 
 def box_partitions(total: int, parts: int, largest: int) -> int:
     """Number of partitions of `total` into at most `parts` parts, each of
@@ -31,9 +33,19 @@ def _gaussian_binomial(parts: int, largest: int) -> tuple:
     whose q^t coefficient counts the partitions of t in a parts x largest
     box.  Built as prod_{i<=k} (1 - q^(n-k+i)) / (1 - q^i) with n the sum
     and k the smaller of the two; each partial product is itself a Gaussian
-    binomial, so every division is exact."""
+    binomial, so every division is exact.
+
+    That is k passes over k(n-k+1)+1 coefficients; past size_cap() this
+    raises ValueError before allocating them."""
     n = parts + largest
     k = min(parts, largest)
+    work = k * (k * (n - k + 1) + 1)
+    cap = size_cap()
+    if work > cap:
+        raise ValueError(
+            f"the partition table of a {parts} x {largest} box takes {work} steps,"
+            f" above the cap of {cap} (set {SIZE_CAP_ENV} to raise it)"
+        )
     coeffs = [1] + [0] * (k * (n - k + 1))  # room for the last product
     top = 0  # degree of the partial product
     for i in range(1, k + 1):

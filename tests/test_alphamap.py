@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from invforge import alphamap
 from invforge.alphamap import (
-    DEFAULT_SIZE_CAP,
     MODULUS,
-    SIZE_CAP_ENV,
     ExactMatrix,
     alpha_image,
     alpha_matrix,
@@ -22,6 +20,7 @@ from invforge.alphamap import (
     s2_dim,
     sym_dim,
 )
+from invforge.arith import DEFAULT_SIZE_CAP, SIZE_CAP_ENV
 from invforge.plethysm import m0
 from invforge.poly import Poly, VarRegistry
 from invforge.transvect import BinaryForm, pi_p, transvectant

@@ -2,7 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from invforge.arith import binomial, factorial, pochhammer, rat_str
+from invforge.arith import (
+    DEFAULT_SIZE_CAP,
+    SIZE_CAP_ENV,
+    binomial,
+    factorial,
+    pochhammer,
+    rat_str,
+    size_cap,
+)
 
 
 def test_factorial_small():
@@ -49,3 +57,10 @@ def test_rat_str():
     assert rat_str(Fraction(-3, 4)) == "-3/4"
     assert rat_str(7) == "7"
     assert rat_str(Fraction(8, 4)) == "2"
+
+
+def test_size_cap_reads_env_at_each_call(monkeypatch):
+    monkeypatch.delenv(SIZE_CAP_ENV, raising=False)
+    assert size_cap() == DEFAULT_SIZE_CAP == 2_000_000
+    monkeypatch.setenv(SIZE_CAP_ENV, "17")
+    assert size_cap() == 17

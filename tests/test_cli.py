@@ -219,6 +219,33 @@ def test_long_plethysm_is_fast(capsys):
     assert json.loads(out) == {"weights": [[6000 - 4 * p, 1] for p in range(1501)]}
 
 
+@pytest.mark.parametrize(
+    "argv,cap",
+    [
+        # refused while walking
+        (["n1", "--e", "40", "--p", "1", "--brute"], "100000"),
+        (["tau", "--r", "6", "--e", "3", "--p", "4"], "100000"),
+        # refused before the walk
+        (["n1", "--e", "40", "--p", "1", "--brute"], "10000"),
+        # refused before the partition table is allocated
+        (["plethysm", "--r", "100000", "--d", "100000"], None),
+        (["plethysm", "--r", "1000", "--d", "1000"], None),
+        (["ideal-char", "--r", "1000", "--d", "1000"], None),
+    ],
+)
+def test_capped_work_exits_1(capsys, monkeypatch, argv, cap):
+    if cap is None:
+        monkeypatch.delenv("INVFORGE_SIZE_CAP", raising=False)
+    else:
+        monkeypatch.setenv("INVFORGE_SIZE_CAP", cap)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 5
+    assert code == 1
+    assert out == ""
+    assert "INVFORGE_SIZE_CAP" in json.loads(err)["error"]
+
+
 def test_tau_check_range_error_exits_1(capsys):
     code, out, err = run_cli(capsys, "tau-check", "--r", "2", "--e", "1", "--p", "5")
     assert code == 1

@@ -14,7 +14,7 @@ from invforge.enumeration import (
     tau_transvectant_check,
     transport_matrices,
 )
-from invforge.arith import factorial
+from invforge.arith import SIZE_CAP_ENV, factorial
 from invforge.poly import Poly, VarRegistry
 
 
@@ -54,17 +54,60 @@ def brute_transport(r, e, p):
 # -- multigraphs ------------------------------------------------------------
 
 
+def count_multigraphs(e, p):
+    """How many multigraphs multigraphs(e, p) yields, by a count over rows
+    whose state is the tuple of column sums so far."""
+    rows = [row for row in itertools.product(range(3), repeat=e) if sum(row) <= 2]
+    counts = {(0,) * e: 1}
+    for _ in range(e):
+        grown = {}
+        for cols, n in counts.items():
+            for row in rows:
+                new = tuple(c + v for c, v in zip(cols, row))
+                if max(new, default=0) <= 2:
+                    grown[new] = grown.get(new, 0) + n
+        counts = grown
+    return sum(n for cols, n in counts.items() if sum(cols) == 2 * p)
+
+
 def test_multigraphs_match_brute_filter():
-    for e in (1, 2, 3):
+    # the brute filter runs over the grid in lexicographic order, so this
+    # also holds the stream to row-major lexicographic order
+    for e in (0, 1, 2, 3):
         for p in range(e + 1):
-            got = list(multigraphs(e, p))
-            assert got == sorted(got)  # row-major lexicographic
-            assert len(set(got)) == len(got)
-            assert sorted(got) == sorted(brute_multigraphs(e, p)), (e, p)
+            assert list(multigraphs(e, p)) == brute_multigraphs(e, p), (e, p)
+
+
+def test_multigraphs_count_e5_under_default_cap(monkeypatch):
+    # the brute route of n1 at e = 5 (276,386 graphs) fits the default cap
+    monkeypatch.delenv(SIZE_CAP_ENV, raising=False)
+    got = [sum(1 for _ in multigraphs(5, p)) for p in range(6)]
+    assert got == [count_multigraphs(5, p) for p in range(6)]
+    assert sum(got) == 276_386
 
 
 def test_multigraphs_count_2_1():
     assert len(list(multigraphs(2, 1))) == 10
+
+
+def test_enumeration_size_cap(monkeypatch):
+    # multigraphs(2, 1) builds one list of 6 candidate rows of length 3
+    # (the row and its border cell), 18 cells; its walk tries the 6 rows at
+    # the first level and, under each of the 6 that fit, the 6 again: 42
+    monkeypatch.setenv(SIZE_CAP_ENV, "17")
+    with pytest.raises(ValueError, match=f"18 cells of candidate rows.*cap of 17.*{SIZE_CAP_ENV}"):
+        next(multigraphs(2, 1))
+    monkeypatch.setenv(SIZE_CAP_ENV, "41")
+    with pytest.raises(ValueError, match=f"cap of 41 candidate rows tried.*{SIZE_CAP_ENV}"):
+        list(multigraphs(2, 1))
+    monkeypatch.setenv(SIZE_CAP_ENV, "42")
+    assert len(list(multigraphs(2, 1))) == 10
+    # transport_matrices(4, 2, 2): 4 lists of 10 rows of length 5, 200 cells
+    monkeypatch.setenv(SIZE_CAP_ENV, "300")
+    with pytest.raises(ValueError, match=f"^transport_matrices passes the cap of 300 .*{SIZE_CAP_ENV}"):
+        list(transport_matrices(4, 2, 2))
+    with pytest.raises(ValueError, match=f"^transport_matrices would build .* cap of 300 .*{SIZE_CAP_ENV}"):
+        tau(6, 3, 4)
 
 
 def test_multigraphs_range_guard():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from invforge.alphamap import alpha_rank
-from invforge.arith import binomial
+from invforge.arith import SIZE_CAP_ENV, binomial
 from invforge.plethysm import (
     box_partitions,
     char_dimension,
@@ -40,6 +40,16 @@ def test_box_partitions_small():
                 assert box_partitions(total, parts, largest) == brute_box_partitions(
                     total, parts, largest
                 ), (total, parts, largest)
+
+
+def test_box_partitions_size_cap(monkeypatch):
+    # a 37 x 53 box: 37 passes over 37 * 54 + 1 coefficients, 73,963 steps;
+    # refused first, since a table once built is served from the cache
+    monkeypatch.setenv(SIZE_CAP_ENV, "73962")
+    with pytest.raises(ValueError, match=f"37 x 53 box takes 73963 steps.*{SIZE_CAP_ENV}"):
+        box_partitions(5, 37, 53)
+    monkeypatch.setenv(SIZE_CAP_ENV, "73963")
+    assert box_partitions(5, 37, 53) == brute_box_partitions(5, 37, 53)
 
 
 def test_mult_binary_values():
