@@ -39,7 +39,7 @@ from .enumeration import (
     tau_transvectant_check,
     transport_matrices,
 )
-from .alphamap import ExactMatrix, alpha_image, alpha_matrix, alpha_rank, exact_rank
+from .alphamap import ExactMatrix, alpha_image, alpha_matrix, alpha_rank
 from .covariant import (
     CovariantExpr,
     membership,
@@ -100,7 +100,6 @@ __all__ = [
     "alpha_image",
     "alpha_matrix",
     "alpha_rank",
-    "exact_rank",
     "CovariantExpr",
     "membership",
     "mu",

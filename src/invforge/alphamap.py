@@ -11,19 +11,17 @@ degree-d monomials.
 `alpha_matrix` builds each column from the closed polarization of a
 monomial, (y.dx)^e x^a = e! sum_{|b|=e, b<=a} prod_l C(a_l,b_l) x^(a-b) y^b,
 and stores the matrix sparse, one dict per row.  `ExactMatrix.rank`
-eliminates sparsely mod the prime 2^61-1: rank mod p never exceeds the rank
-over Q, so reaching min(rows, cols) certifies the rank exactly; otherwise
-dense fraction-free Bareiss (`exact_rank`) decides.  `alpha_image` is the
-independent symbolic route (polarize, multiply, rename) that the tests hold
-the matrix against.  `INVFORGE_SIZE_CAP` bounds the labels before the
-build and the term pairs it multiplies, hence its work and its nonzeros.
+eliminates those rows fraction-free over the integers, dividing each
+reduced row by its content; the rank is exact whether full or not.
+`alpha_image` is the independent symbolic route (polarize, multiply,
+rename) that the tests hold the matrix against.  `INVFORGE_SIZE_CAP`
+bounds the labels before the build and the term pairs it multiplies,
+hence its work and its nonzeros.
 """
 
 import functools
 import itertools
 import math
-
-from fractions import Fraction
 
 from .arith import SIZE_CAP_ENV, binomial, size_cap
 from .poly import Poly, VarRegistry
@@ -58,120 +56,60 @@ def monomial_exponents(nvars: int, degree: int):
 
 
 class ExactMatrix:
-    """A sparse matrix of exact rationals with labelled rows and columns.
-
-    `sparse[i]` maps a column index to the nonzero entry of row i there;
-    `entries` is the dense list-of-rows view, built on demand.  The
-    constructor takes dense rows and checks them against the labels.
-    """
+    """A sparse matrix of exact rationals with labelled rows and columns:
+    `sparse[i]` maps a column index to the nonzero entry of row i there."""
 
     __slots__ = ("rows", "cols", "sparse")
 
-    def __init__(self, rows, cols, entries):
-        if len(entries) != len(rows) or any(len(r) != len(cols) for r in entries):
-            raise ValueError("entry grid does not match the label shape")
-        self.rows = list(rows)
-        self.cols = list(cols)
-        self.sparse = [{j: x for j, x in enumerate(r) if x} for r in entries]
-
-    @classmethod
-    def _from_sparse(cls, rows, cols, sparse):
-        """Adopt row dicts of nonzero entries as they are (no check, no copy)."""
-        mat = cls.__new__(cls)
-        mat.rows, mat.cols, mat.sparse = rows, cols, sparse
-        return mat
+    def __init__(self, rows, cols, sparse):
+        self.rows, self.cols, self.sparse = list(rows), list(cols), list(sparse)
+        if len(self.sparse) != len(self.rows):
+            raise ValueError(f"{len(self.sparse)} sparse rows for {len(self.rows)} row labels")
+        for row in self.sparse:
+            if type(row) is not dict or 0 in row.values() or row and not (
+                0 <= min(row) and max(row) < len(self.cols)
+            ):
+                raise ValueError(
+                    f"a sparse row must be a dict of nonzero entries keyed by"
+                    f" columns in range({len(self.cols)})"
+                )
 
     @property
     def shape(self) -> tuple:
         return len(self.rows), len(self.cols)
 
-    @property
-    def entries(self) -> list:
-        ncols = range(len(self.cols))
-        return [[row.get(j, 0) for j in ncols] for row in self.sparse]
-
     def rank(self) -> int:
-        """Exact rank.  Rank mod p never exceeds the rank over Q, so when
-        the sparse elimination mod p reaches min(rows, cols) that value is
-        certified; otherwise dense Bareiss over the integers decides."""
-        full = min(self.shape)
-        if _rank_mod_p(self.sparse, full) == full:
-            return full
-        return exact_rank(self.entries)
+        """Exact rank, by sparse fraction-free elimination over the integers.
 
-
-MODULUS = 2**61 - 1  # a Mersenne prime: the modulus of the certifying rank
-
-
-def _rank_mod_p(sparse, stop: int) -> int:
-    """Rank mod MODULUS of the rows (dicts of nonzero rationals), each
-    scaled by the lcm of its denominators; stops early at `stop`.
-
-    Rows are reduced one at a time against pivot rows kept monic at their
-    smallest column, so every pivot row's other entries lie to its right.
-    """
-    p = MODULUS
-    pivots = {}
-    for row in sparse:
-        if len(pivots) == stop:
-            break
-        scale = math.lcm(*(x.denominator for x in row.values()))
-        v = {j: y for j, x in row.items() if (y := int(x * scale) % p)}
-        while v:
-            lead = min(v)
-            piv = pivots.get(lead)
-            if piv is None:
-                inv = pow(v[lead], -1, p)
-                pivots[lead] = {j: x * inv % p for j, x in v.items()}
+        Each row, cleared of denominators, is reduced against the pivot rows
+        keyed by their leading column: v <- a*v - b*pivot, with a and b the
+        two leads over their gcd, and v is divided by its content after
+        every step.  A row left with a new lead becomes its pivot, with a
+        positive lead.  The walk stops at min(rows, cols) pivots.
+        """
+        pivots = {}
+        for row in self.sparse:
+            if len(pivots) == min(self.shape):
                 break
-            f = v[lead]
-            for j, x in piv.items():
-                y = (v.get(j, 0) - f * x) % p
-                if y:
-                    v[j] = y
-                else:
-                    del v[j]
-    return len(pivots)
+            scale = math.lcm(*(x.denominator for x in row.values()))
+            v = _primitive({j: x.numerator * (scale // x.denominator) for j, x in row.items()})
+            while v and (lead := min(v)) in pivots:
+                piv = pivots[lead]
+                g = math.gcd(piv[lead], v[lead])
+                a, b = piv[lead] // g, v[lead] // g
+                v = {j: a * x for j, x in v.items()}
+                for j, x in piv.items():
+                    v[j] = v.get(j, 0) - b * x
+                v = _primitive(v)
+            if v:
+                pivots[lead] = v if v[lead] > 0 else {j: -x for j, x in v.items()}
+        return len(pivots)
 
 
-def exact_rank(entries) -> int:
-    """Rank of a matrix of exact rationals, by fraction-free (Bareiss)
-    elimination over the integers after clearing row denominators."""
-    if not entries:
-        return 0
-    nrows, ncols = len(entries), len(entries[0])
-    M = []
-    for row in entries:
-        lcm = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                lcm = math.lcm(lcm, x.denominator)
-        M.append([int(x * lcm) if lcm != 1 else int(x) for x in row])
-
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        # pick the nonzero pivot of smallest bit length to slow growth
-        pivot_row = None
-        for i in range(rank, nrows):
-            v = M[i][col]
-            if v and (pivot_row is None or abs(v).bit_length() < best):
-                pivot_row, best = i, abs(v).bit_length()
-        if pivot_row is None:
-            continue
-        M[rank], M[pivot_row] = M[pivot_row], M[rank]
-        piv = M[rank][col]
-        for i in range(rank + 1, nrows):
-            factor = M[i][col]
-            row_i, row_p = M[i], M[rank]
-            for j in range(col + 1, ncols):
-                row_i[j] = (piv * row_i[j] - factor * row_p[j]) // prev
-            row_i[col] = 0
-        prev = piv
-        rank += 1
-    return rank
+def _primitive(v: dict) -> dict:
+    """The nonzero entries of the integer row v, divided by their gcd."""
+    g = math.gcd(*v.values())
+    return {j: x // g for j, x in v.items() if x}
 
 
 def alpha_image(forms, e: int, n: int) -> Poly:
@@ -346,7 +284,7 @@ def alpha_matrix(n: int, d: int, r: int) -> ExactMatrix:
             if row is not None:
                 sparse[row][c] = coeff
 
-    return ExactMatrix._from_sparse(row_labels, col_labels, sparse)
+    return ExactMatrix(row_labels, col_labels, sparse)
 
 
 def alpha_rank(n: int, d: int, r: int) -> dict:

@@ -21,8 +21,11 @@ DEFAULT_SIZE_CAP = 2_000_000
 
 def size_cap() -> int:
     """The work and size cap: INVFORGE_SIZE_CAP, read at each call, else
-    2,000,000."""
-    return int(os.environ.get(SIZE_CAP_ENV, DEFAULT_SIZE_CAP))
+    2,000,000.  A value other than decimal digits raises ValueError."""
+    raw = os.environ.get(SIZE_CAP_ENV, str(DEFAULT_SIZE_CAP))
+    if not raw.strip().isdecimal():
+        raise ValueError(f"{SIZE_CAP_ENV} must be a nonnegative integer, got {raw!r}")
+    return int(raw)
 
 
 def factorial(n: int) -> int:

@@ -14,6 +14,7 @@ closed forms except the explicit cross-check helpers.
 
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from math import comb, prod
 from operator import mul
 
@@ -235,6 +236,14 @@ def n1_brute(e: int, p: int) -> Fraction:
     return Fraction(factorial(2 * p) * 2 ** (2 * e - 2 * p) * total, common)
 
 
+def _check_range(name: str, r: int, e: int, p: int):
+    """Refuse (r, e, p) outside r >= 2, e >= 1, 0 <= 2p <= re, naming the caller."""
+    if r < 2 or e < 1:
+        raise ValueError(f"{name} needs r >= 2, e >= 1, got {(r, e)}")
+    if not (0 <= 2 * p <= r * e):
+        raise ValueError(f"{name} needs 0 <= 2p <= re, got p={p}")
+
+
 def transport_matrices(r: int, e: int, p: int):
     """All (r+1)x(r+1) nonnegative integer matrices with zero diagonal and
     row sums = column sums = (e, ..., e, re-2p), in row-major order.
@@ -243,15 +252,12 @@ def transport_matrices(r: int, e: int, p: int):
     the diagonal, placed one per level; the last row is what the columns
     have left.  The work is held to INVFORGE_SIZE_CAP, past which this
     raises ValueError."""
-    if r < 2 or e < 1:
-        raise ValueError(f"transport_matrices needs r >= 2, e >= 1, got {(r, e)}")
-    if not (0 <= 2 * p <= r * e):
-        raise ValueError(f"transport_matrices needs 0 <= 2p <= re, got p={p}")
+    _check_range("transport_matrices", r, e, p)
     margins = [e] * r + [r * e - 2 * p]
     yield from _bordered(margins, zero_diagonal=True, border=True, name="transport_matrices")
 
 
-def tau(r: int, e: int, p: int, registry: VarRegistry = None) -> Poly:
+def tau(r: int, e: int, p: int) -> Poly:
     """The symmetric function
 
     sum over transportation matrices M of
@@ -272,16 +278,24 @@ def tau(r: int, e: int, p: int, registry: VarRegistry = None) -> Poly:
     divided by L once.  No closed form is used, so tau stays a route
     independent of the transvectant that tau_transvectant_check compares it
     with.
+
+    INVFORGE_SIZE_CAP bounds the answer's bits before any factorial (up to
+    C(D + r, r) monomials of degree D = 2re-2p over D!, of D * D.bit_length()
+    bits at most), then the term pairs the products multiply before any power.
     """
-    if r < 2 or e < 1:
-        raise ValueError(f"tau needs r >= 2, e >= 1, got {(r, e)}")
-    if not (0 <= 2 * p <= r * e):
-        raise ValueError(f"tau needs 0 <= 2p <= re, got p={p}")
-    if registry is None:
-        registry = VarRegistry(["t"] + [f"z{i}" for i in range(1, r + 1)])
+    _check_range("tau", r, e, p)
+    cap = size_cap()
+    over = f"above the cap of {cap} (set {SIZE_CAP_ENV} to raise it)"
+    degree = 2 * r * e - 2 * p
+    size = degree * degree.bit_length()  # at least the bit length of degree!
+    for k in range(1, r + 1):  # size becomes C(degree + k, k) times those bits
+        size = size * (degree + k) // k
+        if size > cap:
+            raise ValueError(f"tau's answer could hold {size} bits or more, {over}")
+    registry = VarRegistry(["t"] + [f"z{i}" for i in range(1, r + 1)])
     t = Poly.variable(registry, "t")
     z = [Poly.variable(registry, f"z{i}") for i in range(1, r + 1)]
-    common = factorial(2 * r * e - 2 * p)
+    common = factorial(degree)
     facts = [factorial(m) for m in range(max(e, r * e - 2 * p) + 1)]
     # 0-based: z[i] is z_{i+1}, and index r is the border row and column
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r + 1)]
@@ -298,6 +312,12 @@ def tau(r: int, e: int, p: int, registry: VarRegistry = None) -> Poly:
         key = tuple(M[i][j] + M[j][i] for i, j in pairs)
         weights[key] = weights.get(key, 0) + sign * (common // denom)
 
+    kept = {key: w for key, w in weights.items() if w}
+    # each factor of m + 1 terms times the product so far
+    multiplied = sum(sum(accumulate((m + 1 for m in key if m), mul)) for key in kept)
+    if multiplied > cap:
+        raise ValueError(f"tau would multiply up to {multiplied} term pairs, {over}")
+
     powers = {}  # (i, j, m) -> (z[i] - z[j])^m, or (t - z[i])^m when j = r
     one = Poly.const(registry, 1)
 
@@ -313,22 +333,25 @@ def tau(r: int, e: int, p: int, registry: VarRegistry = None) -> Poly:
         *head, last = (factor(i, j, m) for (i, j), m in zip(pairs, key) if m)
         return w, reduce(mul, head) if head else one, last
 
-    triples = (triple(w, key) for key, w in weights.items() if w)
+    triples = (triple(w, key) for key, w in kept.items())
     return Poly.weighted_sum(registry, triples) * Fraction(1, common)
 
 
 def tau_transvectant_check(r: int, e: int, p: int) -> bool:
     """Check that the transvectant (prod l_i^e, prod l_j^e)_{2p} of symbolic
     linear forms, dehomogenized by l_{i,0} = z_i, l_{i,1} = 1, x0 = -1,
-    x1 = t, equals (re-2p)!^2 (2p)! e!^(2r) / (re)!^2 times tau(r, e, p)."""
-    if r < 2 or e < 1:
-        raise ValueError(f"tau_transvectant_check needs r >= 2, e >= 1, got {(r, e)}")
-    if not (0 <= 2 * p <= r * e):
-        raise ValueError(f"tau_transvectant_check needs 0 <= 2p <= re, got p={p}")
+    x1 = t, equals (re-2p)!^2 (2p)! e!^(2r) / (re)!^2 times tau(r, e, p).
+    tau runs first, so its INVFORGE_SIZE_CAP checks precede all else here."""
+    _check_range("tau_transvectant_check", r, e, p)
+    rhs = tau(r, e, p)
     names = ["x0", "x1", "t"] + [f"z{i}" for i in range(1, r + 1)]
     for i in range(1, r + 1):
         names += [f"l{i}_0", f"l{i}_1"]
     reg = VarRegistry(names)
+    rhs = rhs.lift(reg) * Fraction(
+        factorial(r * e - 2 * p) ** 2 * factorial(2 * p) * factorial(e) ** (2 * r),
+        factorial(r * e) ** 2,
+    )
 
     product = Poly.const(reg, 1)
     for i in range(1, r + 1):
@@ -344,12 +367,6 @@ def tau_transvectant_check(r: int, e: int, p: int) -> bool:
         bindings[f"l{i}_0"] = Poly.variable(reg, f"z{i}")
         bindings[f"l{i}_1"] = Poly.const(reg, 1)
     lhs = trans.poly.substitute(bindings)
-
-    prefactor = Fraction(
-        factorial(r * e - 2 * p) ** 2 * factorial(2 * p) * factorial(e) ** (2 * r),
-        factorial(r * e) ** 2,
-    )
-    rhs = tau(r, e, p, registry=reg) * prefactor
     return lhs == rhs
 
 
@@ -362,10 +379,7 @@ def g_direct(r: int, e: int, p: int, pprime: int) -> Poly:
     a_x = a0 x0 + a1 x1 etc.: pi_p(G, p') of the bracketed G.  Compare with
     n3(r,e,p',p) * a_x^{2(re-p'-p)} b_x^{2(e-p'+p)} (ab)^{2(p'-p)}.
     """
-    if r < 2 or e < 1:
-        raise ValueError(f"g_direct needs r >= 2 and e >= 1, got {(r, e)}")
-    if not (0 <= 2 * p <= r * e):
-        raise ValueError(f"g_direct needs 0 <= 2p <= re, got p={p}")
+    _check_range("g_direct", r, e, p)
     if not (0 <= 2 * pprime <= (r + 1) * e):
         raise ValueError(f"g_direct needs 0 <= 2p' <= (r+1)e, got pprime={pprime}")
     reg = VarRegistry(["x0", "x1", "y0", "y1", "a0", "a1", "b0", "b1"])

@@ -513,18 +513,14 @@ def _overflow(bound):
     return ValueError(f"exponent bound {bound} does not fit the {_W}-bit packed field")
 
 
-def _demoted(c):
-    """c, or its numerator when c is a Fraction with denominator 1."""
+def _coefficient(c):
+    """c, after refusing anything but an int or a Fraction; a Fraction with
+    denominator 1 becomes its numerator."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
     if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
-
-
-def _coefficient(c):
-    """c demoted, after refusing anything but an int or a Fraction."""
-    if not isinstance(c, (int, Fraction)):
-        raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
-    return _demoted(c)
 
 
 def _settle(terms):

@@ -8,14 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invforge import alphamap
 from invforge.alphamap import (
-    MODULUS,
     ExactMatrix,
     alpha_image,
     alpha_matrix,
     alpha_rank,
-    exact_rank,
     monomial_exponents,
     s2_dim,
     sym_dim,
@@ -67,14 +64,34 @@ def test_monomial_exponents_order():
 
 
 def test_exact_matrix_shape_validation():
-    ExactMatrix(["a", "b"], ["c"], [[1], [2]])
-    with pytest.raises(ValueError):
-        ExactMatrix(["a", "b"], ["c"], [[1]])
-    with pytest.raises(ValueError):
-        ExactMatrix(["a"], ["c", "d"], [[1]])
+    mat = ExactMatrix(["a", "b"], ["c"], [{0: 1}, {}])
+    assert mat.shape == (2, 1) and mat.sparse == [{0: 1}, {}]
+    with pytest.raises(ValueError, match="1 sparse rows for 2 row labels"):
+        ExactMatrix(["a", "b"], ["c"], [{0: 1}])
+    with pytest.raises(ValueError, match="must be a dict"):
+        ExactMatrix(["a"], ["c"], [[1]])
+    with pytest.raises(ValueError, match=r"in range\(2\)"):
+        ExactMatrix(["a"], ["c", "d"], [{2: 1}])
+    with pytest.raises(ValueError, match=r"in range\(2\)"):
+        ExactMatrix(["a"], ["c", "d"], [{-1: 1}])
+    with pytest.raises(ValueError, match="nonzero entries"):
+        ExactMatrix(["a"], ["c", "d"], [{0: 1, 1: Fraction(0)}])
 
 
 # -- exact rank ---------------------------------------------------------------
+
+
+def dense_rank(rows, ncols=None):
+    """ExactMatrix.rank of a dense list of rows, stored sparse."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    return ExactMatrix(range(len(rows)), range(ncols), sparse).rank()
+
+
+def dense(mat):
+    """The dense list-of-rows view of an ExactMatrix."""
+    return [[row.get(j, 0) for j in range(len(mat.cols))] for row in mat.sparse]
 
 
 def naive_rank(rows):
@@ -99,13 +116,15 @@ def naive_rank(rows):
 
 def test_exact_rank_basics():
     eye = [[int(i == j) for j in range(5)] for i in range(5)]
-    assert exact_rank(eye) == 5
-    assert exact_rank([[0] * 4 for _ in range(3)]) == 0
-    assert exact_rank([]) == 0
+    assert dense_rank(eye) == 5
+    assert dense_rank([[0] * 4 for _ in range(3)]) == 0
+    assert dense_rank([]) == 0
+    assert dense_rank([[], []]) == 0
+    assert dense_rank([], ncols=3) == 0
     # rank-one outer product
     outer = [[u * v for v in (1, -2, 3, 5, 0, 7)] for u in (2, -1, 4, 3)]
-    assert exact_rank(outer) == 1
-    assert exact_rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]) == 1
+    assert dense_rank(outer) == 1
+    assert dense_rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]) == 1
 
 
 def test_exact_rank_matches_naive_oracle():
@@ -120,7 +139,15 @@ def test_exact_rank_matches_naive_oracle():
             return rng.randint(-9, 9)
 
         rows = [[entry() for _ in range(nc)] for _ in range(nr)]
-        assert exact_rank(rows) == naive_rank(rows), rows
+        assert dense_rank(rows) == naive_rank(rows), rows
+    # tall, wide and square products A*B through an inner size k: rank k
+    # at most, with entries large enough that the content division matters
+    for nr, nc, k in [(30, 12, 7), (12, 30, 7), (20, 20, 13), (25, 25, 25)]:
+        A = [[rng.randint(-99, 99) for _ in range(k)] for _ in range(nr)]
+        B = [[Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(nc)]
+             for _ in range(k)]
+        rows = [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(nc)] for i in range(nr)]
+        assert dense_rank(rows) == naive_rank(rows), (nr, nc, k)
 
 
 entries_st = st.integers(-6, 6) | st.fractions(
@@ -145,35 +172,24 @@ def small_matrices(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(small_matrices())
-def test_matrix_rank_matches_bareiss_and_naive(rows):
-    mat = ExactMatrix(range(len(rows)), range(len(rows[0])), rows)
-    assert mat.entries == rows
-    assert mat.rank() == exact_rank(rows) == naive_rank(rows)
+def test_matrix_rank_matches_naive(rows):
+    assert dense_rank(rows) == naive_rank(rows)
 
 
-def fallback_calls(monkeypatch):
-    calls = []
-
-    def counting(entries):
-        calls.append(entries)
-        return exact_rank(entries)
-
-    monkeypatch.setattr(alphamap, "exact_rank", counting)
-    return calls
-
-
-def test_rank_falls_back_when_mod_p_rank_drops(monkeypatch):
-    # entries that vanish mod p: the modular rank is short, Bareiss decides
-    calls = fallback_calls(monkeypatch)
-    P = MODULUS
-    assert ExactMatrix(["a"], ["c"], [[P]]).rank() == 1
-    assert ExactMatrix(["a", "b"], ["c", "d"], [[1, 1], [1, 1 + P]]).rank() == 2
-    assert ExactMatrix(["a"], ["c"], [[Fraction(P, 3)]]).rank() == 1
-    assert len(calls) == 3
-    # a full modular rank is a certificate: no fallback
-    assert ExactMatrix(["a", "b"], ["c", "d"], [[1, 1], [1, 2 + P]]).rank() == 2
-    assert ExactMatrix(["a"], ["c"], [[Fraction(1, P)]]).rank() == 1
-    assert len(calls) == 3
+def test_rank_with_multiples_of_a_large_prime():
+    # entries that vanish modulo the prime 2^61 - 1 (or divide by it) are
+    # plain integers and rationals to the elimination over the integers
+    P = 2**61 - 1
+    for rows in (
+        [[P]],
+        [[1, 1], [1, 1 + P]],
+        [[Fraction(P, 3)]],
+        [[1, 1], [1, 2 + P]],
+        [[Fraction(1, P)]],
+        [[P, 2 * P], [3 * P, 6 * P]],
+        [[P, 1], [P * P, P], [0, Fraction(1, P)]],
+    ):
+        assert dense_rank(rows) == naive_rank(rows), rows
 
 
 # -- the polarization map -----------------------------------------------------
@@ -274,8 +290,8 @@ def test_alpha_matrix_columns_reconstruct_images():
     xn, yn = ["x0", "x1"], ["y0", "y1"]
     for c in (0, 7, 14):
         recon = Poly.zero(reg)
-        for label, row in zip(mat.rows, mat.entries):
-            coeff = row[c]
+        for label, row in zip(mat.rows, mat.sparse):
+            coeff = row.get(c)
             if not coeff:
                 continue
             ea, eb = label
@@ -321,7 +337,7 @@ def symbolic_alpha_matrix(n, d, r):
 )
 def test_closed_build_matches_symbolic_polarization(n, d, r):
     mat = alpha_matrix(n, d, r)
-    assert (mat.rows, mat.cols, mat.entries) == symbolic_alpha_matrix(n, d, r)
+    assert (mat.rows, mat.cols, dense(mat)) == symbolic_alpha_matrix(n, d, r)
     assert all(all(row.values()) for row in mat.sparse)
 
 
@@ -358,22 +374,30 @@ def test_alpha_matrix_cap_counts_term_pairs(monkeypatch):
         alpha_matrix(0, 4, 11)
     assert alpha_rank(0, 4, 10) == {"rows": 1, "cols": 1, "rank": 1}
     monkeypatch.delenv(SIZE_CAP_ENV)
-    assert alpha_matrix(0, 4, 10).entries == [[12**10]]
+    assert alpha_matrix(0, 4, 10).sparse == [{0: 12**10}]
     # 501501 rows and columns each fit the default cap, their labels do not
     monkeypatch.setenv(SIZE_CAP_ENV, str(DEFAULT_SIZE_CAP))
     with pytest.raises(ValueError, match="501501 columns of r = 1000 monomials"):
         alpha_matrix(1, 2, 1000)
 
 
-def test_alpha_rank_ternary_quartic_at_m0(monkeypatch):
-    # r = m0(2,2) = 4: full row rank, 1035 = dim S^2(S^8 C^3), certified mod p
-    # without the Bareiss fallback
-    calls = fallback_calls(monkeypatch)
+def test_alpha_rank_ternary_quartic_at_m0():
+    # r = m0(2,2) = 4: full row rank, 1035 = dim S^2(S^8 C^3)
     r = m0(2, 2)
     assert r == 4
     assert s2_dim(sym_dim(2, 2 * r)) == 1035
     assert alpha_rank(2, 4, r) == {"rows": 1035, "cols": 3060, "rank": 1035}
-    assert calls == []
+
+
+def test_rank_deficient_at_alpha_size():
+    # the rows of the (2,4,3) matrix twice over, the second copy scaled by
+    # -1/3: 812 x 680 of rank 406
+    mat = alpha_matrix(2, 4, 3)
+    assert mat.shape == (406, 680)
+    scaled = [{j: x * Fraction(-1, 3) for j, x in row.items()} for row in mat.sparse]
+    stacked = ExactMatrix(mat.rows * 2, mat.cols, mat.sparse + scaled)
+    assert stacked.shape == (812, 680)
+    assert stacked.rank() == 406
 
 
 def test_alpha_rank_reports():

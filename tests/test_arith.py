@@ -1,3 +1,5 @@
+import re
+
 from fractions import Fraction
 
 import pytest
@@ -63,4 +65,19 @@ def test_size_cap_reads_env_at_each_call(monkeypatch):
     monkeypatch.delenv(SIZE_CAP_ENV, raising=False)
     assert size_cap() == DEFAULT_SIZE_CAP == 2_000_000
     monkeypatch.setenv(SIZE_CAP_ENV, "17")
+    assert size_cap() == 17
+
+
+@pytest.mark.parametrize("raw", ["abc", "-5", "", " ", "1.5", "2e6", "0x10"])
+def test_size_cap_refuses_a_malformed_value(monkeypatch, raw):
+    monkeypatch.setenv(SIZE_CAP_ENV, raw)
+    want = f"{SIZE_CAP_ENV} must be a nonnegative integer, got {raw!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        size_cap()
+
+
+def test_size_cap_accepts_zero_and_padding(monkeypatch):
+    monkeypatch.setenv(SIZE_CAP_ENV, "0")
+    assert size_cap() == 0
+    monkeypatch.setenv(SIZE_CAP_ENV, " 17\n")
     assert size_cap() == 17

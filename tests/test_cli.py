@@ -231,6 +231,13 @@ def test_long_plethysm_is_fast(capsys):
         (["plethysm", "--r", "100000", "--d", "100000"], None),
         (["plethysm", "--r", "1000", "--d", "1000"], None),
         (["ideal-char", "--r", "1000", "--d", "1000"], None),
+        # refused before any factorial: the answer could pass the cap in bits
+        (["tau", "--r", "2", "--e", "300", "--p", "0"], None),
+        (["tau", "--r", "2", "--e", "1000", "--p", "0"], None),
+        (["tau-check", "--r", "2", "--e", "300", "--p", "0"], None),
+        # a malformed cap is refused, naming the knob
+        (["alpha-rank", "--n", "1", "--d", "4", "--r", "2"], "abc"),
+        (["alpha-rank", "--n", "1", "--d", "4", "--r", "2"], "-5"),
     ],
 )
 def test_capped_work_exits_1(capsys, monkeypatch, argv, cap):

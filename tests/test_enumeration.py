@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from invforge import enumeration
 from invforge.closedform import n1_closed, n3
 from invforge.enumeration import (
     component_census,
@@ -107,7 +108,7 @@ def test_enumeration_size_cap(monkeypatch):
     with pytest.raises(ValueError, match=f"^transport_matrices passes the cap of 300 .*{SIZE_CAP_ENV}"):
         list(transport_matrices(4, 2, 2))
     with pytest.raises(ValueError, match=f"^transport_matrices would build .* cap of 300 .*{SIZE_CAP_ENV}"):
-        tau(6, 3, 4)
+        next(transport_matrices(6, 3, 4))
 
 
 def test_multigraphs_range_guard():
@@ -308,6 +309,40 @@ def test_tau_range_guards():
         tau(2, 1, 2)
     with pytest.raises(ValueError, match=r"^tau needs r >= 2, e >= 1, got \(2, 0\)$"):
         tau(2, 0, 0)
+
+
+def test_tau_size_cap(monkeypatch):
+    # tau(2, 1, 1): 6 monomials of degree 2 in t, z1, z2 times 2 * 2 bits
+    monkeypatch.setenv(SIZE_CAP_ENV, "23")
+    over = rf"above the cap of {{}} \(set {SIZE_CAP_ENV} to raise it\)$"
+    bits = "^tau's answer could hold 24 bits or more, "
+    with pytest.raises(ValueError, match=bits + over.format(23)):
+        tau(2, 1, 1)
+    monkeypatch.setenv(SIZE_CAP_ENV, "24")
+    assert str(tau(2, 1, 1)) == "-z1^2 + 2*z1*z2 - z2^2"
+    # tau(4, 2, 3): 40,040 bits fit, the 88,709 term pairs its 142 kept
+    # products multiply are checked after the walk, before any power
+    monkeypatch.setenv(SIZE_CAP_ENV, "88708")
+    pairs = "^tau would multiply up to 88709 term pairs, "
+    with pytest.raises(ValueError, match=pairs + over.format(88708)):
+        tau(4, 2, 3)
+    monkeypatch.setenv(SIZE_CAP_ENV, "88709")
+    assert tau(4, 2, 3).terms == tau_reference(4, 2, 3).terms
+
+
+def test_tau_over_default_cap_refused_before_any_factorial(monkeypatch):
+    # (2, 300, 0) enumerates one matrix, yet its answer has 361,201 terms
+    # over 1200!, of 10,550 bits; (2, 1000, 0) would pass 3 GB
+    monkeypatch.delenv(SIZE_CAP_ENV, raising=False)
+    calls = []
+    monkeypatch.setattr(enumeration, "factorial", lambda n: calls.append(n))
+    monkeypatch.setattr(enumeration, "transvectant", lambda *args: calls.append(args))
+    for e in (300, 1000):
+        with pytest.raises(ValueError, match=f"^tau's answer could hold .*{SIZE_CAP_ENV}"):
+            tau(2, e, 0)
+        with pytest.raises(ValueError, match=f"^tau's answer could hold .*{SIZE_CAP_ENV}"):
+            tau_transvectant_check(2, e, 0)
+    assert calls == []
 
 
 def test_tau_symmetric_in_z():
