@@ -6,7 +6,7 @@ combinatorial cross-checks, the polarization-product rank map, covariant
 membership tests for powers of quadratics, and plethysm bookkeeping.
 """
 
-from .arith import Rational, binomial, factorial, pochhammer, rat_str
+from .arith import binomial, factorial, pochhammer, rat_str
 from .poly import ParseError, Poly, VarRegistry, parse
 from .transvect import (
     BinaryForm,
@@ -62,7 +62,6 @@ from .plethysm import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational",
     "binomial",
     "factorial",
     "pochhammer",

@@ -13,8 +13,8 @@ monomial, (y.dx)^e x^a = e! sum_{|b|=e, b<=a} prod_l C(a_l,b_l) x^(a-b) y^b,
 and stores the matrix sparse, one dict per row.  `ExactMatrix.rank`
 eliminates those rows fraction-free over the integers, dividing each
 reduced row by its content; the rank is exact whether full or not.
-`alpha_image` is the independent symbolic route (polarize, multiply,
-rename) that the tests hold the matrix against.  `INVFORGE_SIZE_CAP`
+`alpha_image` is the independent symbolic route (polarize each form,
+multiply) that the tests hold the matrix against.  `INVFORGE_SIZE_CAP`
 bounds the labels before the build and the term pairs it multiplies,
 hence its work and its nonzeros.
 """
@@ -22,6 +22,7 @@ hence its work and its nonzeros.
 import functools
 import itertools
 import math
+from operator import mul
 
 from .arith import SIZE_CAP_ENV, binomial, size_cap
 from .poly import Poly, VarRegistry
@@ -115,10 +116,12 @@ def _primitive(v: dict) -> dict:
 def alpha_image(forms, e: int, n: int) -> Poly:
     """Apply alpha_r to the given degree-2e forms in x0..xn.
 
-    Each form is polarized e times into a private y-copy, the results are
-    multiplied, and the copies are all renamed to the common x and y.  The
-    output has bidegree (re, re) in (x, y) and is symmetric under swapping
-    the two groups.  Coefficient variables are carried along unchanged.
+    The result is the product of the polarizations (y.dx)^e F_i(x); renaming
+    is a ring map, so no per-form copy of the variables is needed.  It lives
+    over the forms' names followed by y0..yn (a form registry that already
+    holds a y name is refused), has bidegree (re, re) in (x, y) and is
+    symmetric under swapping the two groups.  Coefficient variables are
+    carried along unchanged.
     """
     if e < 0 or n < 0:
         raise ValueError(f"alpha_image needs e >= 0 and n >= 0, got {(e, n)}")
@@ -137,36 +140,9 @@ def alpha_image(forms, e: int, n: int) -> Poly:
         if not f.is_homogeneous_in(xnames, 2 * e):
             raise ValueError(f"forms must be homogeneous of degree {2 * e} in x0..x{n}")
 
-    carried = [nm for nm in src.names if nm not in xnames]
-    copy_x = [[f"__c{i}x{l}" for l in range(n + 1)] for i in range(len(forms))]
-    copy_y = [[f"__c{i}y{l}" for l in range(n + 1)] for i in range(len(forms))]
-    names = list(carried)
-    for i in range(len(forms)):
-        names += copy_x[i] + copy_y[i]
-    names += xnames + ynames
-    for nm in names[len(carried) :]:
-        if nm in carried:
-            raise ValueError(f"reserved variable name {nm!r} already in use")
-    reg = VarRegistry(names)
-
-    pieces = []
-    for i, f in enumerate(forms):
-        bindings = {nm: Poly.variable(reg, cx) for nm, cx in zip(xnames, copy_x[i])}
-        for nm in carried:
-            bindings[nm] = Poly.variable(reg, nm)
-        moved = f.substitute(bindings)
-        pieces.append(polarize(moved, copy_x[i], copy_y[i], e))
-
-    product = pieces[0]
-    for piece in pieces[1:]:
-        product = product * piece
-
-    collapse = {}
-    for i in range(len(forms)):
-        for l in range(n + 1):
-            collapse[copy_x[i][l]] = Poly.variable(reg, xnames[l])
-            collapse[copy_y[i][l]] = Poly.variable(reg, ynames[l])
-    return product.substitute(collapse)
+    reg = VarRegistry([*src.names, *ynames])
+    pieces = (polarize(f.lift(reg), xnames, ynames, e) for f in forms)
+    return functools.reduce(mul, pieces)
 
 
 def _pack(exps, width: int) -> int:

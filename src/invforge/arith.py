@@ -1,19 +1,15 @@
 """Exact scalar arithmetic.
 
-Everything downstream works over arbitrary-precision rationals; this module
-fixes the scalar type and provides the factorial-family helpers (factorial,
-binomial, Pochhammer symbol) used by every closed-form coefficient, and
-the one work cap that bounds the matrix build, the enumerations and the
-plethysm tables.
+Everything downstream works over arbitrary-precision rationals
+(`fractions.Fraction`, or `int` where integral); this module provides the
+factorial-family helpers (factorial, binomial, Pochhammer symbol) used by
+every closed-form coefficient, and the one work cap that bounds the matrix
+build, the enumerations and the plethysm tables.
 """
 
 import os
 from fractions import Fraction
 from math import comb as _comb, factorial as _factorial
-
-# The scalar type used throughout the package.  fractions.Fraction already
-# guarantees lowest terms and positive denominator.
-Rational = Fraction
 
 SIZE_CAP_ENV = "INVFORGE_SIZE_CAP"
 DEFAULT_SIZE_CAP = 2_000_000

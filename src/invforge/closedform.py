@@ -114,7 +114,7 @@ def f32_term(a, b, c, d, e) -> Fraction:
         den = (d + i) * (e + i) * (i + 1)
         if den == 0:
             raise ValueError(
-                f"zero denominator Pochhammer at index {i + 1} for parameters {(d, e)}"
+                f"zero denominator Pochhammer at index {i + 1} for parameters ({d}, {e})"
             )
         term = term * num / den
         total += term

@@ -338,35 +338,26 @@ def tau(r: int, e: int, p: int) -> Poly:
 
 
 def tau_transvectant_check(r: int, e: int, p: int) -> bool:
-    """Check that the transvectant (prod l_i^e, prod l_j^e)_{2p} of symbolic
-    linear forms, dehomogenized by l_{i,0} = z_i, l_{i,1} = 1, x0 = -1,
-    x1 = t, equals (re-2p)!^2 (2p)! e!^(2r) / (re)!^2 times tau(r, e, p).
+    """Check that the transvectant (prod l_i^e, prod l_j^e)_{2p} of the
+    lines l_i = z_i x0 + x1, dehomogenized by x0 = -1, x1 = t, equals
+    (re-2p)!^2 (2p)! e!^(2r) / (re)!^2 times tau(r, e, p).
     tau runs first, so its INVFORGE_SIZE_CAP checks precede all else here."""
     _check_range("tau_transvectant_check", r, e, p)
-    rhs = tau(r, e, p)
-    names = ["x0", "x1", "t"] + [f"z{i}" for i in range(1, r + 1)]
-    for i in range(1, r + 1):
-        names += [f"l{i}_0", f"l{i}_1"]
-    reg = VarRegistry(names)
-    rhs = rhs.lift(reg) * Fraction(
+    rhs = tau(r, e, p) * Fraction(
         factorial(r * e - 2 * p) ** 2 * factorial(2 * p) * factorial(e) ** (2 * r),
         factorial(r * e) ** 2,
     )
-
+    # tau's registry is fresh and its own: grow it by the form variables
+    reg = rhs.registry
+    reg.add("x0")
+    reg.add("x1")
+    x1 = Poly.variable(reg, "x1")
     product = Poly.const(reg, 1)
     for i in range(1, r + 1):
-        li = Poly.term(reg, 1, {f"l{i}_0": 1, "x0": 1}) + Poly.term(
-            reg, 1, {f"l{i}_1": 1, "x1": 1}
-        )
-        product = product * li**e
+        product = product * (Poly.term(reg, 1, {f"z{i}": 1, "x0": 1}) + x1) ** e
     form = BinaryForm(product, r * e)
     trans = transvectant(form, form, 2 * p)
-
-    bindings = {"x0": Poly.const(reg, -1), "x1": Poly.variable(reg, "t")}
-    for i in range(1, r + 1):
-        bindings[f"l{i}_0"] = Poly.variable(reg, f"z{i}")
-        bindings[f"l{i}_1"] = Poly.const(reg, 1)
-    lhs = trans.poly.substitute(bindings)
+    lhs = trans.poly.substitute({"x0": Poly.const(reg, -1), "x1": Poly.variable(reg, "t")})
     return lhs == rhs
 
 

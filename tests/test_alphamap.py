@@ -245,6 +245,20 @@ def test_alpha_image_carries_coefficient_variables():
     assert out.is_homogeneous_in(["a", "b", "c"], 2)
 
 
+def test_alpha_image_registry_appends_y_names():
+    reg = VarRegistry(["a", "x0", "x1"])
+    a, x0, x1 = (Poly.variable(reg, n) for n in ("a", "x0", "x1"))
+    out = alpha_image([a * x0 * x1, x1**2], 1, 1)
+    assert out.registry.names == ("a", "x0", "x1", "y0", "y1")
+
+
+def test_alpha_image_refuses_y_name_in_form_registry():
+    reg = VarRegistry(["x0", "x1", "y0"])
+    x0 = Poly.variable(reg, "x0")
+    with pytest.raises(ValueError, match=r"^duplicate variable name 'y0'$"):
+        alpha_image([x0**2], 1, 1)
+
+
 def test_alpha_image_degree_mismatch():
     reg = VarRegistry(["x0", "x1"])
     x0 = Poly.variable(reg, "x0")

@@ -133,7 +133,8 @@ def test_f32_frozen():
 
 
 def test_f32_zero_denominator():
-    with pytest.raises(ValueError):
+    msg = r"^zero denominator Pochhammer at index 2 for parameters \(-1, 1\)$"
+    with pytest.raises(ValueError, match=msg):
         f32_term(-3, 1, 1, -1, 1)
 
 

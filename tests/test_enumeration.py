@@ -366,8 +366,15 @@ def test_tau_no_t_at_top_weight():
 
 
 def test_tau_transvectant_identity_small():
-    for r, e, p in [(2, 1, 0), (2, 1, 1), (3, 1, 0), (3, 1, 1), (2, 2, 2)]:
+    for r, e, p in [(2, 1, 0), (2, 1, 1), (3, 1, 0), (3, 1, 1), (2, 2, 2), (4, 1, 1), (4, 2, 3)]:
         assert tau_transvectant_check(r, e, p), (r, e, p)
+
+
+def test_tau_transvectant_check_can_fail(monkeypatch):
+    # negative control: a tau off by a factor of 2 must not pass the check
+    real = enumeration.tau
+    monkeypatch.setattr(enumeration, "tau", lambda r, e, p: real(r, e, p) * 2)
+    assert not tau_transvectant_check(3, 1, 1)
 
 
 def test_tau_transvectant_check_range_guards():
