@@ -40,7 +40,10 @@ def _parse_poly(text: str, registry: VarRegistry) -> Poly:
 
 
 def _form(text: str, registry: VarRegistry, degree=None) -> BinaryForm:
-    return BinaryForm(_parse_poly(text, registry), degree)
+    poly = _parse_poly(text, registry)
+    if degree is None and poly.is_zero():
+        degree = 0  # (0, B)_k is 0 whatever degree the zero form is given
+    return BinaryForm(poly, degree)
 
 
 def _emit(obj) -> int:

@@ -34,7 +34,9 @@ over (int w, Poly a, Poly b) triples into one dict, folding each weight
 into the shorter operand, and builds no intermediate Poly.  A product
 a * b is the sum of the single triple (1, a, b); the Omega expansion of a
 transvectant and the transport sum of tau pass all their triples to one
-call, so no caller has to handle packed keys.
+call.  The one caller outside this module that handles packed keys is the
+dense route of transvect._omega_diagonal, which reads and writes the x0,
+x1 fields of integer binary forms through _W and _MASK.
 
 Text goes both ways.  str() writes terms in graded lexicographic order,
 highest first; parse() reads terms joined by + or -, each an optional

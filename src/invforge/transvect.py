@@ -17,13 +17,20 @@ B(y) only on Y, each Omega branch factors into separate derivatives of A and
 B in x0, x1; the implementation never materializes the product A(x)B(y) in
 four variables.  omega_apply and pi_p act on a given polynomial in all four
 variables, so its registry must hold y0 and y1 as well.
+
+_omega_diagonal, the one transvectant kernel, has two routes.  Two dense
+integer forms (int coefficients, x0 and x1 alone, at least (a+1)/2 terms
+at degree a) go by Kronecker substitution: one big-int product per Omega
+branch, with base-2^width digits two bits wider than the bound
+2^k (ab)^k |A|_1 |B|_inf on every output coefficient, so no digit carries.
+Every other pair sums its derivative pairs in one Poly.weighted_sum.
 """
 
 from fractions import Fraction
 from math import perm
 
 from .arith import binomial
-from .poly import Poly, VarRegistry
+from .poly import _MASK, _W, Poly, VarRegistry
 
 
 X = ("x0", "x1")
@@ -106,13 +113,25 @@ def polarize(P: Poly, xvars, yvars, times: int = 1) -> Poly:
 def _omega_diagonal(apoly: Poly, bpoly: Poly, k: int) -> Poly:
     """Unnormalized [Omega^k A(x)B(y)] at y:=x via the factored expansion.
 
-    Equals sum_i (-1)^i C(k,i) [dx0^(k-i) dx1^i A] * [dx0^i dx1^(k-i) B],
-    summed by one Poly.weighted_sum fed the nonzero derivative pairs one
-    at a time, so no pair outlives its accumulation; keeps integer
-    coefficients integer so callers can defer the rational normalization
-    to a single scalar multiply.
+    Equals sum_i (-1)^i C(k,i) [dx0^(k-i) dx1^i A] * [dx0^i dx1^(k-i) B];
+    keeps integer coefficients integer so callers can defer the rational
+    normalization to a single scalar multiply.
+
+    Two dense integer forms over one registry (_dense_coefficients) take
+    the Kronecker route, _omega_dense.  Any other pair (symbolic
+    coefficients, a Fraction, a zero, a sparse form such as x0^1048576)
+    is summed by one Poly.weighted_sum fed the nonzero derivative pairs
+    one at a time, so no pair outlives its accumulation.  Both routes give
+    the same terms and bound.
     """
     x0, x1 = X
+    reg = apoly.registry
+    if bpoly.registry is reg:
+        shifts = (_W * reg.index(x0), _W * reg.index(x1))
+        A = _dense_coefficients(apoly, *shifts)
+        B = A and _dense_coefficients(bpoly, *shifts)
+        if B:
+            return _omega_dense(apoly, bpoly, A, B, k, *shifts)
 
     def triples():
         for i in range(k + 1):
@@ -125,7 +144,74 @@ def _omega_diagonal(apoly: Poly, bpoly: Poly, k: int) -> Poly:
             sign = -1 if i % 2 else 1
             yield sign * binomial(k, i), da, db
 
-    return Poly.weighted_sum(apoly.registry, triples())
+    return Poly.weighted_sum(reg, triples())
+
+
+def _dense_coefficients(poly: Poly, s0: int, s1: int):
+    """[c_0, ..., c_a] with poly = sum_s c_s x0^(a-s) x1^s (x0, x1 at bit
+    shifts s0, s1), or None unless poly is a nonzero form of degree a in
+    x0, x1 alone with int coefficients and at least (a+1)/2 terms, so the
+    list is at most twice the input's size."""
+    terms = poly.terms
+    if not terms:
+        return None
+    first = next(iter(terms))
+    a = ((first >> s0) & _MASK) + ((first >> s1) & _MASK)
+    if 2 * len(terms) < a + 1:
+        return None
+    coeffs = [0] * (a + 1)
+    for key, c in terms.items():
+        s = (key >> s1) & _MASK
+        # s > a makes the rebuilt key negative, so it never matches
+        if type(c) is not int or key != ((a - s) << s0 | s << s1):
+            return None
+        coeffs[s] = c
+    return coeffs
+
+
+def _omega_dense(apoly, bpoly, A, B, k, s0, s1) -> Poly:
+    """_omega_diagonal on coefficient lists, by Kronecker substitution.
+
+    Branch i packs its derivatives' coefficients as base-2^width digits,
+    alpha_i(s) = A[s] (a-s)_{k-i} (s)_i for s = i..a-k+i and
+    beta_i(t) = B[t] (b-t)_i (t)_{k-i} for t = k-i..b-i (falling
+    factorials), and adds +-C(k,i) times the product of the two ints to
+    one sum, whose digit m = s+t-k holds x0^(a+b-2k-m) x1^m for every
+    branch.  No output coefficient exceeds 2^k (ab)^k |A|_1 |B|_inf in
+    absolute value and the width is two bits past that, so the balanced
+    digits never carry and unpack exactly.
+    """
+    a, b = len(A) - 1, len(B) - 1
+    if not 0 <= k <= min(a, b):
+        return Poly.zero(apoly.registry)
+    limit = 2**k * (a * b) ** k * sum(map(abs, A)) * max(map(abs, B))
+    width = limit.bit_length() + 2
+    total = bound = 0
+    for i in range(k + 1):
+        pa = 0
+        for s in range(a - k + i, i - 1, -1):
+            pa = (pa << width) + A[s] * perm(a - s, k - i) * perm(s, i)
+        pb = 0
+        for t in range(b - i, k - i - 1, -1):
+            pb = (pb << width) + B[t] * perm(b - t, i) * perm(t, k - i)
+        if pa and pb:
+            bound = apoly.bound + bpoly.bound
+            sign = -1 if i % 2 else 1
+            total += sign * binomial(k, i) * pa * pb
+    n = a + b - 2 * k
+    full = 1 << width
+    half = full >> 1
+    terms = {}
+    for m in range(n + 1):
+        c = total & (full - 1)
+        if c >= half:
+            c -= full
+        total = (total - c) >> width
+        if c:
+            terms[(n - m) << s0 | m << s1] = c
+    if total:
+        raise ArithmeticError("Kronecker digits overflowed their width")
+    return Poly._trusted(apoly.registry, terms, bound)
 
 
 def transvectant(A: BinaryForm, B: BinaryForm, k: int) -> BinaryForm:

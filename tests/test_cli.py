@@ -341,6 +341,29 @@ def test_large_exponent_transvect_is_fast(capsys):
     assert out == '{"result":"x0^1048576*x1"}\n'
 
 
+def test_sparse_high_degree_transvect_is_fast(capsys):
+    # two terms of degree 2^20 are far below the dense route's threshold,
+    # so no list of 2^20 coefficients is built
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "transvect", "--a", "x0^1048576 + x1^1048576", "--b", "x0*x1", "--k", "1"
+    )
+    assert time.perf_counter() - t0 < 2
+    assert code == 0
+    assert out == '{"result":"1/2*x0^1048576 - 1/2*x1^1048576"}\n'
+
+
+@pytest.mark.parametrize("a, b", [("0", "x0^2 + x1^2"), ("x0^2 + x1^2", "0")])
+def test_transvect_of_the_zero_form(capsys, a, b):
+    # (0, B)_k is 0 whatever degree the zero form has; k < 0 still fails
+    for k in ("0", "2"):
+        code, out, _ = run_cli(capsys, "transvect", "--a", a, "--b", b, "--k", k)
+        assert (code, out) == (0, '{"result":"0"}\n')
+    code, out, err = run_cli(capsys, "transvect", "--a", a, "--b", b, "--k", "-1")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "negative transvectant index"}
+
+
 # -- whole-program paths ------------------------------------------------------
 
 

@@ -118,6 +118,50 @@ def test_omega_diagonal_matches_omega_apply(aterms, bterms, symbolic, k):
     assert _omega_diagonal(A, B, k) == want
 
 
+# integer coefficient lists of binary forms of degree 0-16: runs of zeros,
+# small values of both signs, and values past 2^200
+_COEFFS = st.lists(
+    st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**210), 2**210)),
+    min_size=1,
+    max_size=17,
+)
+# a sparse form: x0^a and/or x1^a, far below the density threshold
+_SPARSE = st.tuples(st.integers(3, 40), st.integers(-(2**210), 2**210), st.integers(-3, 3))
+
+
+def _integer_form(reg, coeffs):
+    a = len(coeffs) - 1
+    return Poly(reg, {(a - s, s, 0, 0): c for s, c in enumerate(coeffs)})
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(_COEFFS, _SPARSE),
+    _COEFFS,
+    st.booleans(),
+    st.sampled_from(["zero", "min", "min+1", "any"]),
+    st.integers(0, 17),
+)
+def test_dense_route_matches_omega_apply(left, coeffs, swap, kind, k):
+    # the Kronecker route against the 4-variable route, which it never
+    # calls: Omega^k on A(x) B(y), then y := x
+    reg = VarRegistry(["x0", "x1", "y0", "y1"])
+    x0, x1, y0, y1 = (Poly.variable(reg, n) for n in ("x0", "x1", "y0", "y1"))
+    if isinstance(left, tuple):
+        a, c0, ca = left
+        A = Poly(reg, {(a, 0, 0, 0): c0, (0, a, 0, 0): ca})
+    else:
+        A = _integer_form(reg, left)
+    B = _integer_form(reg, coeffs)
+    if swap:
+        A, B = B, A
+    a, b = (max(P.degree_in(("x0", "x1")), 0) for P in (A, B))
+    k = {"zero": 0, "min": min(a, b), "min+1": min(a, b) + 1}.get(kind, min(k, a, b))
+    B_y = B.substitute({"x0": y0, "x1": y1})
+    want = omega_apply(_disjoint_product(A, B_y), k).substitute({"y0": x0, "y1": x1})
+    assert _omega_diagonal(A, B, k) == want
+
+
 def test_pi_p_squared_bracket():
     # Omega^2 (x0 y1 - x1 y0)^2 restricted to the diagonal is the constant 12
     reg, (x0, x1, y0, y1) = xy4_ring()
