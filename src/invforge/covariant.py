@@ -22,6 +22,7 @@ scaled once; a Phi combines two raw U's over one common denominator.
 from fractions import Fraction
 from math import lcm, perm
 
+from .arith import SIZE_CAP_ENV, size_cap
 from .closedform import n2
 from .poly import Poly
 from .transvect import BinaryForm, _omega_diagonal
@@ -203,6 +204,12 @@ def membership(F: BinaryForm) -> tuple:
     labels the first set element (in canonical order) that does not
     vanish on F.  Works for symbolic coefficients too, in which case
     True means the identity holds for every specialization.
+
+    Before any covariant is evaluated, INVFORGE_SIZE_CAP bounds the Omega
+    work of the whole set: k+1 branches for each (F,F)_{2i} (k = 2i) and
+    each U(i,j) (k = j) of the index window, which holds every U of S(d),
+    each branch over as many terms as F has.  That is 1,812 branches at
+    d = 20 and 10,837,702 at d = 400.
     """
     d = F.degree
     if d % 2:
@@ -213,6 +220,17 @@ def membership(F: BinaryForm) -> tuple:
         # the zero form is the e-th power of the zero quadratic, and
         # every binary quadratic is trivially its own first power
         return True, None
+    branches = 0  # Omega branches: k+1 for each transvectant of order k
+    for i in range(d // 2 + 1):
+        top = min(d, 2 * d - 4 * i)  # the window holds U(i,j) for j <= top
+        branches += 2 * i + 1 + (top + 1) * (top + 2) // 2
+    work = branches * len(F.poly.terms)
+    cap = size_cap()
+    if work > cap:
+        raise ValueError(
+            f"membership would take {work} Omega branch terms over S({d}), above the"
+            f" cap of {cap} (set {SIZE_CAP_ENV} to raise it)"
+        )
     cache = {}
     for expr in set_S(d):
         if not expr.evaluate(F, cache).is_zero():

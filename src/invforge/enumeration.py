@@ -13,10 +13,7 @@ closed forms except the explicit cross-check helpers.
 """
 
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate
 from math import comb, prod
-from operator import mul
 
 from .arith import SIZE_CAP_ENV, factorial, size_cap
 from .closedform import n3
@@ -272,16 +269,27 @@ def tau(r: int, e: int, p: int) -> Poly:
     sign * L // prod m_ij! times a product fixed by its merged exponents
     m_ij + m_ji, one per pair i < j <= r+1, where sign is -1 to the sum of
     the m_ji with i < j <= r.  So every matrix is enumerated and its weight
-    summed under its merged key; keys whose weights cancel are dropped, and
-    each remaining key's product is accumulated over L by one
-    Poly.weighted_sum, which multiplies in its last factor; the sum is
-    divided by L once.  No closed form is used, so tau stays a route
-    independent of the transvectant that tau_transvectant_check compares it
-    with.
+    summed under its merged key, and keys whose weights cancel are dropped.
+    No closed form is used, so tau stays a route independent of the
+    transvectant that tau_transvectant_check compares it with.
+
+    The products are summed as one integer, by Kronecker substitution:
+    t = 1 and z_i = 2^(width (2e+1)^(i-1)).  tau is homogeneous of degree
+    D = 2re-2p, so t's exponent in a term is D less the z's, and setting
+    t = 1 loses nothing.  z_i's exponent is at most 2e, its row sum plus
+    its column sum, so each monomial owns one base-2^width digit, its
+    z-exponents read as base-(2e+1) digits.  A product of D factors with
+    coefficients +-1 has coefficients whose absolute values sum to at most
+    2^D, so no coefficient of the sum passes sum |w| 2^D; width is two bits
+    past that, so the balanced digits never carry.  Each kept key
+    multiplies its weight in one factor at a time, a shift and a
+    subtraction, and Poly.from_kronecker unpacks the sum and divides it by
+    L once.
 
     INVFORGE_SIZE_CAP bounds the answer's bits before any factorial (up to
-    C(D + r, r) monomials of degree D = 2re-2p over D!, of D * D.bit_length()
-    bits at most), then the term pairs the products multiply before any power.
+    C(D + r, r) monomials of degree D over D!, of D * D.bit_length() bits
+    at most), then, after the walk and before any shift, the bits of the
+    packed sum, (2e+1)^r digits of width bits.
     """
     _check_range("tau", r, e, p)
     cap = size_cap()
@@ -292,12 +300,9 @@ def tau(r: int, e: int, p: int) -> Poly:
         size = size * (degree + k) // k
         if size > cap:
             raise ValueError(f"tau's answer could hold {size} bits or more, {over}")
-    registry = VarRegistry(["t"] + [f"z{i}" for i in range(1, r + 1)])
-    t = Poly.variable(registry, "t")
-    z = [Poly.variable(registry, f"z{i}") for i in range(1, r + 1)]
     common = factorial(degree)
     facts = [factorial(m) for m in range(max(e, r * e - 2 * p) + 1)]
-    # 0-based: z[i] is z_{i+1}, and index r is the border row and column
+    # 0-based: index i < r is z_{i+1}, and index r the border row and column
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r + 1)]
 
     weights = {}  # merged exponents, one per pair -> summed integer weight
@@ -313,28 +318,31 @@ def tau(r: int, e: int, p: int) -> Poly:
         weights[key] = weights.get(key, 0) + sign * (common // denom)
 
     kept = {key: w for key, w in weights.items() if w}
-    # each factor of m + 1 terms times the product so far
-    multiplied = sum(sum(accumulate((m + 1 for m in key if m), mul)) for key in kept)
-    if multiplied > cap:
-        raise ValueError(f"tau would multiply up to {multiplied} term pairs, {over}")
-
-    powers = {}  # (i, j, m) -> (z[i] - z[j])^m, or (t - z[i])^m when j = r
-    one = Poly.const(registry, 1)
-
-    def factor(i, j, m):
-        f = powers.get((i, j, m))
-        if f is None:
-            base = z[i] - z[j] if j < r else t - z[i]
-            f = powers[i, j, m] = base**m
-        return f
-
-    def triple(w, key):
-        # the last factor is multiplied in by weighted_sum's accumulation
-        *head, last = (factor(i, j, m) for (i, j), m in zip(pairs, key) if m)
-        return w, reduce(mul, head) if head else one, last
-
-    triples = (triple(w, key) for key, w in kept.items())
-    return Poly.weighted_sum(registry, triples) * Fraction(1, common)
+    radix = 2 * e + 1  # z_i's exponents, 0..2e
+    width = (sum(map(abs, kept.values())) << degree).bit_length() + 2
+    bits = radix**r * width
+    if bits > cap:
+        raise ValueError(f"tau's packed sum would take {bits} bits, {over}")
+    # t = 1 and z_i = 2^shifts[i]: (z_i - z_j)^m = z_i^m (1 - 2^step)^m with
+    # step = shifts[j] - shifts[i], and (t - z_i)^m = (1 - 2^shifts[i])^m;
+    # the shortest steps go first, so each partial product grows late
+    shifts = [width * radix**i for i in range(r)]
+    factors = sorted(
+        (shifts[j] - shifts[i], shifts[i], q) if j < r else (shifts[i], 0, q)
+        for q, (i, j) in enumerate(pairs)
+    )
+    total = 0
+    for key, w in kept.items():
+        low = 0  # the bits of the factored-out z_i^m
+        for step, s, q in factors:
+            m = key[q]
+            for _ in range(m):
+                w -= w << step
+            low += m * s
+        total += w << low
+    registry = VarRegistry(["t"] + [f"z{i}" for i in range(1, r + 1)])
+    z = (registry.names[1:], radix)
+    return Poly.from_kronecker(registry, total, width, z, ("t", degree), degree, common)
 
 
 def tau_transvectant_check(r: int, e: int, p: int) -> bool:

@@ -31,12 +31,18 @@ exponents themselves.
 
 Poly.weighted_sum is the one accumulation primitive: it adds w * a * b
 over (int w, Poly a, Poly b) triples into one dict, folding each weight
-into the shorter operand, and builds no intermediate Poly.  A product
-a * b is the sum of the single triple (1, a, b); the Omega expansion of a
-transvectant and the transport sum of tau pass all their triples to one
-call.  The one caller outside this module that handles packed keys is the
-dense route of transvect._omega_diagonal, which reads and writes the x0,
-x1 fields of integer binary forms through _W and _MASK.
+into the shorter operand, and builds no intermediate Poly.  Its callers
+are __mul__, whose product a * b is the sum of the single triple
+(1, a, b), and the derivative-pair route of transvect._omega_diagonal,
+which passes all its triples to one call.
+
+Poly.from_kronecker is the one decoder of a Kronecker-packed int: one
+balanced base-2^width digit per slot of an exponent box, one variable
+filled in by homogeneity.  The dense route of transvect._omega_diagonal
+and enumeration.tau multiply as big ints and decode through it, so
+packed keys are written only in this module.  The one reader outside it
+is transvect._dense_coefficients, which reads the x0, x1 fields of
+integer binary forms through _W and _MASK.
 
 Text goes both ways.  str() writes terms in graded lexicographic order,
 highest first; parse() reads terms joined by + or -, each an optional
@@ -77,6 +83,8 @@ _NUMBER_CAP = 640
 
 _W = 32  # bits per exponent field
 _MASK = (1 << _W) - 1
+# below this many digits, peeling one at a time beats splitting in halves
+_DIGIT_RUN = 16
 
 
 class VarRegistry:
@@ -242,6 +250,41 @@ class Poly:
                     key = ka + kb
                     acc[key] = get(key, 0) + ca * cb
         return cls._trusted(registry, _settle(acc), bound)
+
+    @classmethod
+    def from_kronecker(cls, registry, value, width, box, fill, bound, denominator=1):
+        """The Poly over registry whose Kronecker image is value / denominator.
+
+        box = (names, size) numbers the slots of an exponent box: slot n
+        holds the monomial whose exponent of names[i] is the i-th base-size
+        digit of n, lowest first, and whose exponent of fill = (name,
+        degree) is degree less their sum, as homogeneity of that degree
+        demands.  value is sum_n c_n 2^(width*n) over the size^len(names)
+        slots, with every |c_n| < 2^(width-1), and each nonzero c_n becomes
+        the coefficient c_n / denominator.  ArithmeticError: value has no
+        such digits (it reaches past the last slot, or a digit past its
+        bound), or a nonzero digit would give fill a negative exponent.
+        bound is the result's exponent bound, as for _trusted.
+        """
+        names, size = box
+        name, degree = fill
+        shift = _W * registry.index(name)
+        base = degree << shift
+        keys = None  # each slot's key, the first name's exponent running fastest
+        for n in names:
+            step = (1 << _W * registry.index(n)) - (1 << shift)
+            if keys is None:
+                keys = range(base, base + size * step, step)
+            else:
+                keys = [key + a * step for a in range(size) for key in keys]
+        terms = _kronecker_terms(value, width, keys)
+        # past the degree, fill's exponent is negative and its field wraps
+        if (size - 1) * len(names) > degree:
+            if any((key >> shift) & _MASK > degree for key in terms):
+                raise ArithmeticError(f"a nonzero digit lies past degree {degree}")
+        if denominator != 1:
+            terms = {key: Fraction(c, denominator) for key, c in terms.items()}
+        return cls._trusted(registry, terms, bound)
 
     # -- predicates and bookkeeping ---------------------------------------
 
@@ -523,6 +566,47 @@ def _coefficient(c):
     if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
+
+
+def _kronecker_terms(value, width, keys) -> dict:
+    """{keys[n]: c_n} over the nonzero c_n, where value = sum_n c_n
+    2^(width*n) over n < len(keys) with every |c_n| < 2^(width-1);
+    ArithmeticError if there are no such digits.
+
+    The int is split in halves, a balanced low part and the exact rest,
+    down to runs of at most _DIGIT_RUN digits, which are peeled one at a
+    time; a run that leaves a remainder raises.  So the work grows with
+    the bits times their log, not with their square."""
+    full = 1 << width
+    half = full >> 1
+    mask = full - 1
+    terms = {}
+    runs = [(value, 0, len(keys))]  # (int, first slot, end slot), lowest on top
+    while runs:
+        v, start, stop = runs.pop()
+        if stop - start > _DIGIT_RUN:
+            mid = (start + stop) >> 1
+            shift = (mid - start) * width
+            low = v & (1 << shift) - 1
+            if low >> shift - 1:
+                low -= 1 << shift
+            runs.append(((v - low) >> shift, mid, stop))
+            runs.append((low, start, mid))
+            continue
+        for key in keys[start:stop]:
+            c = v & mask
+            v >>= width
+            if c >= half:  # a negative digit borrows one from the next
+                c -= full
+                v += 1
+            if c:
+                terms[key] = c
+        if v:
+            raise ArithmeticError("Kronecker digits overflowed their width")
+    # a digit of -2^(width-1) is past the bound, and the halves assume none
+    if -half in terms.values():
+        raise ArithmeticError("Kronecker digits overflowed their width")
+    return terms
 
 
 def _settle(terms):

@@ -22,8 +22,9 @@ _omega_diagonal, the one transvectant kernel, has two routes.  Two dense
 integer forms (int coefficients, x0 and x1 alone, at least (a+1)/2 terms
 at degree a) go by Kronecker substitution: one big-int product per Omega
 branch, with base-2^width digits two bits wider than the bound
-2^k (ab)^k |A|_1 |B|_inf on every output coefficient, so no digit carries.
-Every other pair sums its derivative pairs in one Poly.weighted_sum.
+2^k (ab)^k |A|_1 |B|_inf on every output coefficient, so no digit carries,
+and Poly.from_kronecker decodes the one sum.  Every other pair sums its
+derivative pairs in one Poly.weighted_sum.
 """
 
 from fractions import Fraction
@@ -131,7 +132,7 @@ def _omega_diagonal(apoly: Poly, bpoly: Poly, k: int) -> Poly:
         A = _dense_coefficients(apoly, *shifts)
         B = A and _dense_coefficients(bpoly, *shifts)
         if B:
-            return _omega_dense(apoly, bpoly, A, B, k, *shifts)
+            return _omega_dense(apoly, bpoly, A, B, k)
 
     def triples():
         for i in range(k + 1):
@@ -169,7 +170,7 @@ def _dense_coefficients(poly: Poly, s0: int, s1: int):
     return coeffs
 
 
-def _omega_dense(apoly, bpoly, A, B, k, s0, s1) -> Poly:
+def _omega_dense(apoly, bpoly, A, B, k) -> Poly:
     """_omega_diagonal on coefficient lists, by Kronecker substitution.
 
     Branch i packs its derivatives' coefficients as base-2^width digits,
@@ -179,7 +180,7 @@ def _omega_dense(apoly, bpoly, A, B, k, s0, s1) -> Poly:
     one sum, whose digit m = s+t-k holds x0^(a+b-2k-m) x1^m for every
     branch.  No output coefficient exceeds 2^k (ab)^k |A|_1 |B|_inf in
     absolute value and the width is two bits past that, so the balanced
-    digits never carry and unpack exactly.
+    digits never carry, and Poly.from_kronecker unpacks them exactly.
     """
     a, b = len(A) - 1, len(B) - 1
     if not 0 <= k <= min(a, b):
@@ -199,19 +200,7 @@ def _omega_dense(apoly, bpoly, A, B, k, s0, s1) -> Poly:
             sign = -1 if i % 2 else 1
             total += sign * binomial(k, i) * pa * pb
     n = a + b - 2 * k
-    full = 1 << width
-    half = full >> 1
-    terms = {}
-    for m in range(n + 1):
-        c = total & (full - 1)
-        if c >= half:
-            c -= full
-        total = (total - c) >> width
-        if c:
-            terms[(n - m) << s0 | m << s1] = c
-    if total:
-        raise ArithmeticError("Kronecker digits overflowed their width")
-    return Poly._trusted(apoly.registry, terms, bound)
+    return Poly.from_kronecker(apoly.registry, total, width, ((X[1],), n + 1), (X[0], n), bound)
 
 
 def transvectant(A: BinaryForm, B: BinaryForm, k: int) -> BinaryForm:

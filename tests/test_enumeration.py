@@ -278,8 +278,9 @@ def tau_reference(r, e, p):
     "r,e,p",
     [(r, e, p) for r in (2, 3) for e in (1, 2) for p in range(r * e // 2 + 1)]
     + [(4, 1, p) for p in range(3)]
-    # most matrices share their merged key here
-    + [(4, 2, 1), (4, 2, 3)],
+    + [(5, 1, p) for p in range(3)]
+    # one matrix at p = 0; most matrices share their merged key at p >= 1
+    + [(4, 2, p) for p in range(5)],
 )
 def test_tau_matches_reference_accumulation(r, e, p):
     got, want = tau(r, e, p), tau_reference(r, e, p)
@@ -288,20 +289,20 @@ def test_tau_matches_reference_accumulation(r, e, p):
     assert str(got) == str(want)
 
 
-def test_tau_builds_one_product_per_merged_key(monkeypatch):
-    # tau(4, 2, 3) enumerates 870 matrices over 158 merged keys: one product
-    # per key takes 859 multiplications, one per matrix would take 5,221
-    calls = 0
-    mul = Poly.__mul__
+def test_tau_multiplies_no_poly(monkeypatch):
+    # the products are shifts and subtractions of one packed int, decoded
+    # once: no Poly product and no weighted_sum accumulation
+    want = tau_reference(4, 2, 3)
 
-    def counting_mul(a, b):
-        nonlocal calls
-        calls += 1
-        return mul(a, b)
+    def refuse(*args):
+        raise AssertionError("tau multiplied Poly values")
 
-    monkeypatch.setattr(Poly, "__mul__", counting_mul)
-    tau(4, 2, 3)
-    assert calls <= 2000
+    monkeypatch.setattr(Poly, "__mul__", refuse)
+    monkeypatch.setattr(Poly, "weighted_sum", refuse)
+    got = tau(4, 2, 3)
+    monkeypatch.undo()
+    assert got.terms == want.terms
+    assert str(got) == str(want)
 
 
 def test_tau_range_guards():
@@ -318,16 +319,22 @@ def test_tau_size_cap(monkeypatch):
     bits = "^tau's answer could hold 24 bits or more, "
     with pytest.raises(ValueError, match=bits + over.format(23)):
         tau(2, 1, 1)
-    monkeypatch.setenv(SIZE_CAP_ENV, "24")
+    # its packed sum is 3^2 digits of 6 bits, checked after the walk,
+    # before any shift
+    monkeypatch.setenv(SIZE_CAP_ENV, "53")
+    packed = "^tau's packed sum would take 54 bits, "
+    with pytest.raises(ValueError, match=packed + over.format(53)):
+        tau(2, 1, 1)
+    monkeypatch.setenv(SIZE_CAP_ENV, "54")
     assert str(tau(2, 1, 1)) == "-z1^2 + 2*z1*z2 - z2^2"
-    # tau(4, 2, 3): 40,040 bits fit, the 88,709 term pairs its 142 kept
-    # products multiply are checked after the walk, before any power
-    monkeypatch.setenv(SIZE_CAP_ENV, "88708")
-    pairs = "^tau would multiply up to 88709 term pairs, "
-    with pytest.raises(ValueError, match=pairs + over.format(88708)):
-        tau(4, 2, 3)
-    monkeypatch.setenv(SIZE_CAP_ENV, "88709")
-    assert tau(4, 2, 3).terms == tau_reference(4, 2, 3).terms
+    # tau(4, 2, 4): 15,840 bits of answer fit, its packed sum of 5^4
+    # digits of 29 bits does not
+    monkeypatch.setenv(SIZE_CAP_ENV, "18124")
+    packed = "^tau's packed sum would take 18125 bits, "
+    with pytest.raises(ValueError, match=packed + over.format(18124)):
+        tau(4, 2, 4)
+    monkeypatch.setenv(SIZE_CAP_ENV, "18125")
+    assert tau(4, 2, 4).terms == tau_reference(4, 2, 4).terms
 
 
 def test_tau_over_default_cap_refused_before_any_factorial(monkeypatch):

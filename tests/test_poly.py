@@ -236,6 +236,45 @@ def test_weighted_sum_rejects_non_int_weight():
             Poly.weighted_sum(reg, [(1, a, b)])
 
 
+def kronecker_value(digits, width):
+    return sum(c << width * n for n, c in enumerate(digits))
+
+
+@pytest.mark.parametrize("width", [2, 8, 61])
+def test_from_kronecker_round_trips_balanced_digits(width):
+    # y and z of exponents 0..14 make 225 slots, past the 16-digit runs
+    # the decoder peels one at a time; x is filled in to degree 28
+    reg, _ = make_ring()
+    edge = (1 << width - 1) - 1
+    digits = ([edge, -edge, 0, 0, 0, 1, -1] + [0] * 20 + [-edge] * 3) * 8
+    digits = digits[:224] + [edge]
+    want = {}
+    for n, c in enumerate(digits):
+        if c:
+            want[(28 - n % 15 - n // 15, n % 15, n // 15)] = Fraction(c, 7)
+    box = (("y", "z"), 15)
+    got = Poly.from_kronecker(reg, kronecker_value(digits, width), width, box, ("x", 28), 28, 7)
+    assert got == Poly(reg, want)
+    # one digit one past its bound, at either end, at the top or inside
+    for n in (224, 100, 0):
+        for past in (edge + 1, -edge - 1):
+            value = kronecker_value(digits[:n] + [past] + digits[n + 1 :], width)
+            with pytest.raises(ArithmeticError, match="overflowed"):
+                Poly.from_kronecker(reg, value, width, box, ("x", 28), 28)
+
+
+def test_from_kronecker_refuses_a_digit_past_the_degree():
+    reg, _ = make_ring()
+    box = (("y", "z"), 3)
+    # slot 7 is y*z^2, of degree 3 > 2
+    value = kronecker_value([0] * 7 + [1, 0], 8)
+    with pytest.raises(ArithmeticError, match="past degree 2"):
+        Poly.from_kronecker(reg, value, 8, box, ("x", 2), 2)
+    y, z = Poly.variable(reg, "y"), Poly.variable(reg, "z")
+    value = kronecker_value([0] * 6 + [-3], 8)
+    assert Poly.from_kronecker(reg, value, 8, box, ("x", 2), 2) == -3 * z**2
+
+
 def test_differentiate():
     reg, (x, y, _) = make_ring()
     p = x**3 * y + 2 * x
