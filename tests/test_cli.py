@@ -235,11 +235,11 @@ def test_long_plethysm_is_fast(capsys):
         (["tau", "--r", "2", "--e", "300", "--p", "0"], None),
         (["tau", "--r", "2", "--e", "1000", "--p", "0"], None),
         (["tau-check", "--r", "2", "--e", "300", "--p", "0"], None),
-        # refused before any covariant: S(400)'s Omega work passes the cap
-        (["membership", "--d", "400", "--f", "x0^400"], None),
         # a malformed cap is refused, naming the knob
         (["alpha-rank", "--n", "1", "--d", "4", "--r", "2"], "abc"),
         (["alpha-rank", "--n", "1", "--d", "4", "--r", "2"], "-5"),
+        # refused before any covariant: S(400)'s Omega work passes the cap
+        (["membership", "--d", "400", "--f", "x0^400"], None),
     ],
 )
 def test_capped_work_exits_1(capsys, monkeypatch, argv, cap):
