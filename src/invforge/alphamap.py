@@ -14,9 +14,9 @@ and stores the matrix sparse, one dict per row.  `ExactMatrix.rank`
 eliminates those rows fraction-free over the integers, dividing each
 reduced row by its content; the rank is exact whether full or not.
 `alpha_image` is the independent symbolic route (polarize each form,
-multiply) that the tests hold the matrix against.  `INVFORGE_SIZE_CAP`
-bounds the labels before the build and the term pairs it multiplies,
-hence its work and its nonzeros.
+multiply) that the tests hold the matrix against.  The work cap bounds
+the labels before the build and the term pairs it multiplies, hence its
+work and its nonzeros.
 """
 
 import functools
@@ -24,7 +24,7 @@ import itertools
 import math
 from operator import mul
 
-from .arith import SIZE_CAP_ENV, binomial, size_cap
+from .arith import binomial, check_cap, size_cap
 from .poly import Poly, VarRegistry
 from .transvect import polarize
 
@@ -210,11 +210,8 @@ def alpha_matrix(n: int, d: int, r: int) -> ExactMatrix:
     ndmons = sym_dim(n, d)
     nrows = s2_dim(sym_dim(n, r * e))
     ncols = binomial(ndmons + r - 1, r)
-    if max(nrows, r * ncols) > cap:
-        raise ValueError(
-            f"matrix would have {nrows} rows and {ncols} columns of r = {r} monomials,"
-            f" above the cap of {cap} (set {SIZE_CAP_ENV} to raise it)"
-        )
+    labels = f"matrix would have {nrows} rows and {ncols} columns of r = {r} monomials"
+    check_cap(max(nrows, r * ncols), labels, cap)
 
     dmons = monomial_exponents(n + 1, d)
     remons = monomial_exponents(n + 1, r * e)
@@ -241,10 +238,8 @@ def alpha_matrix(n: int, d: int, r: int) -> ExactMatrix:
         nonlocal pairs
         pairs += len(p) * len(q)
         if pairs > cap:
-            raise ValueError(
-                f"matrix build passes the cap of {cap} multiplied term pairs"
-                f" at column {len(col_labels)} of {ncols} (set {SIZE_CAP_ENV} to raise it)"
-            )
+            at = f"at column {len(col_labels)} of {ncols}"
+            check_cap(pairs, f"matrix build reaches {pairs} multiplied term pairs {at}", cap)
         return _mul(p, q)
 
     # columns come in lex order: share the product of all but the last monomial

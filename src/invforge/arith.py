@@ -3,8 +3,8 @@
 Everything downstream works over arbitrary-precision rationals
 (`fractions.Fraction`, or `int` where integral); this module provides the
 factorial-family helpers (factorial, binomial, Pochhammer symbol) used by
-every closed-form coefficient, and the one work cap that bounds the matrix
-build, the enumerations and the plethysm tables.
+every closed-form coefficient, and the one work cap: size_cap() reads it,
+and check_cap() holds every work estimate to it and words every refusal.
 """
 
 import os
@@ -22,6 +22,16 @@ def size_cap() -> int:
     if not raw.strip().isdecimal():
         raise ValueError(f"{SIZE_CAP_ENV} must be a nonnegative integer, got {raw!r}")
     return int(raw)
+
+
+def check_cap(work: int, what: str, cap: int = None) -> None:
+    """Raise ValueError "<what>, above the cap of N (set INVFORGE_SIZE_CAP
+    to raise it)" when the work estimate passes the cap N: size_cap(),
+    or the cap a walk read once at its start and passes in."""
+    if cap is None:
+        cap = size_cap()
+    if work > cap:
+        raise ValueError(f"{what}, above the cap of {cap} (set {SIZE_CAP_ENV} to raise it)")
 
 
 def factorial(n: int) -> int:

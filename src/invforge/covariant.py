@@ -22,7 +22,7 @@ scaled once; a Phi combines two raw U's over one common denominator.
 from fractions import Fraction
 from math import lcm, perm
 
-from .arith import SIZE_CAP_ENV, size_cap
+from .arith import check_cap
 from .closedform import n2
 from .poly import Poly
 from .transvect import BinaryForm, _omega_diagonal
@@ -37,7 +37,7 @@ def in_range(d: int, i: int, j: int) -> bool:
 def u_cov(d: int, i: int, j: int, F: BinaryForm) -> BinaryForm:
     """The covariant ((F,F)_{2i}, F)_j of a degree-d form, exactly; the
     zero form outside the index window."""
-    return CovariantExpr("U", d, (i, j)).evaluate(F)
+    return _evaluate_capped(CovariantExpr("U", d, (i, j)), F)
 
 
 def mu(e: int, i: int, j: int) -> Fraction:
@@ -54,7 +54,19 @@ def mu(e: int, i: int, j: int) -> Fraction:
 def phi(d: int, i: int, j: int, i2: int, j2: int, F: BinaryForm) -> BinaryForm:
     """mu_{i2,j2} U(i,j) - mu_{i,j} U(i2,j2), for pairs with equal 2i+j and
     both j's even."""
-    return CovariantExpr("Phi", d, (i, j, i2, j2)).evaluate(F)
+    return _evaluate_capped(CovariantExpr("Phi", d, (i, j, i2, j2)), F)
+
+
+def _evaluate_capped(expr, F: BinaryForm) -> BinaryForm:
+    """expr on F, after holding its Omega work to the work cap: 2i+1
+    branches for (F,F)_{2i} and j+1 for U(i,j), for each U of the window
+    that expr takes, each branch over as many terms as F has (as in
+    membership)."""
+    pairs = zip(expr.indices[::2], expr.indices[1::2])
+    branches = sum(2 * i + j + 2 for i, j in pairs if in_range(expr.d, i, j))
+    work = branches * len(F.poly.terms)
+    check_cap(work, f"{expr.name()} would take {work} Omega branch terms")
+    return expr.evaluate(F)
 
 
 class CovariantExpr:
@@ -205,7 +217,7 @@ def membership(F: BinaryForm) -> tuple:
     vanish on F.  Works for symbolic coefficients too, in which case
     True means the identity holds for every specialization.
 
-    Before any covariant is evaluated, INVFORGE_SIZE_CAP bounds the Omega
+    Before any covariant is evaluated, the work cap bounds the Omega
     work of the whole set: k+1 branches for each (F,F)_{2i} (k = 2i) and
     each U(i,j) (k = j) of the index window, which holds every U of S(d),
     each branch over as many terms as F has.  That is 1,812 branches at
@@ -225,12 +237,7 @@ def membership(F: BinaryForm) -> tuple:
         top = min(d, 2 * d - 4 * i)  # the window holds U(i,j) for j <= top
         branches += 2 * i + 1 + (top + 1) * (top + 2) // 2
     work = branches * len(F.poly.terms)
-    cap = size_cap()
-    if work > cap:
-        raise ValueError(
-            f"membership would take {work} Omega branch terms over S({d}), above the"
-            f" cap of {cap} (set {SIZE_CAP_ENV} to raise it)"
-        )
+    check_cap(work, f"membership would take {work} Omega branch terms over S({d})")
     cache = {}
     for expr in set_S(d):
         if not expr.evaluate(F, cache).is_zero():

@@ -15,7 +15,7 @@ closed forms except the explicit cross-check helpers.
 from fractions import Fraction
 from math import comb, prod
 
-from .arith import SIZE_CAP_ENV, factorial, size_cap
+from .arith import check_cap, factorial, size_cap
 from .closedform import n3
 from .poly import Poly, VarRegistry
 from .transvect import BinaryForm, pi_p, transvectant
@@ -76,11 +76,7 @@ def _bordered(margins, zero_diagonal: bool, border: bool, name: str):
         if key not in built:
             k = sum(1 for c in caps if c)  # the cells that may be nonzero
             cells += comb(margins[i] + k - 1, margins[i]) * size if k else size
-            if cells > cap:
-                raise ValueError(
-                    f"{name} would build {cells} cells of candidate rows, above the cap"
-                    f" of {cap} (set {SIZE_CAP_ENV} to raise it)"
-                )
+            check_cap(cells, f"{name} would build {cells} cells of candidate rows", cap)
             built[key] = [
                 (pack(row), row if border else row[:last])
                 for row in _compositions(margins[i], caps)
@@ -119,10 +115,7 @@ def _bordered(margins, zero_diagonal: bool, border: bool, name: str):
             if i + 1 < last:
                 tried += len(levels[i + 1])
                 if tried > cap:
-                    raise ValueError(
-                        f"{name} passes the cap of {cap} candidate rows tried"
-                        f" (set {SIZE_CAP_ENV} to raise it)"
-                    )
+                    check_cap(tried, f"{name} would try {tried} candidate rows", cap)
                 lefts[i + 1] = left
                 stack.append(iter(levels[i + 1]))
                 break
@@ -144,7 +137,7 @@ def multigraphs(e: int, p: int):
     except the border's 2e - 2p: row i's border cell is 2 - l_i, column j's
     is 2 - c_j, and the corner is zero.  So the candidate rows are the
     length-e rows with entry sum <= 2, placed one per level; the work is
-    held to INVFORGE_SIZE_CAP, past which this raises ValueError.
+    held to the work cap, past which this raises ValueError.
     """
     if not (0 <= p <= e):
         raise ValueError(f"multigraphs needs 0 <= p <= e, got {(e, p)}")
@@ -247,8 +240,8 @@ def transport_matrices(r: int, e: int, p: int):
 
     The candidate rows are the compositions of each margin with a zero on
     the diagonal, placed one per level; the last row is what the columns
-    have left.  The work is held to INVFORGE_SIZE_CAP, past which this
-    raises ValueError."""
+    have left.  The work is held to the work cap, past which this raises
+    ValueError."""
     _check_range("transport_matrices", r, e, p)
     margins = [e] * r + [r * e - 2 * p]
     yield from _bordered(margins, zero_diagonal=True, border=True, name="transport_matrices")
@@ -286,20 +279,18 @@ def tau(r: int, e: int, p: int) -> Poly:
     subtraction, and Poly.from_kronecker unpacks the sum and divides it by
     L once.
 
-    INVFORGE_SIZE_CAP bounds the answer's bits before any factorial (up to
+    The work cap bounds the answer's bits before any factorial (up to
     C(D + r, r) monomials of degree D over D!, of D * D.bit_length() bits
     at most), then, after the walk and before any shift, the bits of the
     packed sum, (2e+1)^r digits of width bits.
     """
     _check_range("tau", r, e, p)
     cap = size_cap()
-    over = f"above the cap of {cap} (set {SIZE_CAP_ENV} to raise it)"
     degree = 2 * r * e - 2 * p
     size = degree * degree.bit_length()  # at least the bit length of degree!
     for k in range(1, r + 1):  # size becomes C(degree + k, k) times those bits
         size = size * (degree + k) // k
-        if size > cap:
-            raise ValueError(f"tau's answer could hold {size} bits or more, {over}")
+        check_cap(size, f"tau's answer could hold {size} bits or more", cap)
     common = factorial(degree)
     facts = [factorial(m) for m in range(max(e, r * e - 2 * p) + 1)]
     # 0-based: index i < r is z_{i+1}, and index r the border row and column
@@ -321,8 +312,7 @@ def tau(r: int, e: int, p: int) -> Poly:
     radix = 2 * e + 1  # z_i's exponents, 0..2e
     width = (sum(map(abs, kept.values())) << degree).bit_length() + 2
     bits = radix**r * width
-    if bits > cap:
-        raise ValueError(f"tau's packed sum would take {bits} bits, {over}")
+    check_cap(bits, f"tau's packed sum would take {bits} bits", cap)
     # t = 1 and z_i = 2^shifts[i]: (z_i - z_j)^m = z_i^m (1 - 2^step)^m with
     # step = shifts[j] - shifts[i], and (t - z_i)^m = (1 - 2^shifts[i])^m;
     # the shortest steps go first, so each partial product grows late
@@ -342,14 +332,14 @@ def tau(r: int, e: int, p: int) -> Poly:
         total += w << low
     registry = VarRegistry(["t"] + [f"z{i}" for i in range(1, r + 1)])
     z = (registry.names[1:], radix)
-    return Poly.from_kronecker(registry, total, width, z, ("t", degree), degree, common)
+    return Poly.from_kronecker(registry, total, width, z, ("t", degree), common)
 
 
 def tau_transvectant_check(r: int, e: int, p: int) -> bool:
     """Check that the transvectant (prod l_i^e, prod l_j^e)_{2p} of the
     lines l_i = z_i x0 + x1, dehomogenized by x0 = -1, x1 = t, equals
     (re-2p)!^2 (2p)! e!^(2r) / (re)!^2 times tau(r, e, p).
-    tau runs first, so its INVFORGE_SIZE_CAP checks precede all else here."""
+    tau runs first, so its work-cap checks precede all else here."""
     _check_range("tau_transvectant_check", r, e, p)
     rhs = tau(r, e, p) * Fraction(
         factorial(r * e - 2 * p) ** 2 * factorial(2 * p) * factorial(e) ** (2 * r),

@@ -14,7 +14,7 @@ weight to multiplicity; negative entries are legal in intermediate
 
 from functools import lru_cache
 
-from .arith import SIZE_CAP_ENV, size_cap
+from .arith import check_cap
 
 
 def box_partitions(total: int, parts: int, largest: int) -> int:
@@ -40,12 +40,7 @@ def _gaussian_binomial(parts: int, largest: int) -> tuple:
     n = parts + largest
     k = min(parts, largest)
     work = k * (k * (n - k + 1) + 1)
-    cap = size_cap()
-    if work > cap:
-        raise ValueError(
-            f"the partition table of a {parts} x {largest} box takes {work} steps,"
-            f" above the cap of {cap} (set {SIZE_CAP_ENV} to raise it)"
-        )
+    check_cap(work, f"the partition table of a {parts} x {largest} box takes {work} steps")
     coeffs = [1] + [0] * (k * (n - k + 1))  # room for the last product
     top = 0  # degree of the partial product
     for i in range(1, k + 1):

@@ -39,10 +39,10 @@ which passes all its triples to one call.
 Poly.from_kronecker is the one decoder of a Kronecker-packed int: one
 balanced base-2^width digit per slot of an exponent box, one variable
 filled in by homogeneity.  The dense route of transvect._omega_diagonal
-and enumeration.tau multiply as big ints and decode through it, so
-packed keys are written only in this module.  The one reader outside it
-is transvect._dense_coefficients, which reads the x0, x1 fields of
-integer binary forms through _W and _MASK.
+and enumeration.tau multiply as big ints and decode through it, and
+Poly.dense_coefficients gives that route the coefficient list of an
+integer binary form, so packed keys are read and written only in this
+module.
 
 Text goes both ways.  str() writes terms in graded lexicographic order,
 highest first; parse() reads terms joined by + or -, each an optional
@@ -252,7 +252,7 @@ class Poly:
         return cls._trusted(registry, _settle(acc), bound)
 
     @classmethod
-    def from_kronecker(cls, registry, value, width, box, fill, bound, denominator=1):
+    def from_kronecker(cls, registry, value, width, box, fill, denominator=1):
         """The Poly over registry whose Kronecker image is value / denominator.
 
         box = (names, size) numbers the slots of an exponent box: slot n
@@ -264,7 +264,8 @@ class Poly:
         the coefficient c_n / denominator.  ArithmeticError: value has no
         such digits (it reaches past the last slot, or a digit past its
         bound), or a nonzero digit would give fill a negative exponent.
-        bound is the result's exponent bound, as for _trusted.
+        Every exponent of the result lies in 0..degree, so degree is its
+        exponent bound.
         """
         names, size = box
         name, degree = fill
@@ -284,7 +285,7 @@ class Poly:
                 raise ArithmeticError(f"a nonzero digit lies past degree {degree}")
         if denominator != 1:
             terms = {key: Fraction(c, denominator) for key, c in terms.items()}
-        return cls._trusted(registry, terms, bound)
+        return cls._trusted(registry, terms, degree)
 
     # -- predicates and bookkeeping ---------------------------------------
 
@@ -295,6 +296,28 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def dense_coefficients(self, names):
+        """[c_0, ..., c_a] with this Poly = sum_s c_s u^(a-s) v^s for names
+        = (u, v), or None unless it is a nonzero form of degree a in u, v
+        alone with int coefficients and at least (a+1)/2 terms, so the list
+        is at most twice its size."""
+        terms = self.terms
+        if not terms:
+            return None
+        s0, s1 = (_W * self.registry.index(n) for n in names)
+        first = next(iter(terms))
+        a = ((first >> s0) & _MASK) + ((first >> s1) & _MASK)
+        if 2 * len(terms) < a + 1:
+            return None
+        coeffs = [0] * (a + 1)
+        for key, c in terms.items():
+            s = (key >> s1) & _MASK
+            # s > a makes the rebuilt key negative, so it never matches
+            if type(c) is not int or key != ((a - s) << s0 | s << s1):
+                return None
+            coeffs[s] = c
+        return coeffs
 
     def __eq__(self, other):
         if not isinstance(other, Poly):

@@ -19,19 +19,23 @@ four variables.  omega_apply and pi_p act on a given polynomial in all four
 variables, so its registry must hold y0 and y1 as well.
 
 _omega_diagonal, the one transvectant kernel, has two routes.  Two dense
-integer forms (int coefficients, x0 and x1 alone, at least (a+1)/2 terms
-at degree a) go by Kronecker substitution: one big-int product per Omega
-branch, with base-2^width digits two bits wider than the bound
-2^k (ab)^k |A|_1 |B|_inf on every output coefficient, so no digit carries,
-and Poly.from_kronecker decodes the one sum.  Every other pair sums its
-derivative pairs in one Poly.weighted_sum.
+integer forms go by Kronecker substitution: Poly.dense_coefficients gives
+their coefficient lists (int coefficients, x0 and x1 alone, at least
+(a+1)/2 terms at degree a), each Omega branch is one big-int product of
+base-2^width digits two bits wider than the bound 2^k (ab)^k |A|_1 |B|_inf
+on every output coefficient, so no digit carries, and Poly.from_kronecker
+decodes the one sum.  This module never touches a packed key.  Every other
+pair sums its derivative pairs in one Poly.weighted_sum.
+
+transvectant and pi_p hold their Omega work, branches times input terms,
+to the work cap (arith.check_cap) before the first derivative.
 """
 
 from fractions import Fraction
 from math import perm
 
-from .arith import binomial
-from .poly import _MASK, _W, Poly, VarRegistry
+from .arith import binomial, check_cap
+from .poly import Poly, VarRegistry
 
 
 X = ("x0", "x1")
@@ -76,22 +80,24 @@ class BinaryForm:
 
 
 def omega_apply(P: Poly, k: int) -> Poly:
-    """Omega^k P for a polynomial in x0, x1, y0, y1, expanded binomially."""
+    """Omega^k P for a polynomial in x0, x1, y0, y1, expanded binomially.
+
+    Branch i differentiates in x1 and y0 first and stops at its first zero
+    derivative; the derivatives commute, so the order changes nothing else.
+    """
     if k < 0:
         raise ValueError("negative Omega power")
     (x0, x1), (y0, y1) = X, Y
     total = Poly.zero(P.registry)
     for i in range(k + 1):
-        branch = (
-            P.differentiate(x0, k - i)
-            .differentiate(y1, k - i)
-            .differentiate(x1, i)
-            .differentiate(y0, i)
-        )
-        if branch.is_zero():
-            continue
-        sign = -1 if i % 2 else 1
-        total = total + branch * (sign * binomial(k, i))
+        branch = P
+        for var, times in ((x1, i), (y0, i), (x0, k - i), (y1, k - i)):
+            branch = branch.differentiate(var, times)
+            if branch.is_zero():
+                break
+        else:
+            sign = -1 if i % 2 else 1
+            total = total + branch * (sign * binomial(k, i))
     return total
 
 
@@ -118,21 +124,20 @@ def _omega_diagonal(apoly: Poly, bpoly: Poly, k: int) -> Poly:
     keeps integer coefficients integer so callers can defer the rational
     normalization to a single scalar multiply.
 
-    Two dense integer forms over one registry (_dense_coefficients) take
-    the Kronecker route, _omega_dense.  Any other pair (symbolic
+    Two dense integer forms over one registry (Poly.dense_coefficients)
+    take the Kronecker route, _omega_dense.  Any other pair (symbolic
     coefficients, a Fraction, a zero, a sparse form such as x0^1048576)
     is summed by one Poly.weighted_sum fed the nonzero derivative pairs
     one at a time, so no pair outlives its accumulation.  Both routes give
-    the same terms and bound.
+    the same terms.
     """
     x0, x1 = X
     reg = apoly.registry
     if bpoly.registry is reg:
-        shifts = (_W * reg.index(x0), _W * reg.index(x1))
-        A = _dense_coefficients(apoly, *shifts)
-        B = A and _dense_coefficients(bpoly, *shifts)
+        A = apoly.dense_coefficients(X)
+        B = A and bpoly.dense_coefficients(X)
         if B:
-            return _omega_dense(apoly, bpoly, A, B, k)
+            return _omega_dense(reg, A, B, k)
 
     def triples():
         for i in range(k + 1):
@@ -148,29 +153,7 @@ def _omega_diagonal(apoly: Poly, bpoly: Poly, k: int) -> Poly:
     return Poly.weighted_sum(reg, triples())
 
 
-def _dense_coefficients(poly: Poly, s0: int, s1: int):
-    """[c_0, ..., c_a] with poly = sum_s c_s x0^(a-s) x1^s (x0, x1 at bit
-    shifts s0, s1), or None unless poly is a nonzero form of degree a in
-    x0, x1 alone with int coefficients and at least (a+1)/2 terms, so the
-    list is at most twice the input's size."""
-    terms = poly.terms
-    if not terms:
-        return None
-    first = next(iter(terms))
-    a = ((first >> s0) & _MASK) + ((first >> s1) & _MASK)
-    if 2 * len(terms) < a + 1:
-        return None
-    coeffs = [0] * (a + 1)
-    for key, c in terms.items():
-        s = (key >> s1) & _MASK
-        # s > a makes the rebuilt key negative, so it never matches
-        if type(c) is not int or key != ((a - s) << s0 | s << s1):
-            return None
-        coeffs[s] = c
-    return coeffs
-
-
-def _omega_dense(apoly, bpoly, A, B, k) -> Poly:
+def _omega_dense(registry, A, B, k) -> Poly:
     """_omega_diagonal on coefficient lists, by Kronecker substitution.
 
     Branch i packs its derivatives' coefficients as base-2^width digits,
@@ -184,10 +167,10 @@ def _omega_dense(apoly, bpoly, A, B, k) -> Poly:
     """
     a, b = len(A) - 1, len(B) - 1
     if not 0 <= k <= min(a, b):
-        return Poly.zero(apoly.registry)
+        return Poly.zero(registry)
     limit = 2**k * (a * b) ** k * sum(map(abs, A)) * max(map(abs, B))
     width = limit.bit_length() + 2
-    total = bound = 0
+    total = 0
     for i in range(k + 1):
         pa = 0
         for s in range(a - k + i, i - 1, -1):
@@ -196,11 +179,10 @@ def _omega_dense(apoly, bpoly, A, B, k) -> Poly:
         for t in range(b - i, k - i - 1, -1):
             pb = (pb << width) + B[t] * perm(b - t, i) * perm(t, k - i)
         if pa and pb:
-            bound = apoly.bound + bpoly.bound
             sign = -1 if i % 2 else 1
             total += sign * binomial(k, i) * pa * pb
     n = a + b - 2 * k
-    return Poly.from_kronecker(apoly.registry, total, width, ((X[1],), n + 1), (X[0], n), bound)
+    return Poly.from_kronecker(registry, total, width, ((X[1],), n + 1), (X[0], n))
 
 
 def transvectant(A: BinaryForm, B: BinaryForm, k: int) -> BinaryForm:
@@ -211,6 +193,8 @@ def transvectant(A: BinaryForm, B: BinaryForm, k: int) -> BinaryForm:
     degree = max(a + b - 2 * k, 0)
     if k > min(a, b):
         return BinaryForm(Poly.zero(A.poly.registry), degree)
+    work = (k + 1) * (len(A.poly.terms) + len(B.poly.terms))
+    check_cap(work, f"the transvectant of order {k} would take {work} Omega branch terms")
     raw = _omega_diagonal(A.poly, B.poly, k)
     # (a-k)!(b-k)!/(a!b!) as falling factorials: no factorial of a or b
     norm = Fraction(1, perm(a, k) * perm(b, k))
@@ -220,7 +204,8 @@ def transvectant(A: BinaryForm, B: BinaryForm, k: int) -> BinaryForm:
 def pi_p(G: Poly, p: int) -> BinaryForm:
     """(Omega^{2p} G) at y:=x, with no normalizing scalar.
 
-    G must be bihomogeneous of equal degree in X and Y.
+    G must be bihomogeneous of equal degree n in X and Y; the result is
+    zero when 2p > n.
     """
     if p < 0:
         raise ValueError("negative projection index")
@@ -229,8 +214,12 @@ def pi_p(G: Poly, p: int) -> BinaryForm:
         return BinaryForm(G, 0)
     if n != G.degree_in(Y) or not (G.is_homogeneous_in(X, n) and G.is_homogeneous_in(Y, n)):
         raise ValueError("input is not bihomogeneous of equal degree in both pairs")
-    reduced = omega_apply(G, 2 * p)
     reg = G.registry
+    if 2 * p > n:  # every branch takes 2p derivatives in X, past G's degree
+        return BinaryForm(Poly.zero(reg), 0)
+    work = (2 * p + 1) * len(G.terms)
+    check_cap(work, f"pi_p would take {work} Omega branch terms")
+    reduced = omega_apply(G, 2 * p)
     diag = reduced.substitute({y: Poly.variable(reg, x) for x, y in zip(X, Y)})
     return BinaryForm(diag, max(2 * n - 4 * p, 0))
 

@@ -8,6 +8,7 @@ from invforge.arith import (
     DEFAULT_SIZE_CAP,
     SIZE_CAP_ENV,
     binomial,
+    check_cap,
     factorial,
     pochhammer,
     rat_str,
@@ -81,3 +82,21 @@ def test_size_cap_accepts_zero_and_padding(monkeypatch):
     assert size_cap() == 0
     monkeypatch.setenv(SIZE_CAP_ENV, " 17\n")
     assert size_cap() == 17
+
+
+def test_check_cap_passes_at_the_cap_and_refuses_past_it(monkeypatch):
+    monkeypatch.setenv(SIZE_CAP_ENV, "100")
+    check_cap(100, "unused")
+    want = f"x would take 101 steps, above the cap of 100 (set {SIZE_CAP_ENV} to raise it)"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        check_cap(101, "x would take 101 steps")
+    # a cap read once by a walk is the one compared, whatever the knob says
+    check_cap(7, "unused", 7)
+    with pytest.raises(ValueError, match=r"above the cap of 7 \("):
+        check_cap(8, "walk", 7)
+
+
+def test_check_cap_refuses_a_malformed_cap_before_any_work(monkeypatch):
+    monkeypatch.setenv(SIZE_CAP_ENV, "abc")
+    with pytest.raises(ValueError, match=f"^{SIZE_CAP_ENV} must be a nonnegative integer"):
+        check_cap(0, "no work")

@@ -240,6 +240,12 @@ def test_long_plethysm_is_fast(capsys):
         (["alpha-rank", "--n", "1", "--d", "4", "--r", "2"], "-5"),
         # refused before any covariant: S(400)'s Omega work passes the cap
         (["membership", "--d", "400", "--f", "x0^400"], None),
+        # refused before any derivative: Omega branches times input terms
+        (["transvect", "--a", "x0^1048576", "--b", "x1^1048576", "--k", "1048576"], None),
+        (["covariant", "--d", "1000000", "--i", "0", "--j", "1000000",
+          "--f", "x0^1000000 + x1^1000000"], None),
+        (["pi-p", "--g", "x0^1048576*y1^1048576 + x1^1048576*y0^1048576",
+          "--p", "524288"], None),
     ],
 )
 def test_capped_work_exits_1(capsys, monkeypatch, argv, cap):

@@ -413,3 +413,24 @@ def test_membership_accepts_scaled_quadratic_powers():
             continue
         s = rng.choice([1, 2, -3, Fraction(1, 2)])
         assert membership(form(s * Q**2, degree=4)) == (True, None)
+
+
+def test_u_cov_and_phi_hold_their_omega_work_to_the_cap(monkeypatch):
+    reg = xreg()
+    x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")
+    F = form(x0**4 + x1**4)
+    # U(1,1): 3 branches for (F,F)_2 and 2 for (., F)_1, over F's 2 terms
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "10")
+    u_cov(4, 1, 1, F)
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "9")
+    with pytest.raises(ValueError, match=r"^U\(1,1\) would take 10 Omega branch terms, above"):
+        u_cov(4, 1, 1, F)
+    # Phi(0,2,1,0): U(0,2) takes 1 + 3 branches and U(1,0) 3 + 1
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "16")
+    phi(4, 0, 2, 1, 0, F)
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "15")
+    with pytest.raises(ValueError, match=r"^Phi\(0,2,1,0\) would take 16 Omega branch terms"):
+        phi(4, 0, 2, 1, 0, F)
+    # a U outside the window is the zero form, and costs nothing
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "0")
+    assert u_cov(4, 3, 0, F).is_zero()

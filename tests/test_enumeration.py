@@ -99,13 +99,15 @@ def test_enumeration_size_cap(monkeypatch):
     with pytest.raises(ValueError, match=f"18 cells of candidate rows.*cap of 17.*{SIZE_CAP_ENV}"):
         next(multigraphs(2, 1))
     monkeypatch.setenv(SIZE_CAP_ENV, "41")
-    with pytest.raises(ValueError, match=f"cap of 41 candidate rows tried.*{SIZE_CAP_ENV}"):
+    over = rf"above the cap of {{}} \(set {SIZE_CAP_ENV} to raise it\)$"
+    with pytest.raises(ValueError, match="would try 42 candidate rows, " + over.format(41)):
         list(multigraphs(2, 1))
     monkeypatch.setenv(SIZE_CAP_ENV, "42")
     assert len(list(multigraphs(2, 1))) == 10
     # transport_matrices(4, 2, 2): 4 lists of 10 rows of length 5, 200 cells
     monkeypatch.setenv(SIZE_CAP_ENV, "300")
-    with pytest.raises(ValueError, match=f"^transport_matrices passes the cap of 300 .*{SIZE_CAP_ENV}"):
+    tried = "^transport_matrices would try 310 candidate rows, "
+    with pytest.raises(ValueError, match=tried + over.format(300)):
         list(transport_matrices(4, 2, 2))
     with pytest.raises(ValueError, match=f"^transport_matrices would build .* cap of 300 .*{SIZE_CAP_ENV}"):
         next(transport_matrices(6, 3, 4))

@@ -253,14 +253,15 @@ def test_from_kronecker_round_trips_balanced_digits(width):
         if c:
             want[(28 - n % 15 - n // 15, n % 15, n // 15)] = Fraction(c, 7)
     box = (("y", "z"), 15)
-    got = Poly.from_kronecker(reg, kronecker_value(digits, width), width, box, ("x", 28), 28, 7)
+    got = Poly.from_kronecker(reg, kronecker_value(digits, width), width, box, ("x", 28), 7)
     assert got == Poly(reg, want)
+    assert got.bound == 28  # the fill degree, the most any exponent can be
     # one digit one past its bound, at either end, at the top or inside
     for n in (224, 100, 0):
         for past in (edge + 1, -edge - 1):
             value = kronecker_value(digits[:n] + [past] + digits[n + 1 :], width)
             with pytest.raises(ArithmeticError, match="overflowed"):
-                Poly.from_kronecker(reg, value, width, box, ("x", 28), 28)
+                Poly.from_kronecker(reg, value, width, box, ("x", 28))
 
 
 def test_from_kronecker_refuses_a_digit_past_the_degree():
@@ -269,10 +270,10 @@ def test_from_kronecker_refuses_a_digit_past_the_degree():
     # slot 7 is y*z^2, of degree 3 > 2
     value = kronecker_value([0] * 7 + [1, 0], 8)
     with pytest.raises(ArithmeticError, match="past degree 2"):
-        Poly.from_kronecker(reg, value, 8, box, ("x", 2), 2)
+        Poly.from_kronecker(reg, value, 8, box, ("x", 2))
     y, z = Poly.variable(reg, "y"), Poly.variable(reg, "z")
     value = kronecker_value([0] * 6 + [-3], 8)
-    assert Poly.from_kronecker(reg, value, 8, box, ("x", 2), 2) == -3 * z**2
+    assert Poly.from_kronecker(reg, value, 8, box, ("x", 2)) == -3 * z**2
 
 
 def test_differentiate():

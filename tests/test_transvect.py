@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import perm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invforge import transvect
 from invforge.poly import Poly, VarRegistry
 from invforge.transvect import (
     BinaryForm,
@@ -169,6 +171,52 @@ def test_pi_p_squared_bracket():
     out = pi_p(G, 1)
     assert out.poly.constant_value() == 12
     assert out.degree == 0
+
+
+def test_omega_apply_stops_each_branch_at_its_first_zero_derivative(monkeypatch):
+    # on x0^a y1^a every branch i >= 1 vanishes at its first x1 derivative;
+    # only branch 0 takes all four, so k + 4 calls in all
+    calls = []
+    differentiate = Poly.differentiate
+
+    def counting(self, var, times=1):
+        calls.append(var)
+        return differentiate(self, var, times)
+
+    monkeypatch.setattr(Poly, "differentiate", counting)
+    reg, (x0, x1, y0, y1) = xy4_ring()
+    for a, k in ((3, 3), (40, 20), (300, 300)):
+        calls.clear()
+        got = omega_apply(x0**a * y1**a, k)
+        assert len(calls) <= k + 4
+        assert got == Poly.term(reg, perm(a, k) ** 2, {"x0": a - k, "y1": a - k})
+
+
+def test_pi_p_past_the_degree_is_zero_without_a_branch(monkeypatch):
+    # 2p > n: every branch takes 2p derivatives in x0, x1 of a degree-n form
+    monkeypatch.setattr(transvect, "omega_apply", None)
+    reg, (x0, x1, y0, y1) = xy4_ring()
+    out = pi_p(x0 * y1 - x1 * y0, 10**9)
+    assert out.is_zero() and out.degree == 0
+
+
+def test_omega_entry_points_hold_branches_times_terms_to_the_cap(monkeypatch):
+    reg, (x0, x1, y0, y1) = xy4_ring()
+    A = BinaryForm(x0**3 + x1**3)
+    B = BinaryForm(x0**2 + x1**2)
+    # (A, B)_2: 3 branches over 2 + 2 terms
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "12")
+    assert str(transvectant(A, B, 2)) == "x0 + x1"
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "11")
+    with pytest.raises(ValueError, match="^the transvectant of order 2 would take 12 Omega"):
+        transvectant(A, B, 2)
+    # Omega^2 of G = x0^2 y1^2 - 2 x0 x1 y0 y1 + x1^2 y0^2: 3 branches over 3 terms
+    G = (x0 * y1 - x1 * y0) ** 2
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "9")
+    assert pi_p(G, 1).poly.constant_value() == 12
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "8")
+    with pytest.raises(ValueError, match="^pi_p would take 9 Omega branch terms, above"):
+        pi_p(G, 1)
 
 
 def test_pi_p_rejects_unbalanced():
