@@ -29,12 +29,14 @@ coefficients.  exponent_terms() is the view keyed by exponent tuples (one
 entry per variable of the registry as it is now), for readers that need the
 exponents themselves.
 
-Poly.weighted_sum is the one accumulation primitive: it adds w * a * b
-over (int w, Poly a, Poly b) triples into one dict, folding each weight
-into the shorter operand, and builds no intermediate Poly.  Its callers
-are __mul__, whose product a * b is the sum of the single triple
-(1, a, b), and the derivative-pair route of transvect._omega_diagonal,
-which passes all its triples to one call.
+Poly.weighted_sum holds the one multiply-accumulate loop.  It groups the
+terms of each operand by their exponents in some named variables and gives
+each pair of groups one int weight, the dot product of the groups' weight
+vectors; each term pair of nonzero weight is multiplied once, and its key
+lowered by a fixed power of the named variables.  a * b is its trivial
+case, one group on each side and weight 1; transvect._omega_diagonal
+groups by x0, x1 and lowers by (x0 x1)^k, its weights folding the k+1
+Omega branches into one per pair of x-exponents.
 
 Poly.from_kronecker is the one decoder of a Kronecker-packed int: one
 balanced base-2^width digit per slot of an exponent box, one variable
@@ -70,7 +72,7 @@ import re
 from fractions import Fraction
 from functools import reduce
 from math import perm
-from operator import or_
+from operator import mul, or_
 
 # the one variable-name pattern (see the module docstring)
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -226,29 +228,54 @@ class Poly:
         return cls._trusted(registry, {key: c} if c else {}, bound)
 
     @classmethod
-    def weighted_sum(cls, registry, triples):
-        """sum of w * a * b over (int w, Poly a, Poly b) triples, accumulated
-        in place in one dict, with no intermediate Poly: each weight is
-        folded into the coefficients of the shorter operand.  Every a and b
-        must be over registry; any weight but an int raises TypeError."""
+    def weighted_sum(cls, a, b, names=(), lower=0, weights=None):
+        """sum of w(p, q) * s * t / m^lower over the terms s of a and t of b,
+        where p and q are the exponent tuples of s and t in names, m is the
+        product of the names, and w(p, q) = sum_i l_i r_i over the indices
+        i that both (i0, [l_i0, l_i0+1, ...]) = left(p) and (j0, [r_j0,
+        ...]) = right(q) cover, for weights = (left, right).
+
+        Each operand's terms are listed once per group of equal exponents
+        in names, with the group's weight vector.  A pair of groups of
+        weight 0 is skipped, and every other term pair is multiplied once,
+        into one dict, the weight folded into the shorter group.  With no
+        names each operand is one group, and weights=None gives it the
+        vector (0, [1]): that is a * b.  a and b must share a registry, and
+        a weight but an int raises TypeError.  The weights must vanish
+        wherever some p_j + q_j < lower, as a lowered exponent would be
+        negative; this is not checked."""
+        registry = a.registry
+        if b.registry is not registry:
+            raise ValueError("registry mismatch in weighted_sum")
+        shifts = [_W * registry.index(n) for n in names]
+        drop = sum(lower << s for s in shifts)
+        left, right = weights or (_unit, _unit)
+        ga = _groups(a.terms, shifts, left)
+        gb = _groups(b.terms, shifts, right)
         acc = {}
         get = acc.get
-        bound = 0
-        for w, a, b in triples:
-            if not isinstance(w, int):
-                raise TypeError(f"weight {w!r} is not an int")
-            if a.registry is not registry or b.registry is not registry:
-                raise ValueError("registry mismatch in weighted_sum")
-            bound = max(bound, a.bound + b.bound)
-            a, b = a.terms, b.terms
-            if len(a) > len(b):
-                a, b = b, a
-            b = list(b.items())
-            for ka, ca in a.items():
-                ca *= w
-                for kb, cb in b:
-                    key = ka + kb
-                    acc[key] = get(key, 0) + ca * cb
+        for na, sa, la, ha, va in ga:
+            for nb, sb, lb, hb, vb in gb:
+                lo = la if la > lb else lb
+                hi = ha if ha < hb else hb
+                if lo >= hi:
+                    continue
+                if hi - lo == 1:
+                    w = va[lo - la] * vb[lo - lb]
+                else:
+                    w = sum(map(mul, va[lo - la : hi - la], vb[lo - lb : hi - lb]))
+                if not w:
+                    continue
+                if not isinstance(w, int):
+                    raise TypeError(f"weight {w!r} is not an int")
+                outer, inner = (sa, sb) if na <= nb else (sb, sa)
+                for ka, ca in outer:
+                    ca *= w
+                    ka -= drop
+                    for kb, cb in inner:
+                        key = ka + kb
+                        acc[key] = get(key, 0) + ca * cb
+        bound = a.bound + b.bound if acc else 0
         return cls._trusted(registry, _settle(acc), bound)
 
     @classmethod
@@ -404,7 +431,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
-        return Poly.weighted_sum(self.registry, ((1, self, other),))
+        return Poly.weighted_sum(self, other)
 
     __rmul__ = __mul__
 
@@ -630,6 +657,33 @@ def _kronecker_terms(value, width, keys) -> dict:
     if -half in terms.values():
         raise ArithmeticError("Kronecker digits overflowed their width")
     return terms
+
+
+def _unit(p):
+    return 0, [1]
+
+
+def _groups(terms, shifts, vector) -> list:
+    """(size, [(key, coefficient), ...], first, end, entries) per tuple p of
+    the exponents of terms in the fields at shifts: the terms with those
+    exponents, and their weight vector (first, entries) = vector(p), which
+    covers the indices first..end-1."""
+    if not shifts:
+        groups = {0: list(terms.items())}
+    else:
+        fields = sum(_MASK << s for s in shifts)
+        groups = {}
+        for key, c in terms.items():
+            group = groups.get(key & fields)
+            if group is None:
+                groups[key & fields] = [(key, c)]
+            else:
+                group.append((key, c))
+    out = []
+    for g, group in groups.items():
+        first, entries = vector(tuple([(g >> s) & _MASK for s in shifts]))
+        out.append((len(group), group, first, first + len(entries), entries))
+    return out
 
 
 def _settle(terms):

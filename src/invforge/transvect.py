@@ -24,15 +24,17 @@ their coefficient lists (int coefficients, x0 and x1 alone, at least
 (a+1)/2 terms at degree a), each Omega branch is one big-int product of
 base-2^width digits two bits wider than the bound 2^k (ab)^k |A|_1 |B|_inf
 on every output coefficient, so no digit carries, and Poly.from_kronecker
-decodes the one sum.  This module never touches a packed key.  Every other
-pair sums its derivative pairs in one Poly.weighted_sum.
+decodes the one sum.  Every other pair goes through one Poly.weighted_sum
+that multiplies each term pair once, by one weight per pair of x-exponents
+into which _omega_weights folds the k+1 branches, and takes no derivative.
+This module never touches a packed key.
 
 transvectant and pi_p hold their Omega work, branches times input terms,
-to the work cap (arith.check_cap) before the first derivative.
+to the work cap (arith.check_cap) before the kernel runs.
 """
 
 from fractions import Fraction
-from math import perm
+from math import comb, factorial, perm
 
 from .arith import binomial, check_cap
 from .poly import Poly, VarRegistry
@@ -127,30 +129,45 @@ def _omega_diagonal(apoly: Poly, bpoly: Poly, k: int) -> Poly:
     Two dense integer forms over one registry (Poly.dense_coefficients)
     take the Kronecker route, _omega_dense.  Any other pair (symbolic
     coefficients, a Fraction, a zero, a sparse form such as x0^1048576)
-    is summed by one Poly.weighted_sum fed the nonzero derivative pairs
-    one at a time, so no pair outlives its accumulation.  Both routes give
-    the same terms.
+    goes through one Poly.weighted_sum grouped by x0, x1, with the
+    weights of _omega_weights.  Both routes give the same terms.
     """
-    x0, x1 = X
     reg = apoly.registry
     if bpoly.registry is reg:
         A = apoly.dense_coefficients(X)
         B = A and bpoly.dense_coefficients(X)
         if B:
             return _omega_dense(reg, A, B, k)
+    return Poly.weighted_sum(apoly, bpoly, X, k, _omega_weights(k))
 
-    def triples():
-        for i in range(k + 1):
-            da = apoly.differentiate(x0, k - i).differentiate(x1, i)
-            if da.is_zero():
-                continue
-            db = bpoly.differentiate(x0, i).differentiate(x1, k - i)
-            if db.is_zero():
-                continue
-            sign = -1 if i % 2 else 1
-            yield sign * binomial(k, i), da, db
 
-    return Poly.weighted_sum(reg, triples())
+def _omega_weights(k):
+    """(left, right) for Poly.weighted_sum.  Every Omega branch sends a
+    term of A with x-exponents p = (p0, p1) and one of B with x-exponents
+    q = (q0, q1) to the same monomial, so the k+1 branches fold into one
+    weight per pair of x-exponents,
+
+        sum_i (-1)^i C(k,i) (p0)_{k-i} (p1)_i (q0)_i (q1)_{k-i}
+          = sum_i (-1)^i C(p0,k-i) C(p1,i) * k! (q0)_i (q1)_{k-i}
+
+    (falling factorials), summed over the branches i both terms survive:
+    max(0, k-p0) <= i <= min(k, p1) on the left and max(0, k-q1) <= i <=
+    min(k, q0) on the right.  Each vector lists only those branches, so no
+    pair of exponents costs more than the branches it survives.
+    """
+    scale = factorial(k)
+
+    def left(p):
+        p0, p1 = p
+        lo = max(0, k - p0)
+        return lo, [(-1) ** i * comb(p0, k - i) * comb(p1, i) for i in range(lo, min(k, p1) + 1)]
+
+    def right(q):
+        q0, q1 = q
+        lo = max(0, k - q1)
+        return lo, [scale * perm(q0, i) * perm(q1, k - i) for i in range(lo, min(k, q0) + 1)]
+
+    return left, right
 
 
 def _omega_dense(registry, A, B, k) -> Poly:
@@ -159,25 +176,31 @@ def _omega_dense(registry, A, B, k) -> Poly:
     Branch i packs its derivatives' coefficients as base-2^width digits,
     alpha_i(s) = A[s] (a-s)_{k-i} (s)_i for s = i..a-k+i and
     beta_i(t) = B[t] (b-t)_i (t)_{k-i} for t = k-i..b-i (falling
-    factorials), and adds +-C(k,i) times the product of the two ints to
-    one sum, whose digit m = s+t-k holds x0^(a+b-2k-m) x1^m for every
-    branch.  No output coefficient exceeds 2^k (ab)^k |A|_1 |B|_inf in
-    absolute value and the width is two bits past that, so the balanced
-    digits never carry, and Poly.from_kronecker unpacks them exactly.
+    factorials, read from one table ff[m][n] = (n)_m), and adds +-C(k,i)
+    times the product of the two ints to one sum, whose digit m = s+t-k
+    holds x0^(a+b-2k-m) x1^m for every branch.  No output coefficient
+    exceeds 2^k (ab)^k |A|_1 |B|_inf in absolute value and the width is
+    two bits past that, so the balanced digits never carry, and
+    Poly.from_kronecker unpacks them exactly.
     """
     a, b = len(A) - 1, len(B) - 1
     if not 0 <= k <= min(a, b):
         return Poly.zero(registry)
     limit = 2**k * (a * b) ** k * sum(map(abs, A)) * max(map(abs, B))
     width = limit.bit_length() + 2
+    # (n)_m = (n)_(m-1) * (n-m+1), one multiply per entry; 0 for n < m
+    ff = [[1] * (max(a, b) + 1)]
+    for m in range(1, k + 1):
+        ff.append([f * (n - m + 1) for n, f in enumerate(ff[-1])])
     total = 0
     for i in range(k + 1):
+        fi, fki = ff[i], ff[k - i]
         pa = 0
         for s in range(a - k + i, i - 1, -1):
-            pa = (pa << width) + A[s] * perm(a - s, k - i) * perm(s, i)
+            pa = (pa << width) + A[s] * fki[a - s] * fi[s]
         pb = 0
         for t in range(b - i, k - i - 1, -1):
-            pb = (pb << width) + B[t] * perm(b - t, i) * perm(t, k - i)
+            pb = (pb << width) + B[t] * fi[b - t] * fki[t]
         if pa and pb:
             sign = -1 if i % 2 else 1
             total += sign * binomial(k, i) * pa * pb

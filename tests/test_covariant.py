@@ -272,24 +272,27 @@ def test_symbolic_member_evaluates_each_transvectant_once(monkeypatch):
 
 
 def test_integer_member_takes_the_dense_route(monkeypatch):
-    # an integer power of a quadratic runs all of S(12) without one
-    # derivative; a symbolic member still differentiates
+    # an integer power of a quadratic runs all of S(12) by Kronecker
+    # substitution; a symbolic member never takes that route
+    import invforge.transvect as transvect
+
     calls = []
-    differentiate = Poly.differentiate
+    dense = transvect._omega_dense
 
-    def counting(self, var, times=1):
-        calls.append(var)
-        return differentiate(self, var, times)
+    def counting(registry, A, B, k):
+        calls.append(k)
+        return dense(registry, A, B, k)
 
-    monkeypatch.setattr(Poly, "differentiate", counting)
+    monkeypatch.setattr(transvect, "_omega_dense", counting)
     reg = xreg()
     x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")
     assert membership(form((x0**2 + 3 * x0 * x1 - 2 * x1**2) ** 6)) == (True, None)
-    assert calls == []
+    assert len(calls) == 72
+    calls.clear()
     reg = xreg(["a0", "a1", "b0", "b1"])
     a0, a1, b0, b1, x0, x1 = (Poly.variable(reg, n) for n in reg.names)
     assert membership(form(((a0 * x0 + a1 * x1) * (b0 * x0 + b1 * x1)) ** 4)) == (True, None)
-    assert calls
+    assert calls == []
 
 
 def test_set_s_quartic_canonical_list():

@@ -224,16 +224,40 @@ def test_term_rejects_float_coefficient():
 
 def test_weighted_sum_rejects_non_int_weight():
     reg, (x, y, z) = make_ring()
-    one = Poly.const(reg, 1)
-    triples = [(2, x, y), (-1, y, x), (3, y, one), (-2, x**2 + z, y - 1)]
-    assert Poly.weighted_sum(reg, triples) == x * y + 3 * y - 2 * (x**2 + z) * (y - 1)
+    a = 2 * x**2 * y + 3 * x * z - y
+    b = x * y - z + 5
+    # no names: one group on each side, weight 1, the product itself
+    assert Poly.weighted_sum(a, b) == a * b
+
+    # w(p, q) = (p0 + q0)(2 p0 - q0 - 1) as the dot product of two vectors
+    # over indices 1..3, where both are given
+    def left(p):
+        return 1, [p[0], 2 * p[0] ** 2 - p[0], 1]
+
+    def right(q):
+        return 0, [5, q[0], 1, -q[0] ** 2 - q[0]]
+
+    def weight(p, q):
+        return (p[0] + q[0]) * (2 * p[0] - q[0] - 1)
+
+    # grouped by the exponent of x, each term pair scaled by its group's
+    # weight and divided by x: a term pair at a time, by hand
+    want = Poly.zero(reg)
+    for ka, ca in a.exponent_terms().items():
+        for kb, cb in b.exponent_terms().items():
+            w = weight(ka[:1], kb[:1])
+            if w:
+                exps = (ka[0] + kb[0] - 1, ka[1] + kb[1], ka[2] + kb[2])
+                want = want + Poly(reg, {exps: w * ca * cb})
+    # -y * (5 - z) has x-exponent 0 and must get weight 0; so has 3*x*z * x*y
+    assert Poly.weighted_sum(a, b, ("x",), 1, (left, right)) == want
     for w in (0.1, Fraction(1, 2), Fraction(2)):
         with pytest.raises(TypeError):
-            Poly.weighted_sum(reg, [(w, x, y)])
+            Poly.weighted_sum(x, y, (), 0, (lambda p: (0, [w]), lambda q: (0, [1])))
     stranger = Poly.variable(VarRegistry(["x", "y", "z"]), "x")
     for a, b in ((stranger, y), (x, stranger)):
         with pytest.raises(ValueError, match="registry mismatch"):
-            Poly.weighted_sum(reg, [(1, a, b)])
+            Poly.weighted_sum(a, b)
 
 
 def kronecker_value(digits, width):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import perm
+from math import comb, perm
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from invforge import transvect
 from invforge.poly import Poly, VarRegistry
 from invforge.transvect import (
+    X,
     BinaryForm,
     _omega_diagonal,
     discriminant,
@@ -162,6 +163,56 @@ def test_dense_route_matches_omega_apply(left, coeffs, swap, kind, k):
     B_y = B.substitute({"x0": y0, "x1": y1})
     want = omega_apply(_disjoint_product(A, B_y), k).substitute({"y0": x0, "y1": x1})
     assert _omega_diagonal(A, B, k) == want
+
+
+# a polynomial in s, x0, x1, t, homogeneous or not: exponent vectors to
+# int or Fraction coefficients
+_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 7), st.integers(0, 7), st.integers(0, 2)),
+    st.integers(-6, 6) | st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    max_size=7,
+)
+
+
+def _branch_formula(A, B, k):
+    # sum_i (-1)^i C(k,i) [dx0^(k-i) dx1^i A] * [dx0^i dx1^(k-i) B], each
+    # product expanded term by term over exponent tuples
+    total = {}
+    for i in range(k + 1):
+        da = A.differentiate("x0", k - i).differentiate("x1", i)
+        db = B.differentiate("x0", i).differentiate("x1", k - i)
+        w = (-1) ** i * comb(k, i)
+        for ea, ca in da.exponent_terms().items():
+            for eb, cb in db.exponent_terms().items():
+                key = tuple(u + v for u, v in zip(ea, eb))
+                total[key] = total.get(key, 0) + w * ca * cb
+    return Poly(A.registry, {key: c for key, c in total.items() if c})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TERMS, _TERMS, st.integers(0, 9))
+def test_grouped_kernel_matches_branch_formula(aterms, bterms, k):
+    # the one weight per pair of x-exponents against the k+1 branches
+    # taken one at a time
+    reg = VarRegistry(["s", "x0", "x1", "t"])
+    A, B = Poly(reg, aterms), Poly(reg, bterms)
+    want = _branch_formula(A, B, k)
+    assert Poly.weighted_sum(A, B, X, k, transvect._omega_weights(k)) == want
+    assert _omega_diagonal(A, B, k) == want
+
+
+def test_grouped_kernel_on_sparse_big_exponents():
+    reg = VarRegistry(["s", "x0", "x1"])
+    s, x0, x1 = (Poly.variable(reg, n) for n in reg.names)
+    A = s * x0**1048576 + x1**1048576
+    B = 2 * x0**3 - s * x0 * x1**2 + x1**3
+    got = _omega_diagonal(A, B, 3)
+    assert got == _branch_formula(A, B, 3)
+    assert not got.is_zero() and got.degree_in(X) == 1048576 + 3 - 2 * 3
+    # one of 20,001 branches survives, and the work follows it
+    a, k = 1048576, 20000
+    got = _omega_diagonal(x0**a, x1**a, k)
+    assert got == Poly.term(reg, perm(a, k) ** 2, {"x0": a - k, "x1": a - k})
 
 
 def test_pi_p_squared_bracket():
