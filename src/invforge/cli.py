@@ -208,7 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # "--k=--": argparse drops the "--"
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         # by name, so a handler replaced after the build (as the benchmark's
         # tracer does) is the one that runs

@@ -13,10 +13,11 @@ assemble into a set S whose common vanishing characterizes the forms that
 are e-th powers of quadratics.  membership() evaluates that set on a given
 form and reports the first non-vanishing element as a witness.
 
-CovariantExpr is the one evaluation path: u_cov() and phi() construct one
-and evaluate it, and its constructor validates every index set.  Every U
-is computed unnormalized, once per form over the set (see evaluate), and
-scaled once; a Phi combines two raw U's over one common denominator.
+CovariantExpr is the one evaluation path: u_cov() and phi() evaluate one,
+its constructor validates every index set, and evaluate holds its Omega
+work to the work cap.  Every U is computed unnormalized, once per form in
+any order (see evaluate), and scaled once; a Phi combines two raw U's over
+one common denominator.
 """
 
 from fractions import Fraction
@@ -37,7 +38,7 @@ def in_range(d: int, i: int, j: int) -> bool:
 def u_cov(d: int, i: int, j: int, F: BinaryForm) -> BinaryForm:
     """The covariant ((F,F)_{2i}, F)_j of a degree-d form, exactly; the
     zero form outside the index window."""
-    return _evaluate_capped(CovariantExpr("U", d, (i, j)), F)
+    return CovariantExpr("U", d, (i, j)).evaluate(F)
 
 
 def mu(e: int, i: int, j: int) -> Fraction:
@@ -54,19 +55,7 @@ def mu(e: int, i: int, j: int) -> Fraction:
 def phi(d: int, i: int, j: int, i2: int, j2: int, F: BinaryForm) -> BinaryForm:
     """mu_{i2,j2} U(i,j) - mu_{i,j} U(i2,j2), for pairs with equal 2i+j and
     both j's even."""
-    return _evaluate_capped(CovariantExpr("Phi", d, (i, j, i2, j2)), F)
-
-
-def _evaluate_capped(expr, F: BinaryForm) -> BinaryForm:
-    """expr on F, after holding its Omega work to the work cap: 2i+1
-    branches for (F,F)_{2i} and j+1 for U(i,j), for each U of the window
-    that expr takes, each branch over as many terms as F has (as in
-    membership)."""
-    pairs = zip(expr.indices[::2], expr.indices[1::2])
-    branches = sum(2 * i + j + 2 for i, j in pairs if in_range(expr.d, i, j))
-    work = branches * len(F.poly.terms)
-    check_cap(work, f"{expr.name()} would take {work} Omega branch terms")
-    return expr.evaluate(F)
+    return CovariantExpr("Phi", d, (i, j, i2, j2)).evaluate(F)
 
 
 class CovariantExpr:
@@ -109,13 +98,15 @@ class CovariantExpr:
         return 3 * self.d - 4 * i - 2 * j
 
     def evaluate(self, F: BinaryForm, cache: dict = None) -> BinaryForm:
-        """Evaluate on a form of degree d.
+        """Evaluate on a form of degree d, after holding the Omega work to
+        the work cap: 2i+1 branches for (F,F)_{2i} and j+1 for U(i,j), per U
+        of the window taken, each over the terms of F (as in membership).  A
+        zero F, or a U outside the window, gives the zero form at once.
 
         A cache dict shared across set members memoizes, for one form F,
-        the unnormalized (F,F)_{2i} under key i, and under key (i, j) the
-        unnormalized U(i,j) of a Phi's second pair until the next Phi
-        takes it, so over set_S(d) each is computed once.  A cache belongs
-        to the form it was first used with: another form raises ValueError.
+        the unnormalized (F,F)_{2i} under key i and U(i,j) under key (i, j),
+        each computed once in any member order.  A cache belongs to the
+        form it was first used with: another form raises ValueError.
         """
         if F.degree != self.d:
             raise ValueError(f"form has degree {F.degree}, expected {self.d}")
@@ -125,10 +116,14 @@ class CovariantExpr:
         if owner is not F.poly and owner != F.poly:
             raise ValueError("cache was filled for another form")
         d = self.d
+        pairs = zip(self.indices[::2], self.indices[1::2])
+        branches = sum(2 * i + j + 2 for i, j in pairs if in_range(d, i, j))
+        work = branches * len(F.poly.terms)
+        check_cap(work, f"{self.name()} would take {work} Omega branch terms")
+        if not work:  # a zero F, or a U outside the window
+            return BinaryForm(Poly.zero(F.poly.registry), max(self.order, 0))
         if self.kind == "U":
             i, j = self.indices
-            if not in_range(d, i, j):
-                return BinaryForm(Poly.zero(F.poly.registry), max(self.order, 0))
             return BinaryForm(self._raw(i, j, F, cache) * self._scale(i, j), self.order)
         # mu_{i2,j2} U(i,j) - mu_{i,j} U(i2,j2) as integer multiples of the
         # two raw U's over one common denominator, scaled once
@@ -138,22 +133,19 @@ class CovariantExpr:
         c2 = mu(e, i, j) * self._scale(i2, j2)
         den = lcm(c.denominator, c2.denominator)
         a = self._raw(i, j, F, cache)
-        b = self._raw(i2, j2, F, cache, keep=True)
+        b = self._raw(i2, j2, F, cache)
         combo = a * int(c * den) - b * int(c2 * den)
         return BinaryForm(combo * Fraction(1, den), self.order)
 
-    def _raw(self, i, j, F, cache, keep=False) -> Poly:
-        # U(i,j) with both transvectants unnormalized; the cache keeps it
-        # only when asked, since in set_S order a U is used twice only as
-        # the second pair of a Phi, which opens the next Phi
-        raw = cache.pop((i, j), None)
+    def _raw(self, i, j, F, cache) -> Poly:
+        # U(i,j) with both transvectants unnormalized, memoized with the
+        # (F,F)_{2i} it is built on
+        raw = cache.get((i, j))
         if raw is None:
             hraw = cache.get(i)
             if hraw is None:
                 hraw = cache[i] = _omega_diagonal(F.poly, F.poly, 2 * i)
-            raw = _omega_diagonal(hraw, F.poly, j)
-        if keep:
-            cache[i, j] = raw
+            raw = cache[i, j] = _omega_diagonal(hraw, F.poly, j)
         return raw
 
     def _scale(self, i, j) -> Fraction:
@@ -168,11 +160,7 @@ class CovariantExpr:
     def __eq__(self, other):
         if not isinstance(other, CovariantExpr):
             return NotImplemented
-        return (self.kind, self.d, self.indices) == (
-            other.kind,
-            other.d,
-            other.indices,
-        )
+        return (self.kind, self.d, self.indices) == (other.kind, other.d, other.indices)
 
     def __hash__(self):
         return hash((self.kind, self.d, self.indices))
@@ -221,7 +209,8 @@ def membership(F: BinaryForm) -> tuple:
     work of the whole set: k+1 branches for each (F,F)_{2i} (k = 2i) and
     each U(i,j) (k = j) of the index window, which holds every U of S(d),
     each branch over as many terms as F has.  That is 1,812 branches at
-    d = 20 and 10,837,702 at d = 400.
+    d = 20 and 10,837,702 at d = 400.  Each member's own check in evaluate
+    counts a part of this sum, so it never refuses what this admitted.
     """
     d = F.degree
     if d % 2:

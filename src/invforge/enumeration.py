@@ -35,12 +35,13 @@ def _compositions(total: int, caps) -> list:
     return tails.get(total, [])
 
 
-def _bordered(margins, zero_diagonal: bool, border: bool, name: str):
+def _bordered(margins, transport: bool):
     """The square nonnegative integer matrices, of two rows or more, whose
     row sums and column sums both equal margins, with a zero in the last
-    diagonal cell (the corner) and, if zero_diagonal, in every diagonal
-    cell, in row-major lexicographic order.  Each is yielded as a tuple of
-    row tuples: whole if border, else without its last row and column.
+    diagonal cell (the corner) and, if transport, in every diagonal cell,
+    in row-major lexicographic order.  Each is yielded as a tuple of row
+    tuples: whole if transport, else without its last row and column; its
+    errors name transport_matrices or multigraphs to match.
 
     The rows above the last are chosen from the compositions of their
     margins, built up front in lexicographic order; the walk places one
@@ -56,6 +57,7 @@ def _bordered(margins, zero_diagonal: bool, border: bool, name: str):
     size_cap(); past it this raises ValueError.
     """
     cap = size_cap()
+    name = "transport_matrices" if transport else "multigraphs"
     size = len(margins)
     last = size - 1
     width = max(margins).bit_length() + 1
@@ -70,15 +72,15 @@ def _bordered(margins, zero_diagonal: bool, border: bool, name: str):
     cells = 0
     for i in range(last):
         caps = list(margins)
-        if zero_diagonal:
+        if transport:
             caps[i] = 0
-        key = (margins[i], i if zero_diagonal else None)
+        key = (margins[i], i if transport else None)
         if key not in built:
             k = sum(1 for c in caps if c)  # the cells that may be nonzero
             cells += comb(margins[i] + k - 1, margins[i]) * size if k else size
             check_cap(cells, f"{name} would build {cells} cells of candidate rows", cap)
             built[key] = [
-                (pack(row), row if border else row[:last])
+                (pack(row), row if transport else row[:last])
                 for row in _compositions(margins[i], caps)
             ]
         levels.append(built[key])
@@ -91,7 +93,7 @@ def _bordered(margins, zero_diagonal: bool, border: bool, name: str):
         below -= margins[i]
         limits = [field] * size
         for j in range(i + 1, size):
-            if zero_diagonal or j == last:
+            if transport or j == last:
                 limits[j] = min(below - margins[j], field)
         bounds.append(pack(limits) | guard)
 
@@ -119,7 +121,7 @@ def _bordered(margins, zero_diagonal: bool, border: bool, name: str):
                 lefts[i + 1] = left
                 stack.append(iter(levels[i + 1]))
                 break
-            if border:
+            if transport:
                 yield (*rows, tuple(left >> width * j & field for j in range(size)))
             else:
                 yield tuple(rows)
@@ -145,7 +147,7 @@ def multigraphs(e: int, p: int):
         yield ()
         return
     margins = [2] * e + [2 * e - 2 * p]
-    yield from _bordered(margins, zero_diagonal=False, border=False, name="multigraphs")
+    yield from _bordered(margins, transport=False)
 
 
 def component_census(G) -> tuple:
@@ -244,7 +246,7 @@ def transport_matrices(r: int, e: int, p: int):
     ValueError."""
     _check_range("transport_matrices", r, e, p)
     margins = [e] * r + [r * e - 2 * p]
-    yield from _bordered(margins, zero_diagonal=True, border=True, name="transport_matrices")
+    yield from _bordered(margins, transport=True)
 
 
 def tau(r: int, e: int, p: int) -> Poly:

@@ -29,8 +29,8 @@ that multiplies each term pair once, by one weight per pair of x-exponents
 into which _omega_weights folds the k+1 branches, and takes no derivative.
 This module never touches a packed key.
 
-transvectant and pi_p hold their Omega work, branches times input terms,
-to the work cap (arith.check_cap) before the kernel runs.
+transvectant and omega_apply hold their Omega work, branches times input
+terms, to the work cap (arith.check_cap) before any branch runs.
 """
 
 from fractions import Fraction
@@ -86,9 +86,12 @@ def omega_apply(P: Poly, k: int) -> Poly:
 
     Branch i differentiates in x1 and y0 first and stops at its first zero
     derivative; the derivatives commute, so the order changes nothing else.
+    The k+1 branches over the terms of P are held to the work cap first.
     """
     if k < 0:
         raise ValueError("negative Omega power")
+    work = (k + 1) * len(P.terms)
+    check_cap(work, f"Omega^{k} would take {work} Omega branch terms")
     (x0, x1), (y0, y1) = X, Y
     total = Poly.zero(P.registry)
     for i in range(k + 1):
@@ -110,6 +113,8 @@ def polarize(P: Poly, xvars, yvars, times: int = 1) -> Poly:
     if times < 0:
         raise ValueError("negative polarization count")
     for _ in range(times):
+        if P.is_zero():
+            break
         acc = Poly.zero(P.registry)
         for xv, yv in zip(xvars, yvars):
             d = P.differentiate(xv)
@@ -209,12 +214,13 @@ def _omega_dense(registry, A, B, k) -> Poly:
 
 
 def transvectant(A: BinaryForm, B: BinaryForm, k: int) -> BinaryForm:
-    """The k-th transvectant (A, B)_k, exactly normalized."""
+    """The k-th transvectant (A, B)_k, exactly normalized; the zero form at
+    once when k > min(a, b) or either form is zero."""
     if k < 0:
         raise ValueError("negative transvectant index")
     a, b = A.degree, B.degree
     degree = max(a + b - 2 * k, 0)
-    if k > min(a, b):
+    if k > min(a, b) or A.is_zero() or B.is_zero():
         return BinaryForm(Poly.zero(A.poly.registry), degree)
     work = (k + 1) * (len(A.poly.terms) + len(B.poly.terms))
     check_cap(work, f"the transvectant of order {k} would take {work} Omega branch terms")
@@ -240,8 +246,6 @@ def pi_p(G: Poly, p: int) -> BinaryForm:
     reg = G.registry
     if 2 * p > n:  # every branch takes 2p derivatives in X, past G's degree
         return BinaryForm(Poly.zero(reg), 0)
-    work = (2 * p + 1) * len(G.terms)
-    check_cap(work, f"pi_p would take {work} Omega branch terms")
     reduced = omega_apply(G, 2 * p)
     diag = reduced.substitute({y: Poly.variable(reg, x) for x, y in zip(X, Y)})
     return BinaryForm(diag, max(2 * n - 4 * p, 0))

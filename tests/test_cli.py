@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +7,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invforge.cli import main
 
@@ -330,6 +334,13 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    # argparse drops a "--" value and passes on an empty list, which used to
+    # reach the handlers and escape as a TypeError
+    for argv in (["transvect", "--a=--", "--b=x1", "--k=0"],
+                 ["transvect", "--a=x0", "--b=x1", "--k=--"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -370,6 +381,100 @@ def test_transvect_of_the_zero_form(capsys, a, b):
     code, out, err = run_cli(capsys, "transvect", "--a", a, "--b", b, "--k", "-1")
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "negative transvectant index"}
+
+
+# -- fuzzed argv --------------------------------------------------------------
+
+_NAMES = ("x0", "x1", "y0", "y1", "s")
+_COEFF = st.one_of(
+    st.integers(0, 20).map(str),
+    st.tuples(st.integers(0, 20), st.integers(0, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+)
+_POWER = st.tuples(
+    st.sampled_from(_NAMES), st.sampled_from([""] + [f"^{e}" for e in range(10)])
+).map("".join)
+
+
+@st.composite
+def _term(draw):
+    coeff = draw(st.none() | _COEFF)
+    parts = ([coeff] if coeff else []) + draw(st.lists(_POWER, max_size=4))
+    return "*".join(parts) or "1"
+
+
+@st.composite
+def _polynomial(draw):
+    terms = draw(st.lists(_term(), min_size=1, max_size=5))
+    text = draw(st.sampled_from(["", "-"])) + terms[0]
+    for term in terms[1:]:
+        text += draw(st.sampled_from([" + ", " - ", "+", "-"])) + term
+    return text
+
+
+@st.composite
+def _form(draw, n=None):
+    # a binary form of degree n, so that more inputs get past the checks
+    if n is None or n < 0:
+        n = draw(st.integers(0, 12))
+    terms = []
+    for a in draw(st.lists(st.integers(max(0, n - 9), min(n, 9)), min_size=1, max_size=4)):
+        coeff = draw(st.none() | _COEFF)
+        symbol = draw(st.sampled_from(["", "s*", "s^2*", "y0*"]))
+        terms.append(f"{coeff + '*' if coeff else ''}{symbol}x0^{a}*x1^{n - a}")
+    return " + ".join(terms)
+
+
+# polynomial text, a form, or a string over the grammar's alphabet
+_TEXT = _polynomial() | _form() | st.text(alphabet="x01y9s/^*+- ", max_size=16)
+_INT = st.integers(-2, 12).map(str)
+
+
+def _flags(command, **values):
+    # "--flag=value", so that a value starting with "-" stays a value
+    flags = (v.map(lambda text, k=k: f"--{k}={text}") for k, v in values.items())
+    return st.tuples(*flags).map(lambda given: [command, *given])
+
+
+_ARGV = st.one_of(
+    _flags("transvect", a=_TEXT, b=_TEXT, k=_INT),
+    _INT.flatmap(lambda d: _flags("covariant", d=st.just(d), i=_INT, j=_INT,
+                                  f=_form(int(d)) | _TEXT)),
+    _INT.flatmap(lambda d: _flags("membership", d=st.just(d), f=_form(int(d)) | _TEXT)),
+    _flags("pi-p", g=_TEXT, p=_INT),
+    # usage errors: commands, flags and values in any order
+    st.lists(
+        st.sampled_from(
+            ["transvect", "covariant", "membership", "pi-p", "--a", "--b", "--k", "--d",
+             "--i", "--j", "--f", "--g", "--p", "--q", "x0", "3", "-1", "x0^2 + x1"]
+        ),
+        max_size=8,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGV)
+def test_fuzzed_argv_exits_0_1_or_2_with_json(argv):
+    # exit 0: one JSON line on stdout; exit 1: nothing on stdout and a JSON
+    # error on stderr; exit 2: argparse's usage error; each within 5 s
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2, argv
+    assert time.perf_counter() - t0 < 5, argv
+    if code == 0:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1, argv
+        json.loads(lines[0])
+    elif code == 1:
+        assert out.getvalue() == "", argv
+        assert set(json.loads(err.getvalue())) == {"error"}, argv
+    else:
+        assert code == 2 and out.getvalue() == "", argv
 
 
 # -- whole-program paths ------------------------------------------------------

@@ -16,7 +16,7 @@ from invforge.covariant import (
     u_cov,
 )
 from invforge.poly import Poly, VarRegistry
-from invforge.transvect import BinaryForm, transvectant
+from invforge.transvect import BinaryForm, generic_form, transvectant
 
 
 def xreg(extra=()):
@@ -251,9 +251,7 @@ def test_shared_cache_matches_definition():
     assert len(nonzero) == 7  # the Phi's with 2i+j >= 6 on this form
 
 
-def test_symbolic_member_evaluates_each_transvectant_once(monkeypatch):
-    # (L1 L2)^6 runs through all of S(12): 7 inner (F,F)_{2i} and one outer
-    # transvectant per distinct U(i,j) in the set, 65
+def _counting_kernel(monkeypatch):
     import invforge.covariant as covariant
 
     calls = []
@@ -264,11 +262,34 @@ def test_symbolic_member_evaluates_each_transvectant_once(monkeypatch):
         return kernel(a, b, k)
 
     monkeypatch.setattr(covariant, "_omega_diagonal", counting)
+    return calls
+
+
+def test_symbolic_member_evaluates_each_transvectant_once(monkeypatch):
+    # (L1 L2)^6 runs through all of S(12): 7 inner (F,F)_{2i} and one outer
+    # transvectant per distinct U(i,j) in the set, 65
+    calls = _counting_kernel(monkeypatch)
     reg = xreg(["a0", "a1", "b0", "b1"])
     a0, a1, b0, b1, x0, x1 = (Poly.variable(reg, n) for n in reg.names)
     F = form(((a0 * x0 + a1 * x1) * (b0 * x0 + b1 * x1)) ** 6)
     assert membership(F) == (True, None)
     assert len(calls) == 72
+
+
+@pytest.mark.parametrize(
+    "members, kernel_calls",
+    [(list(reversed(set_S(8))), 36), (octavic_preset(), 11)],
+    ids=["reversed S(8)", "octavic preset"],
+)
+def test_cache_computes_each_transvectant_once_in_any_order(monkeypatch, members, kernel_calls):
+    # one kernel call per distinct (F,F)_{2i} and per distinct U(i,j)
+    calls = _counting_kernel(monkeypatch)
+    F = generic_form(xreg(), 8)
+    cache = {}
+    got = [expr.evaluate(F, cache) for expr in members]
+    pairs = {p for e in members for p in zip(e.indices[::2], e.indices[1::2])}
+    assert len(calls) == len(pairs) + len({i for i, _ in pairs}) == kernel_calls
+    assert got == [expr.evaluate(F) for expr in members]
 
 
 def test_integer_member_takes_the_dense_route(monkeypatch):
@@ -437,3 +458,49 @@ def test_u_cov_and_phi_hold_their_omega_work_to_the_cap(monkeypatch):
     # a U outside the window is the zero form, and costs nothing
     monkeypatch.setenv("INVFORGE_SIZE_CAP", "0")
     assert u_cov(4, 3, 0, F).is_zero()
+
+
+def test_evaluate_refuses_past_the_cap_before_any_transvectant(monkeypatch):
+    import invforge.covariant as covariant
+
+    monkeypatch.setattr(covariant, "_omega_diagonal", None)
+    reg = xreg()
+    x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")
+    d = 1048576
+    F = form(x0**d + x1**d)
+    # 1 branch for (F,F)_0 and d+1 for the outer one, over 2 terms
+    with pytest.raises(ValueError, match=r"^U\(0,1048576\) would take 2097156 Omega"):
+        CovariantExpr("U", d, (0, d)).evaluate(F)
+
+
+def test_zero_form_evaluates_to_zero_at_once(monkeypatch):
+    # no kernel call and no falling factorial of 2^20 in the scale
+    import invforge.covariant as covariant
+
+    monkeypatch.setattr(covariant, "_omega_diagonal", None)
+    monkeypatch.setattr(covariant, "perm", None)
+    d = 1048576
+    zero = BinaryForm(Poly.zero(xreg()), d)
+    out = CovariantExpr("U", d, (0, d)).evaluate(zero)
+    assert out.is_zero() and out.degree == d
+    assert phi(8, 0, 2, 1, 0, BinaryForm(Poly.zero(xreg()), 8)).is_zero()
+
+
+@pytest.mark.parametrize(
+    "power, estimate, want",
+    [
+        (lambda x0, x1: x0**4 + x1**4, 80, (False, "U(1,1)")),
+        (lambda x0, x1: (x0**2 + 3 * x0 * x1 - 2 * x1**2) ** 4, 1584, (True, None)),
+    ],
+    ids=["x0^4 + x1^4", "quadratic^4"],
+)
+def test_membership_answers_at_its_own_estimate(monkeypatch, power, estimate, want):
+    # each member's own check takes a part of the whole set's estimate, so
+    # none refuses what membership admitted
+    reg = xreg()
+    F = form(power(Poly.variable(reg, "x0"), Poly.variable(reg, "x1")))
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", str(estimate))
+    assert membership(F) == want
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", str(estimate - 1))
+    with pytest.raises(ValueError, match=f"^membership would take {estimate} Omega"):
+        membership(F)

@@ -266,8 +266,23 @@ def test_omega_entry_points_hold_branches_times_terms_to_the_cap(monkeypatch):
     monkeypatch.setenv("INVFORGE_SIZE_CAP", "9")
     assert pi_p(G, 1).poly.constant_value() == 12
     monkeypatch.setenv("INVFORGE_SIZE_CAP", "8")
-    with pytest.raises(ValueError, match="^pi_p would take 9 Omega branch terms, above"):
+    with pytest.raises(ValueError, match=r"^Omega\^2 would take 9 Omega branch terms, above"):
         pi_p(G, 1)
+
+
+def test_omega_apply_refuses_past_the_cap_before_any_derivative(monkeypatch):
+    def refuse(self, var, times=1):
+        raise AssertionError("a derivative was taken")
+
+    monkeypatch.setattr(Poly, "differentiate", refuse)
+    reg, (x0, x1, y0, y1) = xy4_ring()
+    G = x0**1048576 * y1**1048576 + x1**1048576 * y0**1048576
+    # 1,000,001 branches over 2 terms
+    with pytest.raises(ValueError, match=r"^Omega\^1000000 would take 2000002 Omega"):
+        omega_apply(G, 1000000)
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "5")
+    with pytest.raises(ValueError, match=r"^Omega\^2 would take 6 Omega"):
+        omega_apply(G, 2)
 
 
 def test_pi_p_rejects_unbalanced():
@@ -290,6 +305,21 @@ def test_polarize_count_zero_is_identity():
     reg, (x0, x1, y0, y1) = xy4_ring()
     F = x0**2
     assert polarize(F, ["x0", "x1"], ["y0", "y1"], 0) == F
+
+
+def test_polarize_stops_once_zero(monkeypatch):
+    # x0 -> y0 -> 0: a million passes take the derivatives of two
+    calls = []
+    differentiate = Poly.differentiate
+
+    def counting(self, var, times=1):
+        calls.append(var)
+        return differentiate(self, var, times)
+
+    monkeypatch.setattr(Poly, "differentiate", counting)
+    reg, (x0, x1, y0, y1) = xy4_ring()
+    assert polarize(x0, X, ("y0", "y1"), 10**6).is_zero()
+    assert len(calls) == 4
 
 
 # -- transvectants ----------------------------------------------------------
@@ -323,6 +353,18 @@ def test_transvectant_above_min_degree_is_zero():
     out = transvectant(A, B, 3)
     assert out.is_zero()
     assert out.degree == 0  # clamped, 2+4-6
+
+
+def test_transvectant_of_a_zero_form_costs_nothing(monkeypatch):
+    # no kernel call and no falling factorial of 2^20
+    monkeypatch.setattr(transvect, "_omega_diagonal", None)
+    monkeypatch.setattr(transvect, "perm", None)
+    reg, x0, x1 = xy_ring()
+    zero = BinaryForm(Poly.zero(reg), 1048576)
+    F = BinaryForm(x0**1048576 + x1**1048576)
+    for A, B in ((zero, F), (F, zero), (zero, zero)):
+        out = transvectant(A, B, 524288)
+        assert out.is_zero() and out.degree == 1048576
 
 
 def test_transvectant_antisymmetry_symbolic():
