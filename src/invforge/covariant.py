@@ -16,17 +16,25 @@ form and reports the first non-vanishing element as a witness.
 CovariantExpr is the one evaluation path: u_cov() and phi() evaluate one,
 its constructor validates every index set, and evaluate holds its Omega
 work to the work cap.  Every U is computed unnormalized, once per form in
-any order (see evaluate), and scaled once; a Phi combines two raw U's over
-one common denominator.
+any order (see evaluate), and scaled once; a Phi is p U(i,j) - q U(i2,j2)
+for the integer ratio p/q of its two constants, scaled once.
+
+A dense integer form stays in integers from the parser to the verdict:
+its memo holds coefficient lists from transvect._omega_dense, so a member
+vanishes when its list is all zero, and only the form evaluate returns is
+built as a Poly.  Symbolic and Fraction forms take the same steps on
+Polys, through transvect._omega_diagonal.  set_S(d) and each member's
+constants are built on first use and kept, once per degree.
 """
 
 from fractions import Fraction
-from math import lcm, perm
+from functools import lru_cache
+from math import perm
 
 from .arith import check_cap
 from .closedform import n2
 from .poly import Poly
-from .transvect import BinaryForm, _omega_diagonal
+from .transvect import X, BinaryForm, _omega_dense, _omega_diagonal
 
 
 def in_range(d: int, i: int, j: int) -> bool:
@@ -64,7 +72,7 @@ class CovariantExpr:
     equal 2i+j and both pairs in the window.  A U outside the window
     evaluates to the zero form."""
 
-    __slots__ = ("kind", "d", "indices")
+    __slots__ = ("kind", "d", "indices", "_scalars")
 
     def __init__(self, kind: str, d: int, indices: tuple):
         if kind not in ("U", "Phi"):
@@ -88,6 +96,7 @@ class CovariantExpr:
         self.kind = kind
         self.d = d
         self.indices = tuple(indices)
+        self._scalars = None  # see _constants
 
     def name(self) -> str:
         return f"{self.kind}({','.join(str(t) for t in self.indices)})"
@@ -105,7 +114,9 @@ class CovariantExpr:
 
         A cache dict shared across set members memoizes, for one form F,
         the unnormalized (F,F)_{2i} under key i and U(i,j) under key (i, j),
-        each computed once in any member order.  A cache belongs to the
+        each computed once in any member order: coefficient lists for a
+        dense integer F (see _kernel), so that only a nonzero result is
+        built as a Poly, and Polys for any other F.  A cache belongs to the
         form it was first used with: another form raises ValueError.
         """
         if F.degree != self.d:
@@ -120,33 +131,56 @@ class CovariantExpr:
         branches = sum(2 * i + j + 2 for i, j in pairs if in_range(d, i, j))
         work = branches * len(F.poly.terms)
         check_cap(work, f"{self.name()} would take {work} Omega branch terms")
+        zero = BinaryForm(Poly.zero(F.poly.registry), max(self.order, 0))
         if not work:  # a zero F, or a U outside the window
-            return BinaryForm(Poly.zero(F.poly.registry), max(self.order, 0))
+            return zero
         if self.kind == "U":
-            i, j = self.indices
-            return BinaryForm(self._raw(i, j, F, cache) * self._scale(i, j), self.order)
-        # mu_{i2,j2} U(i,j) - mu_{i,j} U(i2,j2) as integer multiples of the
-        # two raw U's over one common denominator, scaled once
-        i, j, i2, j2 = self.indices
-        e = d // 2
-        c = mu(e, i2, j2) * self._scale(i, j)
-        c2 = mu(e, i, j) * self._scale(i2, j2)
-        den = lcm(c.denominator, c2.denominator)
-        a = self._raw(i, j, F, cache)
-        b = self._raw(i2, j2, F, cache)
-        combo = a * int(c * den) - b * int(c2 * den)
-        return BinaryForm(combo * Fraction(1, den), self.order)
+            scale = self._constants()
+            combo = self._raw(*self.indices, F, cache)
+        else:
+            i, j, i2, j2 = self.indices
+            p, q, scale = self._constants()
+            a = self._raw(i, j, F, cache)
+            b = self._raw(i2, j2, F, cache)
+            combo = [p * x - q * y for x, y in zip(a, b)] if type(a) is list else a * p - b * q
+        if type(combo) is not list:
+            return BinaryForm(combo * scale, self.order)
+        if not any(combo):
+            return zero
+        # scale * c, not c * scale: a Fraction times an int takes no detour
+        combo = Poly.from_dense(F.poly.registry, [scale * c for c in combo], X)
+        return BinaryForm(combo, self.order)
 
-    def _raw(self, i, j, F, cache) -> Poly:
+    def _raw(self, i, j, F, cache):
         # U(i,j) with both transvectants unnormalized, memoized with the
         # (F,F)_{2i} it is built on
         raw = cache.get((i, j))
         if raw is None:
-            hraw = cache.get(i)
-            if hraw is None:
-                hraw = cache[i] = _omega_diagonal(F.poly, F.poly, 2 * i)
-            raw = cache[i, j] = _omega_diagonal(hraw, F.poly, j)
+            kernel = cache.get("kernel")
+            if kernel is None:
+                kernel = cache["kernel"] = _kernel(F)
+            f, omega = kernel
+            h = cache.get(i)
+            if h is None:
+                h = cache[i] = omega(f, f, 2 * i)
+            raw = cache[i, j] = omega(h, f, j)
         return raw
+
+    def _constants(self):
+        # kept after the first call: for U(i,j) its _scale s(i,j); for Phi,
+        # c U_raw(i,j) - c2 U_raw(i2,j2) with c = mu_{i2,j2} s(i,j) and c2 =
+        # mu_{i,j} s(i2,j2), the integers p/q = c/c2 and the scale c2/q
+        if self._scalars is None:
+            if self.kind == "U":
+                self._scalars = self._scale(*self.indices)
+            else:
+                i, j, i2, j2 = self.indices
+                e = self.d // 2
+                c = mu(e, i2, j2) * self._scale(i, j)
+                c2 = mu(e, i, j) * self._scale(i2, j2)
+                ratio = c / c2  # mu, a ratio of factorials, never vanishes
+                self._scalars = ratio.numerator, ratio.denominator, c2 / ratio.denominator
+        return self._scalars
 
     def _scale(self, i, j) -> Fraction:
         # (d-2i)!^2/d!^2 * (u-j)!(d-j)!/(u!d!), as falling factorials
@@ -166,6 +200,17 @@ class CovariantExpr:
         return hash((self.kind, self.d, self.indices))
 
 
+def _kernel(F: BinaryForm) -> tuple:
+    """(f, omega) for the memo of evaluate: for a dense integer F
+    (Poly.dense_coefficients), its coefficient list and _omega_dense over
+    one falling-factorial table; else F.poly and _omega_diagonal."""
+    f = F.poly.dense_coefficients(X)
+    if f is None:
+        return F.poly, _omega_diagonal
+    ff = [[1] * (2 * F.degree + 1)]  # (F,F)_{2i} has degree 2d-4i <= 2d
+    return f, lambda A, B, k: _omega_dense(A, B, k, ff)
+
+
 def set_S(d: int) -> list:
     """The defining covariant set for degree d:
 
@@ -175,9 +220,16 @@ def set_S(d: int) -> list:
 
     Order is canonical: the odd U's sorted by (j, i), then the Phi's by
     (2i+j, i).  Determinism of the membership witness relies on it.
+    Each call returns a fresh list of the same members, built once per
+    degree, so each Phi's constants are also computed once per degree.
     """
     if d % 2 or d < 4:
         raise ValueError(f"set_S needs even d >= 4, got {d}")
+    return list(_members(d))
+
+
+@lru_cache(maxsize=16)
+def _members(d: int) -> tuple:
     e = d // 2
     exprs = []
     for j in range(1, d + 1, 2):
@@ -193,7 +245,7 @@ def set_S(d: int) -> list:
         group = sorted(by_s[s])
         for (i, j), (i2, j2) in zip(group, group[1:]):
             exprs.append(CovariantExpr("Phi", d, (i, j, i2, j2)))
-    return exprs
+    return tuple(exprs)
 
 
 def membership(F: BinaryForm) -> tuple:

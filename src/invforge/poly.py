@@ -32,19 +32,21 @@ exponents themselves.
 Poly.weighted_sum holds the one multiply-accumulate loop.  It groups the
 terms of each operand by their exponents in some named variables and gives
 each pair of groups one int weight, the dot product of the groups' weight
-vectors; each term pair of nonzero weight is multiplied once, and its key
-lowered by a fixed power of the named variables.  a * b is its trivial
-case, one group on each side and weight 1; transvect._omega_diagonal
-groups by x0, x1 and lowers by (x0 x1)^k, its weights folding the k+1
-Omega branches into one per pair of x-exponents.
+vectors, built only over the indices both operands reach; each term pair
+of nonzero weight is multiplied once, and its key lowered by a fixed
+power of the named variables.  a * b is its trivial case, one group on
+each side and weight 1; transvect._omega_diagonal groups by x0, x1 and
+lowers by (x0 x1)^k, its weights folding the k+1 Omega branches into one
+per pair of x-exponents.
 
-Poly.from_kronecker is the one decoder of a Kronecker-packed int: one
-balanced base-2^width digit per slot of an exponent box, one variable
-filled in by homogeneity.  The dense route of transvect._omega_diagonal
-and enumeration.tau multiply as big ints and decode through it, and
-Poly.dense_coefficients gives that route the coefficient list of an
-integer binary form, so packed keys are read and written only in this
-module.
+kronecker_digits is the one decoder of a Kronecker-packed int: its
+balanced base-2^width digits, lowest first.  transvect._omega_dense
+multiplies coefficient lists as big ints and takes the digits as the
+output's list; Poly.from_kronecker, for enumeration.tau, puts them on the
+slots of an exponent box with one variable filled in by homogeneity.
+Poly.dense_coefficients gives the dense route the coefficient list of an
+integer binary form and Poly.from_dense turns such a list back into a
+Poly, so packed keys are read and written only in this module.
 
 Text goes both ways.  str() writes terms in graded lexicographic order,
 highest first; parse() reads terms joined by + or -, each an optional
@@ -232,26 +234,39 @@ class Poly:
         """sum of w(p, q) * s * t / m^lower over the terms s of a and t of b,
         where p and q are the exponent tuples of s and t in names, m is the
         product of the names, and w(p, q) = sum_i l_i r_i over the indices
-        i that both (i0, [l_i0, l_i0+1, ...]) = left(p) and (j0, [r_j0,
-        ...]) = right(q) cover, for weights = (left, right).
+        i in both windows, for weights = (left, right).  Each side is a
+        pair (window, entries): window(p) = (first, end) gives the indices
+        first..end-1 its vector covers, and entries(p, lo, hi) the weights
+        [l_lo, ..., l_(hi-1)] of a part lo..hi-1 of that window.
 
         Each operand's terms are listed once per group of equal exponents
-        in names, with the group's weight vector.  A pair of groups of
+        in names.  Every window is cut to the indices that some group of
+        the other operand also covers, before any vector is built, and a
+        group whose cut window is empty is dropped.  A pair of groups of
         weight 0 is skipped, and every other term pair is multiplied once,
-        into one dict, the weight folded into the shorter group.  With no
-        names each operand is one group, and weights=None gives it the
-        vector (0, [1]): that is a * b.  a and b must share a registry, and
-        a weight but an int raises TypeError.  The weights must vanish
-        wherever some p_j + q_j < lower, as a lowered exponent would be
-        negative; this is not checked."""
+        into one dict, the weight folded into the shorter group.
+        weights=None makes each operand one group of weight 1: with no
+        names that is a * b.  a and b must share a registry, and a weight
+        but an int raises TypeError.  The weights must vanish wherever some
+        p_j + q_j < lower, as a lowered exponent would be negative; this is
+        not checked."""
         registry = a.registry
         if b.registry is not registry:
             raise ValueError("registry mismatch in weighted_sum")
         shifts = [_W * registry.index(n) for n in names]
         drop = sum(lower << s for s in shifts)
-        left, right = weights or (_unit, _unit)
-        ga = _groups(a.terms, shifts, left)
-        gb = _groups(b.terms, shifts, right)
+        if weights is None:  # one group a side, of weight 1
+            ga = [(len(a.terms), list(a.terms.items()), 0, 1, [1])]
+            gb = [(len(b.terms), list(b.terms.items()), 0, 1, [1])]
+        else:
+            (lwindow, lentries), (rwindow, rentries) = weights
+            ga = _groups(a.terms, shifts, lwindow)
+            gb = _groups(b.terms, shifts, rwindow)
+            # the indices both operands reach: no weight is built past them
+            lo = max(min([g[2] for g in ga], default=0), min([g[2] for g in gb], default=0))
+            hi = min(max([g[3] for g in ga], default=0), max([g[3] for g in gb], default=0))
+            ga = _weighed(ga, lentries, lo, hi)
+            gb = _weighed(gb, rentries, lo, hi)
         acc = {}
         get = acc.get
         for na, sa, la, ha, va in ga:
@@ -305,7 +320,8 @@ class Poly:
                 keys = range(base, base + size * step, step)
             else:
                 keys = [key + a * step for a in range(size) for key in keys]
-        terms = _kronecker_terms(value, width, keys)
+        digits = kronecker_digits(value, width, len(keys))
+        terms = {key: c for key, c in zip(keys, digits) if c}
         # past the degree, fill's exponent is negative and its field wraps
         if (size - 1) * len(names) > degree:
             if any((key >> shift) & _MASK > degree for key in terms):
@@ -345,6 +361,16 @@ class Poly:
                 return None
             coeffs[s] = c
         return coeffs
+
+    @classmethod
+    def from_dense(cls, registry, coeffs, names):
+        """sum_s coeffs[s] u^(a-s) v^s over registry, for names = (u, v) and
+        a = len(coeffs) - 1: the inverse of dense_coefficients.  coeffs
+        holds ints or Fractions; its zeros are dropped."""
+        s0, s1 = (_W * registry.index(n) for n in names)
+        a = len(coeffs) - 1
+        terms = {(a - s) << s0 | s << s1: c for s, c in enumerate(coeffs) if c}
+        return cls._trusted(registry, terms, a if terms else 0)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -618,10 +644,9 @@ def _coefficient(c):
     return c
 
 
-def _kronecker_terms(value, width, keys) -> dict:
-    """{keys[n]: c_n} over the nonzero c_n, where value = sum_n c_n
-    2^(width*n) over n < len(keys) with every |c_n| < 2^(width-1);
-    ArithmeticError if there are no such digits.
+def kronecker_digits(value, width, count) -> list:
+    """[c_0, ..., c_(count-1)] with value = sum_n c_n 2^(width*n) and every
+    |c_n| < 2^(width-1); ArithmeticError if there are no such digits.
 
     The int is split in halves, a balanced low part and the exact rest,
     down to runs of at most _DIGIT_RUN digits, which are peeled one at a
@@ -630,59 +655,62 @@ def _kronecker_terms(value, width, keys) -> dict:
     full = 1 << width
     half = full >> 1
     mask = full - 1
-    terms = {}
-    runs = [(value, 0, len(keys))]  # (int, first slot, end slot), lowest on top
+    digits = []
+    runs = [(value, count)]  # (int, digits), lowest on top
     while runs:
-        v, start, stop = runs.pop()
-        if stop - start > _DIGIT_RUN:
-            mid = (start + stop) >> 1
-            shift = (mid - start) * width
+        v, n = runs.pop()
+        if n > _DIGIT_RUN:
+            mid = n >> 1
+            shift = mid * width
             low = v & (1 << shift) - 1
             if low >> shift - 1:
                 low -= 1 << shift
-            runs.append(((v - low) >> shift, mid, stop))
-            runs.append((low, start, mid))
+            runs.append(((v - low) >> shift, n - mid))
+            runs.append((low, mid))
             continue
-        for key in keys[start:stop]:
+        for _ in range(n):
             c = v & mask
             v >>= width
             if c >= half:  # a negative digit borrows one from the next
                 c -= full
                 v += 1
-            if c:
-                terms[key] = c
+            digits.append(c)
         if v:
             raise ArithmeticError("Kronecker digits overflowed their width")
     # a digit of -2^(width-1) is past the bound, and the halves assume none
-    if -half in terms.values():
+    if -half in digits:
         raise ArithmeticError("Kronecker digits overflowed their width")
-    return terms
+    return digits
 
 
-def _unit(p):
-    return 0, [1]
-
-
-def _groups(terms, shifts, vector) -> list:
-    """(size, [(key, coefficient), ...], first, end, entries) per tuple p of
-    the exponents of terms in the fields at shifts: the terms with those
-    exponents, and their weight vector (first, entries) = vector(p), which
-    covers the indices first..end-1."""
-    if not shifts:
-        groups = {0: list(terms.items())}
-    else:
-        fields = sum(_MASK << s for s in shifts)
-        groups = {}
-        for key, c in terms.items():
-            group = groups.get(key & fields)
-            if group is None:
-                groups[key & fields] = [(key, c)]
-            else:
-                group.append((key, c))
+def _groups(terms, shifts, window) -> list:
+    """(size, [(key, coefficient), ...], first, end, p) per tuple p of the
+    exponents of terms in the fields at shifts: the terms with those
+    exponents, and (first, end) = window(p)."""
+    fields = sum(_MASK << s for s in shifts)
+    groups = {}
+    for key, c in terms.items():
+        group = groups.get(key & fields)
+        if group is None:
+            groups[key & fields] = [(key, c)]
+        else:
+            group.append((key, c))
     out = []
     for g, group in groups.items():
-        first, entries = vector(tuple([(g >> s) & _MASK for s in shifts]))
-        out.append((len(group), group, first, first + len(entries), entries))
+        p = tuple([(g >> s) & _MASK for s in shifts])
+        out.append((len(group), group, *window(p), p))
+    return out
+
+
+def _weighed(groups, entries, lo, hi) -> list:
+    """(size, terms, first, end, vector) per group of _groups whose window
+    meets lo..hi-1, cut to it, with vector = entries(p, first, end)."""
+    out = []
+    for size, group, first, end, p in groups:
+        first = first if first > lo else lo
+        end = end if end < hi else hi
+        if first < end:
+            out.append((size, group, first, end, entries(p, first, end)))
     return out
 
 
@@ -700,6 +728,8 @@ _TOKEN_RE = re.compile(
     r"|(?P<num>\d+(?:/\d+)?)"
     rf"|(?P<name>{NAME_RE.pattern})"
     r"|(?P<op>[-+*^])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
@@ -710,17 +740,17 @@ class ParseError(ValueError):
 
 
 def _tokenize(text):
-    pos = 0
     out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "num" and m.end() - pos > _NUMBER_CAP:
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        value, pos = m.group(), m.start()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", pos)
+        if kind == "num" and len(value) > _NUMBER_CAP:
             raise ParseError(f"number longer than {_NUMBER_CAP} characters", pos)
-        if m.lastgroup != "ws":
-            out.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+        out.append((kind, value, pos))
     out.append(("end", "", len(text)))
     return out
 
@@ -732,7 +762,8 @@ def parse(text: str, registry: VarRegistry) -> Poly:
     followed by a variable, so a coefficient alone is a term but "3*" is
     not; every variable must already be in the registry.
 
-    Integral coefficients (including "4/2") are stored as int, by Poly().
+    An integer literal is read as an int, and "p/q" as a Fraction, which
+    Poly() stores as an int when it is integral ("4/2" becomes 2).
     """
     tokens = _tokenize(text)
     if tokens[0][0] == "end":
@@ -748,7 +779,7 @@ def parse(text: str, registry: VarRegistry) -> Poly:
             kind, value, pos = tokens[i]
         if kind == "num":
             try:
-                coeff *= Fraction(value)
+                coeff *= Fraction(value) if "/" in value else int(value)
             except ZeroDivisionError:
                 raise ParseError("zero denominator in coefficient", pos) from None
             i += 1

@@ -19,25 +19,31 @@ four variables.  omega_apply and pi_p act on a given polynomial in all four
 variables, so its registry must hold y0 and y1 as well.
 
 _omega_diagonal, the one transvectant kernel, has two routes.  Two dense
-integer forms go by Kronecker substitution: Poly.dense_coefficients gives
-their coefficient lists (int coefficients, x0 and x1 alone, at least
-(a+1)/2 terms at degree a), each Omega branch is one big-int product of
-base-2^width digits two bits wider than the bound 2^k (ab)^k |A|_1 |B|_inf
-on every output coefficient, so no digit carries, and Poly.from_kronecker
-decodes the one sum.  Every other pair goes through one Poly.weighted_sum
-that multiplies each term pair once, by one weight per pair of x-exponents
-into which _omega_weights folds the k+1 branches, and takes no derivative.
-This module never touches a packed key.
+integer forms go by Kronecker substitution in _omega_dense, on coefficient
+lists in and out: Poly.dense_coefficients gives them (int coefficients, x0
+and x1 alone, at least (a+1)/2 terms at degree a), each Omega branch is
+one big-int product of base-2^width digits two bits wider than the bound
+(a)_k (b)_k |A|_1 |B|_inf on every output coefficient, so no digit
+carries, and poly.kronecker_digits decodes the one sum.  covariant's memo
+calls _omega_dense directly, with one falling-factorial table per form.
+Every other pair goes through one Poly.weighted_sum that multiplies each
+term pair once, by one weight per pair of x-exponents into which
+_omega_weights folds the k+1 branches, and takes no derivative; sides
+whose branch windows never meet build no weight.  This module never
+touches a packed key.
 
 transvectant and omega_apply hold their Omega work, branches times input
-terms, to the work cap (arith.check_cap) before any branch runs.
+terms, to the work cap (arith.check_cap) before any branch runs, and
+transvectant also holds the bits the dense route would pack, summed over
+the branches, as tau holds its packed sum.  A zero raw sum is returned
+without its normalizing scalar.
 """
 
 from fractions import Fraction
 from math import comb, factorial, perm
 
 from .arith import binomial, check_cap
-from .poly import Poly, VarRegistry
+from .poly import Poly, VarRegistry, kronecker_digits
 
 
 X = ("x0", "x1")
@@ -137,13 +143,21 @@ def _omega_diagonal(apoly: Poly, bpoly: Poly, k: int) -> Poly:
     goes through one Poly.weighted_sum grouped by x0, x1, with the
     weights of _omega_weights.  Both routes give the same terms.
     """
-    reg = apoly.registry
-    if bpoly.registry is reg:
+    dense = _dense_pair(apoly, bpoly)
+    if dense:
+        return Poly.from_dense(apoly.registry, _omega_dense(*dense, k), X)
+    return Poly.weighted_sum(apoly, bpoly, X, k, _omega_weights(k))
+
+
+def _dense_pair(apoly: Poly, bpoly: Poly):
+    """The coefficient lists of two dense integer forms over one registry
+    (Poly.dense_coefficients), or None."""
+    if bpoly.registry is apoly.registry:
         A = apoly.dense_coefficients(X)
         B = A and bpoly.dense_coefficients(X)
         if B:
-            return _omega_dense(reg, A, B, k)
-    return Poly.weighted_sum(apoly, bpoly, X, k, _omega_weights(k))
+            return A, B
+    return None
 
 
 def _omega_weights(k):
@@ -156,66 +170,100 @@ def _omega_weights(k):
           = sum_i (-1)^i C(p0,k-i) C(p1,i) * k! (q0)_i (q1)_{k-i}
 
     (falling factorials), summed over the branches i both terms survive:
-    max(0, k-p0) <= i <= min(k, p1) on the left and max(0, k-q1) <= i <=
-    min(k, q0) on the right.  Each vector lists only those branches, so no
-    pair of exponents costs more than the branches it survives.
+    the window max(0, k-p0) <= i <= min(k, p1) on the left and max(0,
+    k-q1) <= i <= min(k, q0) on the right.  weighted_sum cuts each window
+    to the branches the other side reaches before it builds a vector, so
+    no pair of exponents costs more than the branches it survives, and
+    sides whose windows never meet (x0^a against x0^b at k > 0) cost none.
     """
-    scale = factorial(k)
+    scale = None  # k!, taken with the first right vector
 
-    def left(p):
+    def left_window(p):
         p0, p1 = p
-        lo = max(0, k - p0)
-        return lo, [(-1) ** i * comb(p0, k - i) * comb(p1, i) for i in range(lo, min(k, p1) + 1)]
+        return (k - p0 if p0 < k else 0), (p1 if p1 < k else k) + 1
 
-    def right(q):
+    def left(p, lo, hi):
+        p0, p1 = p
+        return [(-1) ** i * comb(p0, k - i) * comb(p1, i) for i in range(lo, hi)]
+
+    def right_window(q):
         q0, q1 = q
-        lo = max(0, k - q1)
-        return lo, [scale * perm(q0, i) * perm(q1, k - i) for i in range(lo, min(k, q0) + 1)]
+        return (k - q1 if q1 < k else 0), (q0 if q0 < k else k) + 1
 
-    return left, right
+    def right(q, lo, hi):
+        nonlocal scale
+        if scale is None:
+            scale = factorial(k)
+        q0, q1 = q
+        return [scale * perm(q0, i) * perm(q1, k - i) for i in range(lo, hi)]
+
+    return (left_window, left), (right_window, right)
 
 
-def _omega_dense(registry, A, B, k) -> Poly:
-    """_omega_diagonal on coefficient lists, by Kronecker substitution.
+def _falling(ff, rows):
+    """The table ff[m][t] = (t)_m, the falling factorial, grown in place to
+    rows 0..rows; one multiply per entry, and 0 for t < m."""
+    while len(ff) <= rows:
+        m = len(ff)
+        ff.append([f * (t - m + 1) for t, f in enumerate(ff[-1])])
+    return ff
+
+
+def _dense_width(A, B, k) -> int:
+    """Digit width of _omega_dense: two bits past (a)_k (b)_k |A|_1 |B|_inf.
+
+    That bounds every digit it packs and every output coefficient: by
+    Vandermonde's identity sum_i C(k,i) (a-s)_{k-i} (s)_i = (a)_k, and each
+    (b-t)_i (t)_{k-i} <= (b)_k, so the branches together weigh each pair
+    A[s] B[t] by at most (a)_k (b)_k."""
+    a, b = len(A) - 1, len(B) - 1
+    limit = perm(a, k) * perm(b, k) * sum(map(abs, A)) * max(map(abs, B))
+    return limit.bit_length() + 2
+
+
+def _omega_dense(A, B, k, ff=None) -> list:
+    """_omega_diagonal on coefficient lists, by Kronecker substitution:
+    the coefficient list [c_0, ..., c_n] of the raw transvectant, n =
+    a+b-2k, or [] when k > min(a, b).
 
     Branch i packs its derivatives' coefficients as base-2^width digits,
     alpha_i(s) = A[s] (a-s)_{k-i} (s)_i for s = i..a-k+i and
     beta_i(t) = B[t] (b-t)_i (t)_{k-i} for t = k-i..b-i (falling
-    factorials, read from one table ff[m][n] = (n)_m), and adds +-C(k,i)
-    times the product of the two ints to one sum, whose digit m = s+t-k
-    holds x0^(a+b-2k-m) x1^m for every branch.  No output coefficient
-    exceeds 2^k (ab)^k |A|_1 |B|_inf in absolute value and the width is
-    two bits past that, so the balanced digits never carry, and
-    Poly.from_kronecker unpacks them exactly.
+    factorials, read from the table ff of _falling, grown here to k rows;
+    a caller may pass one of at least max(a, b) + 1 columns to share), and
+    adds +-C(k,i) times the product of the two ints to one sum, whose
+    digit m = s+t-k holds the coefficient of x0^(n-m) x1^m for every
+    branch.  No digit reaches the bound of _dense_width, so the balanced
+    digits never carry, and poly.kronecker_digits unpacks them exactly.
     """
     a, b = len(A) - 1, len(B) - 1
     if not 0 <= k <= min(a, b):
-        return Poly.zero(registry)
-    limit = 2**k * (a * b) ** k * sum(map(abs, A)) * max(map(abs, B))
-    width = limit.bit_length() + 2
-    # (n)_m = (n)_(m-1) * (n-m+1), one multiply per entry; 0 for n < m
-    ff = [[1] * (max(a, b) + 1)]
-    for m in range(1, k + 1):
-        ff.append([f * (n - m + 1) for n, f in enumerate(ff[-1])])
+        return []
+    ff = _falling(ff or [[1] * (max(a, b) + 1)], k)
+    width = _dense_width(A, B, k)
     total = 0
     for i in range(k + 1):
         fi, fki = ff[i], ff[k - i]
         pa = 0
         for s in range(a - k + i, i - 1, -1):
             pa = (pa << width) + A[s] * fki[a - s] * fi[s]
+        if not pa:
+            continue
         pb = 0
         for t in range(b - i, k - i - 1, -1):
             pb = (pb << width) + B[t] * fi[b - t] * fki[t]
-        if pa and pb:
-            sign = -1 if i % 2 else 1
-            total += sign * binomial(k, i) * pa * pb
-    n = a + b - 2 * k
-    return Poly.from_kronecker(registry, total, width, ((X[1],), n + 1), (X[0], n))
+        total += (-binomial(k, i) if i % 2 else binomial(k, i)) * pa * pb
+    return kronecker_digits(total, width, a + b - 2 * k + 1)
 
 
 def transvectant(A: BinaryForm, B: BinaryForm, k: int) -> BinaryForm:
     """The k-th transvectant (A, B)_k, exactly normalized; the zero form at
-    once when k > min(a, b) or either form is zero."""
+    once when k > min(a, b), either form is zero, or the raw sum is.
+
+    Before any branch runs, the work cap holds the Omega work (branches
+    times input terms) and, for two dense integer forms, the bits the
+    Kronecker route packs: (k+1)(a+b-2k+2) digits of _dense_width bits.
+    """
     if k < 0:
         raise ValueError("negative transvectant index")
     a, b = A.degree, B.degree
@@ -224,7 +272,13 @@ def transvectant(A: BinaryForm, B: BinaryForm, k: int) -> BinaryForm:
         return BinaryForm(Poly.zero(A.poly.registry), degree)
     work = (k + 1) * (len(A.poly.terms) + len(B.poly.terms))
     check_cap(work, f"the transvectant of order {k} would take {work} Omega branch terms")
+    dense = _dense_pair(A.poly, B.poly)
+    if dense:
+        bits = (k + 1) * (a + b - 2 * k + 2) * _dense_width(*dense, k)
+        check_cap(bits, f"the transvectant of order {k} would pack {bits} bits")
     raw = _omega_diagonal(A.poly, B.poly, k)
+    if raw.is_zero():
+        return BinaryForm(raw, degree)
     # (a-k)!(b-k)!/(a!b!) as falling factorials: no factorial of a or b
     norm = Fraction(1, perm(a, k) * perm(b, k))
     return BinaryForm(raw * norm, degree)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from invforge.acceptance import is_power_of_quadratic
 from invforge.covariant import (
@@ -16,7 +18,7 @@ from invforge.covariant import (
     u_cov,
 )
 from invforge.poly import Poly, VarRegistry
-from invforge.transvect import BinaryForm, generic_form, transvectant
+from invforge.transvect import X, BinaryForm, generic_form, transvectant
 
 
 def xreg(extra=()):
@@ -295,15 +297,18 @@ def test_cache_computes_each_transvectant_once_in_any_order(monkeypatch, members
 def test_integer_member_takes_the_dense_route(monkeypatch):
     # an integer power of a quadratic runs all of S(12) by Kronecker
     # substitution; a symbolic member never takes that route
+    import invforge.covariant as covariant
     import invforge.transvect as transvect
 
     calls = []
     dense = transvect._omega_dense
 
-    def counting(registry, A, B, k):
+    def counting(A, B, k, ff=None):
         calls.append(k)
-        return dense(registry, A, B, k)
+        return dense(A, B, k, ff)
 
+    # the memo calls the kernel through covariant, _omega_diagonal through transvect
+    monkeypatch.setattr(covariant, "_omega_dense", counting)
     monkeypatch.setattr(transvect, "_omega_dense", counting)
     reg = xreg()
     x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")
@@ -314,6 +319,40 @@ def test_integer_member_takes_the_dense_route(monkeypatch):
     a0, a1, b0, b1, x0, x1 = (Poly.variable(reg, n) for n in reg.names)
     assert membership(form(((a0 * x0 + a1 * x1) * (b0 * x0 + b1 * x1)) ** 4)) == (True, None)
     assert calls == []
+
+
+_NONZERO = st.integers(-4, 4).filter(bool)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)),
+    st.integers(2, 8),
+    st.one_of(st.none(), st.tuples(st.integers(0, 16), _NONZERO)),
+    st.data(),
+)
+def test_packed_route_matches_the_fraction_route(q, e, perturb, data):
+    # an integer q^e, or q^e with one coefficient moved, takes the packed
+    # route; the same form times 1/2 has Fraction coefficients and takes
+    # weighted_sum.  Vanishing does not see the scale, and U and Phi are
+    # cubic in F, so on the halved form they are 1/8 of the dense results.
+    reg = xreg()
+    x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")
+    F = (q[0] * x0**2 + q[1] * x0 * x1 + q[2] * x1**2) ** e
+    d = 2 * e
+    if perturb is not None:
+        t, delta = perturb
+        F = F + delta * x0 ** (d - t % (d + 1)) * x1 ** (t % (d + 1))
+    assume(F.dense_coefficients(X) is not None)
+    dense, halved = form(F, d), form(F * Fraction(1, 2), d)
+    assert membership(dense) == membership(halved)
+    i = data.draw(st.integers(0, e), label="i")
+    j = data.draw(st.integers(0, min(d, 2 * d - 4 * i)), label="j")
+    assert u_cov(d, i, j, halved).poly == u_cov(d, i, j, dense).poly * Fraction(1, 8)
+    phis = [x for x in set_S(d) if x.kind == "Phi"]
+    if phis:
+        indices = data.draw(st.sampled_from(phis), label="Phi").indices
+        assert phi(d, *indices, halved).poly == phi(d, *indices, dense).poly * Fraction(1, 8)
 
 
 def test_set_s_quartic_canonical_list():

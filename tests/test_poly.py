@@ -222,6 +222,20 @@ def test_term_rejects_float_coefficient():
     assert Poly.term(reg, Fraction(1, 2), {"x0": 1}) == Poly.variable(reg, "x0") * Fraction(1, 2)
 
 
+def _side(vector):
+    # a weighted_sum side from vector(p) = (first, whole vector): its window,
+    # and the part of the vector asked for
+    def window(p):
+        first, entries = vector(p)
+        return first, first + len(entries)
+
+    def entries(p, lo, hi):
+        first, entries = vector(p)
+        return entries[lo - first : hi - first]
+
+    return window, entries
+
+
 def test_weighted_sum_rejects_non_int_weight():
     reg, (x, y, z) = make_ring()
     a = 2 * x**2 * y + 3 * x * z - y
@@ -231,11 +245,8 @@ def test_weighted_sum_rejects_non_int_weight():
 
     # w(p, q) = (p0 + q0)(2 p0 - q0 - 1) as the dot product of two vectors
     # over indices 1..3, where both are given
-    def left(p):
-        return 1, [p[0], 2 * p[0] ** 2 - p[0], 1]
-
-    def right(q):
-        return 0, [5, q[0], 1, -q[0] ** 2 - q[0]]
+    left = _side(lambda p: (1, [p[0], 2 * p[0] ** 2 - p[0], 1]))
+    right = _side(lambda q: (0, [5, q[0], 1, -q[0] ** 2 - q[0]]))
 
     def weight(p, q):
         return (p[0] + q[0]) * (2 * p[0] - q[0] - 1)
@@ -253,7 +264,7 @@ def test_weighted_sum_rejects_non_int_weight():
     assert Poly.weighted_sum(a, b, ("x",), 1, (left, right)) == want
     for w in (0.1, Fraction(1, 2), Fraction(2)):
         with pytest.raises(TypeError):
-            Poly.weighted_sum(x, y, (), 0, (lambda p: (0, [w]), lambda q: (0, [1])))
+            Poly.weighted_sum(x, y, (), 0, (_side(lambda p: (0, [w])), _side(lambda q: (0, [1]))))
     stranger = Poly.variable(VarRegistry(["x", "y", "z"]), "x")
     for a, b in ((stranger, y), (x, stranger)):
         with pytest.raises(ValueError, match="registry mismatch"):
@@ -513,6 +524,30 @@ def test_parse_golden():
     assert parse("3/2", reg) == Poly.const(reg, Fraction(3, 2))
     assert parse("-x0", reg) == -x0
     assert parse("x0*x1 + x1*x0", reg) == 2 * x0 * x1
+
+
+def test_parse_keeps_integer_literals_int():
+    # an integer literal is read as an int, never through a Fraction; p/q is
+    # a Fraction, stored as an int when it is integral
+    reg = VarRegistry(["x0", "x1"])
+    got = parse("3*x0^2 - 12*x0*x1 + 1/2*x1^2 + 4/2*x0 + 7", reg).exponent_terms()
+    want = {(2, 0): 3, (1, 1): -12, (0, 2): Fraction(1, 2), (1, 0): 2, (0, 0): 7}
+    assert got == want
+    assert {e: type(c) for e, c in got.items()} == {e: type(c) for e, c in want.items()}
+    assert type(parse("4/2", reg).terms[0]) is int
+    assert type(parse("-" + "9" * 640, reg).terms[0]) is int
+
+
+@pytest.mark.parametrize("coeffs", [[1], [0, 0, 5], [3, -1, 0, 2**70], [Fraction(1, 3), 0, 2]])
+def test_from_dense_inverts_dense_coefficients(coeffs):
+    reg = VarRegistry(["s", "x0", "x1"])
+    p = Poly.from_dense(reg, coeffs, ("x0", "x1"))
+    a = len(coeffs) - 1
+    want = Poly(reg, {(0, a - t, t): c for t, c in enumerate(coeffs) if c})
+    assert p == want and p.bound <= a
+    if all(type(c) is int for c in coeffs) and 2 * len(p.terms) >= a + 1:
+        assert p.dense_coefficients(("x0", "x1")) == coeffs
+    assert Poly.from_dense(reg, [], ("x0", "x1")).is_zero()
 
 
 @settings(max_examples=40, deadline=None)

@@ -253,11 +253,12 @@ def test_pi_p_past_the_degree_is_zero_without_a_branch(monkeypatch):
 
 def test_omega_entry_points_hold_branches_times_terms_to_the_cap(monkeypatch):
     reg, (x0, x1, y0, y1) = xy4_ring()
-    A = BinaryForm(x0**3 + x1**3)
+    # sparse, so no packed-bits check: see the dense route's test below
+    A = BinaryForm(x0**5 + x1**5)
     B = BinaryForm(x0**2 + x1**2)
     # (A, B)_2: 3 branches over 2 + 2 terms
     monkeypatch.setenv("INVFORGE_SIZE_CAP", "12")
-    assert str(transvectant(A, B, 2)) == "x0 + x1"
+    assert str(transvectant(A, B, 2)) == "x0^3 + x1^3"
     monkeypatch.setenv("INVFORGE_SIZE_CAP", "11")
     with pytest.raises(ValueError, match="^the transvectant of order 2 would take 12 Omega"):
         transvectant(A, B, 2)
@@ -268,6 +269,41 @@ def test_omega_entry_points_hold_branches_times_terms_to_the_cap(monkeypatch):
     monkeypatch.setenv("INVFORGE_SIZE_CAP", "8")
     with pytest.raises(ValueError, match=r"^Omega\^2 would take 9 Omega branch terms, above"):
         pi_p(G, 1)
+
+
+def test_transvectant_holds_the_dense_route_to_the_cap_by_packed_bits(monkeypatch):
+    # A = sum (s+1) x0^(6-s) x1^s with itself at k = 2: 3 branches over 7 + 7
+    # terms, and 3 branches of 5 + 5 digits of 20 bits, two past the 18 of
+    # (6)_2^2 |A|_1 |A|_inf = 900 * 28 * 7
+    reg, x0, x1 = xy_ring()
+    A = BinaryForm(sum(((s + 1) * x0 ** (6 - s) * x1**s for s in range(7)), Poly.zero(reg)))
+    want = (
+        "8/45*x0^8 + 16/15*x0^7*x1 + 56/15*x0^6*x1^2 + 448/45*x0^5*x1^3 + 112/5*x0^4*x1^4"
+        " + 112/5*x0^3*x1^5 + 728/45*x0^2*x1^6 + 128/15*x0*x1^7 + 8/3*x1^8"
+    )
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "600")
+    full = transvectant(A, A, 2)
+    assert str(full) == want
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "599")
+    with pytest.raises(ValueError, match="^the transvectant of order 2 would pack 600 bits, above"):
+        transvectant(A, A, 2)
+    # a Fraction operand takes the grouped route, which packs nothing: held
+    # to branches times terms alone
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "42")
+    half = transvectant(A, BinaryForm(A.poly * Fraction(1, 2)), 2)
+    assert half.poly == full.poly * Fraction(1, 2)
+
+
+def test_transvectant_of_windows_that_never_meet_builds_no_weight(monkeypatch):
+    # x0^a against x0^b: the left side needs i <= 0 and the right side
+    # i >= k, so the zero comes before any weight, k! or norm
+    for name in ("comb", "perm", "factorial"):
+        monkeypatch.setattr(transvect, name, None)
+    reg, x0, x1 = xy_ring()
+    a = 1048576
+    out = transvectant(BinaryForm(x0**a), BinaryForm(x0**a), 400000)
+    assert out.is_zero() and out.degree == 2 * a - 800000
+    assert _omega_diagonal(x0**a * x1, x0**3, 2).is_zero()
 
 
 def test_omega_apply_refuses_past_the_cap_before_any_derivative(monkeypatch):
