@@ -24,7 +24,7 @@ import itertools
 import math
 from operator import mul
 
-from .arith import binomial, check_cap, size_cap
+from .arith import _compositions, binomial, check_cap, size_cap
 from .poly import Poly, VarRegistry
 from .transvect import polarize
 
@@ -44,16 +44,8 @@ def monomial_exponents(nvars: int, degree: int):
     variables, in graded-lex descending order (x0^d first)."""
     if nvars < 1:
         raise ValueError(f"monomial_exponents needs nvars >= 1, got {nvars}")
-    # stars and bars: nvars - 1 bars among degree + nvars - 1 slots, the
-    # gaps between them the exponents; lex order of the bar positions is
-    # lex order of the exponents, so reversing it puts x0^d first
-    slots = degree + nvars - 1
-    out = []
-    for bars in itertools.combinations(range(slots), nvars - 1):
-        ends = (-1, *bars, slots)
-        out.append(tuple(b - a - 1 for a, b in itertools.pairwise(ends)))
-    out.reverse()
-    return out
+    # graded-lex descending is lex descending within one degree
+    return _compositions(degree, [degree] * nvars)[::-1]
 
 
 class ExactMatrix:

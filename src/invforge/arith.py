@@ -3,8 +3,10 @@
 Everything downstream works over arbitrary-precision rationals
 (`fractions.Fraction`, or `int` where integral); this module provides the
 factorial-family helpers (factorial, binomial, Pochhammer symbol) used by
-every closed-form coefficient, and the one work cap: size_cap() reads it,
-and check_cap() holds every work estimate to it and words every refusal.
+every closed-form coefficient, the one composition enumerator behind the
+monomial labels of alphamap and the candidate rows of enumeration's walks,
+and the one work cap: size_cap() reads it, and check_cap() holds every work
+estimate to it and words every refusal.
 """
 
 import os
@@ -61,6 +63,30 @@ def pochhammer(a, i: int) -> Fraction:
     out = Fraction(1)
     for step in range(i):
         out *= a + step
+    return out
+
+
+def _compositions(total: int, caps) -> list:
+    """The tuples v with sum total and 0 <= v[j] <= caps[j], in
+    lexicographic order, built from the last cell to the first.  A tuple
+    grows as a chain of (v[j], rest) pairs, one pair per cell, and is
+    written out once at the end, so the work is linear in the output even
+    over many cells (the monomials of degree 0 in 10^5 variables)."""
+    tails = {0: [()]}  # sum -> the chains over the cells so far, in order
+    for cap in reversed(caps):
+        grown = {}
+        for v in range(cap + 1):  # v ascending keeps every list in order
+            for s, chains in tails.items():
+                if s + v <= total:
+                    grown.setdefault(s + v, []).extend((v, chain) for chain in chains)
+        tails = grown
+    out = []
+    for chain in tails.get(total, []):
+        row = []
+        while chain:
+            v, chain = chain
+            row.append(v)
+        out.append(tuple(row))
     return out
 
 

@@ -148,8 +148,9 @@ class CovariantExpr:
         if not any(combo):
             return zero
         # scale * c, not c * scale: a Fraction times an int takes no detour
-        combo = Poly.from_dense(F.poly.registry, [scale * c for c in combo], X)
-        return BinaryForm(combo, self.order)
+        combo = [scale * c for c in combo]
+        box, fill = (X[1:], len(combo)), (X[0], self.order)
+        return BinaryForm(Poly.from_slots(F.poly.registry, combo, box, fill), self.order)
 
     def _raw(self, i, j, F, cache):
         # U(i,j) with both transvectants unnormalized, memoized with the

@@ -15,24 +15,10 @@ closed forms except the explicit cross-check helpers.
 from fractions import Fraction
 from math import comb, prod
 
-from .arith import check_cap, factorial, size_cap
+from .arith import _compositions, check_cap, factorial, size_cap
 from .closedform import n3
-from .poly import Poly, VarRegistry
+from .poly import Poly, VarRegistry, kronecker_digits
 from .transvect import BinaryForm, pi_p, transvectant
-
-
-def _compositions(total: int, caps) -> list:
-    """The tuples v with sum total and 0 <= v[j] <= caps[j], in
-    lexicographic order, built from the last cell to the first."""
-    tails = {0: [()]}  # sum -> the tuples over the cells so far, in order
-    for cap in reversed(caps):
-        grown = {}
-        for v in range(cap + 1):  # v ascending keeps every list in order
-            for s, rows in tails.items():
-                if s + v <= total:
-                    grown.setdefault(s + v, []).extend((v, *row) for row in rows)
-        tails = grown
-    return tails.get(total, [])
 
 
 def _bordered(margins, transport: bool):
@@ -278,8 +264,9 @@ def tau(r: int, e: int, p: int) -> Poly:
     2^D, so no coefficient of the sum passes sum |w| 2^D; width is two bits
     past that, so the balanced digits never carry.  Each kept key
     multiplies its weight in one factor at a time, a shift and a
-    subtraction, and Poly.from_kronecker unpacks the sum and divides it by
-    L once.
+    subtraction.  poly.kronecker_digits unpacks the sum once, each nonzero
+    digit is divided by L, and Poly.from_slots puts the quotients on the
+    z-exponent slots with t filled in to degree D.
 
     The work cap bounds the answer's bits before any factorial (up to
     C(D + r, r) monomials of degree D over D!, of D * D.bit_length() bits
@@ -332,9 +319,10 @@ def tau(r: int, e: int, p: int) -> Poly:
                 w -= w << step
             low += m * s
         total += w << low
+    digits = kronecker_digits(total, width, radix**r)
+    coeffs = [Fraction(c, common) if c else 0 for c in digits]
     registry = VarRegistry(["t"] + [f"z{i}" for i in range(1, r + 1)])
-    z = (registry.names[1:], radix)
-    return Poly.from_kronecker(registry, total, width, z, ("t", degree), common)
+    return Poly.from_slots(registry, coeffs, (registry.names[1:], radix), ("t", degree))
 
 
 def tau_transvectant_check(r: int, e: int, p: int) -> bool:

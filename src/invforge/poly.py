@@ -42,11 +42,13 @@ per pair of x-exponents.
 kronecker_digits is the one decoder of a Kronecker-packed int: its
 balanced base-2^width digits, lowest first.  transvect._omega_dense
 multiplies coefficient lists as big ints and takes the digits as the
-output's list; Poly.from_kronecker, for enumeration.tau, puts them on the
-slots of an exponent box with one variable filled in by homogeneity.
+output's list; enumeration.tau takes them as its numerators.
+Poly.from_slots is the one way such a list becomes a Poly: it puts the
+entries on the slots of an exponent box and fills one variable in by
+homogeneity (for a binary form, a box over x1 and x0 as the fill).
 Poly.dense_coefficients gives the dense route the coefficient list of an
-integer binary form and Poly.from_dense turns such a list back into a
-Poly, so packed keys are read and written only in this module.
+integer binary form, so packed keys are read and written only in this
+module.
 
 Text goes both ways.  str() writes terms in graded lexicographic order,
 highest first; parse() reads terms joined by + or -, each an optional
@@ -294,20 +296,20 @@ class Poly:
         return cls._trusted(registry, _settle(acc), bound)
 
     @classmethod
-    def from_kronecker(cls, registry, value, width, box, fill, denominator=1):
-        """The Poly over registry whose Kronecker image is value / denominator.
+    def from_slots(cls, registry, coeffs, box, fill):
+        """The Poly over registry with coefficient coeffs[n] on slot n of an
+        exponent box, for coeffs a list of ints or Fractions, one per slot;
+        its zeros are dropped.
 
-        box = (names, size) numbers the slots of an exponent box: slot n
-        holds the monomial whose exponent of names[i] is the i-th base-size
-        digit of n, lowest first, and whose exponent of fill = (name,
-        degree) is degree less their sum, as homogeneity of that degree
-        demands.  value is sum_n c_n 2^(width*n) over the size^len(names)
-        slots, with every |c_n| < 2^(width-1), and each nonzero c_n becomes
-        the coefficient c_n / denominator.  ArithmeticError: value has no
-        such digits (it reaches past the last slot, or a digit past its
-        bound), or a nonzero digit would give fill a negative exponent.
-        Every exponent of the result lies in 0..degree, so degree is its
-        exponent bound.
+        box = (names, size) numbers the slots: slot n holds the monomial
+        whose exponent of names[i] is the i-th base-size digit of n, lowest
+        first, and whose exponent of fill = (name, degree) is degree less
+        their sum, as homogeneity of that degree demands.  ValueError: coeffs
+        does not have one entry per slot.  ArithmeticError: a nonzero entry
+        would give fill a negative exponent.  Every exponent of the result
+        lies in 0..degree, so degree is its exponent bound.  A binary form
+        sum_s c_s x0^(a-s) x1^s is from_slots(registry, [c_0, ..., c_a],
+        (("x1",), a + 1), ("x0", a)), the inverse of dense_coefficients.
         """
         names, size = box
         name, degree = fill
@@ -320,15 +322,14 @@ class Poly:
                 keys = range(base, base + size * step, step)
             else:
                 keys = [key + a * step for a in range(size) for key in keys]
-        digits = kronecker_digits(value, width, len(keys))
-        terms = {key: c for key, c in zip(keys, digits) if c}
+        if len(coeffs) != len(keys):
+            raise ValueError(f"{len(coeffs)} coefficients for {len(keys)} slots")
+        terms = {key: c for key, c in zip(keys, coeffs) if c}
         # past the degree, fill's exponent is negative and its field wraps
         if (size - 1) * len(names) > degree:
             if any((key >> shift) & _MASK > degree for key in terms):
                 raise ArithmeticError(f"a nonzero digit lies past degree {degree}")
-        if denominator != 1:
-            terms = {key: Fraction(c, denominator) for key, c in terms.items()}
-        return cls._trusted(registry, terms, degree)
+        return cls._trusted(registry, terms, degree if terms else 0)
 
     # -- predicates and bookkeeping ---------------------------------------
 
@@ -361,16 +362,6 @@ class Poly:
                 return None
             coeffs[s] = c
         return coeffs
-
-    @classmethod
-    def from_dense(cls, registry, coeffs, names):
-        """sum_s coeffs[s] u^(a-s) v^s over registry, for names = (u, v) and
-        a = len(coeffs) - 1: the inverse of dense_coefficients.  coeffs
-        holds ints or Fractions; its zeros are dropped."""
-        s0, s1 = (_W * registry.index(n) for n in names)
-        a = len(coeffs) - 1
-        terms = {(a - s) << s0 | s << s1: c for s, c in enumerate(coeffs) if c}
-        return cls._trusted(registry, terms, a if terms else 0)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):

@@ -18,14 +18,16 @@ B in x0, x1; the implementation never materializes the product A(x)B(y) in
 four variables.  omega_apply and pi_p act on a given polynomial in all four
 variables, so its registry must hold y0 and y1 as well.
 
-_omega_diagonal, the one transvectant kernel, has two routes.  Two dense
-integer forms go by Kronecker substitution in _omega_dense, on coefficient
-lists in and out: Poly.dense_coefficients gives them (int coefficients, x0
-and x1 alone, at least (a+1)/2 terms at degree a), each Omega branch is
-one big-int product of base-2^width digits two bits wider than the bound
-(a)_k (b)_k |A|_1 |B|_inf on every output coefficient, so no digit
-carries, and poly.kronecker_digits decodes the one sum.  covariant's memo
-calls _omega_dense directly, with one falling-factorial table per form.
+_omega_diagonal, the one transvectant kernel, has two routes, chosen once
+per call from one Poly.dense_coefficients read of each operand.  Two dense
+integer forms (int coefficients, x0 and x1 alone, at least (a+1)/2 terms
+at degree a) go by Kronecker substitution in _omega_dense, on coefficient
+lists in and out: each Omega branch is one big-int product of
+base-2^width digits two bits wider than the bound (a)_k (b)_k |A|_1
+|B|_inf on every output coefficient, so no digit carries,
+poly.kronecker_digits decodes the one sum, and Poly.from_slots puts the
+list back on x0, x1.  covariant's memo calls _omega_dense directly, with
+one falling-factorial table per form.
 Every other pair goes through one Poly.weighted_sum that multiplies each
 term pair once, by one weight per pair of x-exponents into which
 _omega_weights folds the k+1 branches, and takes no derivative; sides
@@ -34,9 +36,9 @@ touches a packed key.
 
 transvectant and omega_apply hold their Omega work, branches times input
 terms, to the work cap (arith.check_cap) before any branch runs, and
-transvectant also holds the bits the dense route would pack, summed over
-the branches, as tau holds its packed sum.  A zero raw sum is returned
-without its normalizing scalar.
+_omega_diagonal holds the bits its dense route would pack, summed over the
+branches, as tau holds its packed sum.  A zero raw sum is returned without
+its normalizing scalar.
 """
 
 from fractions import Fraction
@@ -138,26 +140,23 @@ def _omega_diagonal(apoly: Poly, bpoly: Poly, k: int) -> Poly:
     normalization to a single scalar multiply.
 
     Two dense integer forms over one registry (Poly.dense_coefficients)
-    take the Kronecker route, _omega_dense.  Any other pair (symbolic
-    coefficients, a Fraction, a zero, a sparse form such as x0^1048576)
-    goes through one Poly.weighted_sum grouped by x0, x1, with the
-    weights of _omega_weights.  Both routes give the same terms.
+    take the Kronecker route, _omega_dense, once the work cap has held the
+    bits it packs: (k+1)(a+b-2k+2) digits of _dense_width bits.  Any other
+    pair (symbolic coefficients, a Fraction, a zero, a sparse form such as
+    x0^1048576) goes through one Poly.weighted_sum grouped by x0, x1, with
+    the weights of _omega_weights.  Both routes give the same terms.
     """
-    dense = _dense_pair(apoly, bpoly)
-    if dense:
-        return Poly.from_dense(apoly.registry, _omega_dense(*dense, k), X)
-    return Poly.weighted_sum(apoly, bpoly, X, k, _omega_weights(k))
-
-
-def _dense_pair(apoly: Poly, bpoly: Poly):
-    """The coefficient lists of two dense integer forms over one registry
-    (Poly.dense_coefficients), or None."""
+    A = B = None
     if bpoly.registry is apoly.registry:
         A = apoly.dense_coefficients(X)
         B = A and bpoly.dense_coefficients(X)
-        if B:
-            return A, B
-    return None
+    if not B:
+        return Poly.weighted_sum(apoly, bpoly, X, k, _omega_weights(k))
+    a, b = len(A) - 1, len(B) - 1
+    bits = (k + 1) * (a + b - 2 * k + 2) * _dense_width(A, B, k)
+    check_cap(bits, f"the transvectant of order {k} would pack {bits} bits")
+    C = _omega_dense(A, B, k)
+    return Poly.from_slots(apoly.registry, C, (X[1:], len(C)), (X[0], len(C) - 1))
 
 
 def _omega_weights(k):
@@ -261,8 +260,8 @@ def transvectant(A: BinaryForm, B: BinaryForm, k: int) -> BinaryForm:
     once when k > min(a, b), either form is zero, or the raw sum is.
 
     Before any branch runs, the work cap holds the Omega work (branches
-    times input terms) and, for two dense integer forms, the bits the
-    Kronecker route packs: (k+1)(a+b-2k+2) digits of _dense_width bits.
+    times input terms); _omega_diagonal then holds the bits its dense
+    route would pack.
     """
     if k < 0:
         raise ValueError("negative transvectant index")
@@ -272,10 +271,6 @@ def transvectant(A: BinaryForm, B: BinaryForm, k: int) -> BinaryForm:
         return BinaryForm(Poly.zero(A.poly.registry), degree)
     work = (k + 1) * (len(A.poly.terms) + len(B.poly.terms))
     check_cap(work, f"the transvectant of order {k} would take {work} Omega branch terms")
-    dense = _dense_pair(A.poly, B.poly)
-    if dense:
-        bits = (k + 1) * (a + b - 2 * k + 2) * _dense_width(*dense, k)
-        check_cap(bits, f"the transvectant of order {k} would pack {bits} bits")
     raw = _omega_diagonal(A.poly, B.poly, k)
     if raw.is_zero():
         return BinaryForm(raw, degree)

@@ -61,6 +61,10 @@ def test_monomial_exponents_order():
     for nvars in range(1, 5):
         for deg in range(7):
             assert monomial_exponents(nvars, deg) == recursive(nvars, deg)
+    # no monomial has a negative degree, and many variables cost one step
+    # each (the row of alpha-rank --n 19999 --d 0)
+    assert monomial_exponents(1, -1) == []
+    assert monomial_exponents(20_000, 0) == [(0,) * 20_000]
 
 
 def test_exact_matrix_shape_validation():

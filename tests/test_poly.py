@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invforge.cli import main
-from invforge.poly import ParseError, Poly, VarRegistry, parse
+from invforge.poly import ParseError, Poly, VarRegistry, kronecker_digits, parse
 
 
 def make_ring():
@@ -288,15 +288,19 @@ def test_from_kronecker_round_trips_balanced_digits(width):
         if c:
             want[(28 - n % 15 - n // 15, n % 15, n // 15)] = Fraction(c, 7)
     box = (("y", "z"), 15)
-    got = Poly.from_kronecker(reg, kronecker_value(digits, width), width, box, ("x", 28), 7)
+    got = kronecker_digits(kronecker_value(digits, width), width, 225)
+    assert got == digits
+    got = Poly.from_slots(reg, [Fraction(c, 7) for c in got], box, ("x", 28))
     assert got == Poly(reg, want)
     assert got.bound == 28  # the fill degree, the most any exponent can be
+    with pytest.raises(ValueError, match="224 coefficients for 225 slots"):
+        Poly.from_slots(reg, digits[1:], box, ("x", 28))
     # one digit one past its bound, at either end, at the top or inside
     for n in (224, 100, 0):
         for past in (edge + 1, -edge - 1):
             value = kronecker_value(digits[:n] + [past] + digits[n + 1 :], width)
             with pytest.raises(ArithmeticError, match="overflowed"):
-                Poly.from_kronecker(reg, value, width, box, ("x", 28))
+                kronecker_digits(value, width, 225)
 
 
 def test_from_kronecker_refuses_a_digit_past_the_degree():
@@ -305,10 +309,10 @@ def test_from_kronecker_refuses_a_digit_past_the_degree():
     # slot 7 is y*z^2, of degree 3 > 2
     value = kronecker_value([0] * 7 + [1, 0], 8)
     with pytest.raises(ArithmeticError, match="past degree 2"):
-        Poly.from_kronecker(reg, value, 8, box, ("x", 2))
+        Poly.from_slots(reg, kronecker_digits(value, 8, 9), box, ("x", 2))
     y, z = Poly.variable(reg, "y"), Poly.variable(reg, "z")
     value = kronecker_value([0] * 6 + [-3], 8)
-    assert Poly.from_kronecker(reg, value, 8, box, ("x", 2)) == -3 * z**2
+    assert Poly.from_slots(reg, kronecker_digits(value, 8, 9), box, ("x", 2)) == -3 * z**2
 
 
 def test_differentiate():
@@ -540,14 +544,15 @@ def test_parse_keeps_integer_literals_int():
 
 @pytest.mark.parametrize("coeffs", [[1], [0, 0, 5], [3, -1, 0, 2**70], [Fraction(1, 3), 0, 2]])
 def test_from_dense_inverts_dense_coefficients(coeffs):
+    # a binary form: a box over x1 and x0 filled in to the degree
     reg = VarRegistry(["s", "x0", "x1"])
-    p = Poly.from_dense(reg, coeffs, ("x0", "x1"))
     a = len(coeffs) - 1
+    p = Poly.from_slots(reg, coeffs, (("x1",), a + 1), ("x0", a))
     want = Poly(reg, {(0, a - t, t): c for t, c in enumerate(coeffs) if c})
     assert p == want and p.bound <= a
     if all(type(c) is int for c in coeffs) and 2 * len(p.terms) >= a + 1:
         assert p.dense_coefficients(("x0", "x1")) == coeffs
-    assert Poly.from_dense(reg, [], ("x0", "x1")).is_zero()
+    assert Poly.from_slots(reg, [], (("x1",), 0), ("x0", -1)).is_zero()
 
 
 @settings(max_examples=40, deadline=None)

@@ -162,7 +162,19 @@ def test_dense_route_matches_omega_apply(left, coeffs, swap, kind, k):
     k = {"zero": 0, "min": min(a, b), "min+1": min(a, b) + 1}.get(kind, min(k, a, b))
     B_y = B.substitute({"x0": y0, "x1": y1})
     want = omega_apply(_disjoint_product(A, B_y), k).substitute({"y0": x0, "y1": x1})
-    assert _omega_diagonal(A, B, k) == want
+    calls = []
+    kernel = transvect._omega_dense
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transvect, "_omega_dense", counting)
+        assert _omega_diagonal(A, B, k) == want
+    # dense: nonzero, with at least (d+1)/2 terms at degree d
+    dense = all(P.terms and 2 * len(P.terms) >= d + 1 for P, d in ((A, a), (B, b)))
+    assert len(calls) == dense
 
 
 # a polynomial in s, x0, x1, t, homogeneous or not: exponent vectors to
@@ -281,12 +293,24 @@ def test_transvectant_holds_the_dense_route_to_the_cap_by_packed_bits(monkeypatc
         "8/45*x0^8 + 16/15*x0^7*x1 + 56/15*x0^6*x1^2 + 448/45*x0^5*x1^3 + 112/5*x0^4*x1^4"
         " + 112/5*x0^3*x1^5 + 728/45*x0^2*x1^6 + 128/15*x0*x1^7 + 8/3*x1^8"
     )
+    reads = []
+    dense_coefficients = Poly.dense_coefficients
+
+    def counting(self, names):
+        reads.append(names)
+        return dense_coefficients(self, names)
+
+    # the route is chosen once: one read of each operand
+    monkeypatch.setattr(Poly, "dense_coefficients", counting)
     monkeypatch.setenv("INVFORGE_SIZE_CAP", "600")
     full = transvectant(A, A, 2)
-    assert str(full) == want
+    assert str(full) == want and len(reads) == 2
     monkeypatch.setenv("INVFORGE_SIZE_CAP", "599")
-    with pytest.raises(ValueError, match="^the transvectant of order 2 would pack 600 bits, above"):
+    refusal = "^the transvectant of order 2 would pack 600 bits, above"
+    with pytest.raises(ValueError, match=refusal):
         transvectant(A, A, 2)
+    with pytest.raises(ValueError, match=refusal):
+        _omega_diagonal(A.poly, A.poly, 2)
     # a Fraction operand takes the grouped route, which packs nothing: held
     # to branches times terms alone
     monkeypatch.setenv("INVFORGE_SIZE_CAP", "42")
