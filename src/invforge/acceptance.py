@@ -293,37 +293,49 @@ def is_power_of_quadratic(coeffs) -> bool:
     """Whether sum coeffs[t] x0^(d-t) x1^t is the e-th power of some
     quadratic over the complex numbers (d = 2e).
 
-    Works on the coefficient list alone: shear so the leading coefficient
-    is nonzero, read the candidate quadratic off the first three
-    coefficients, and compare the full expansion.  Deliberately avoids
-    the polynomial engine and the covariant machinery.
+    Works on the coefficient list alone, in integers: rational
+    coefficients are first scaled by the lcm of their denominators, which
+    changes no answer.  Shear x1 -> x1 + s x0 so the leading coefficient
+    c0 is nonzero; the candidate quadratic is then c0^(1/e) (1 + alpha t
+    + beta t^2) in t = x1/x0, read off the first three coefficients.  With
+    D = c0 e^2, alpha = a/D and beta = b/D^2 for integers a, b, so the
+    comparison c0 (1 + alpha t + beta t^2)^e = sheared becomes
+    c0 (D^2 + aD t + b t^2)^e = D^(2e) sheared.  Deliberately avoids the
+    polynomial engine and the covariant machinery.
     """
-    coeffs = [Fraction(c) for c in coeffs]
     d = len(coeffs) - 1
     if d % 2 or d < 2:
         raise ValueError(f"need an even degree >= 2, got {d}")
     e = d // 2
-    if all(c == 0 for c in coeffs):
+    if not all(type(c) is int for c in coeffs):
+        coeffs = [Fraction(c) for c in coeffs]
+        common = math.lcm(*(c.denominator for c in coeffs))
+        coeffs = [int(c * common) for c in coeffs]
+    if not any(coeffs):
         return True
 
     # a nonzero univariate of degree <= d has a nonroot among 0..d
     for s in range(d + 1):
-        if sum(c * Fraction(s) ** t for t, c in enumerate(coeffs)):
+        powers = [s**t for t in range(d + 1)]
+        if sum(c * w for c, w in zip(coeffs, powers)):
             break
     sheared = [
-        sum(coeffs[t] * binomial(t, u) * Fraction(s) ** (t - u) for t in range(u, d + 1))
+        sum(coeffs[t] * binomial(t, u) * powers[t - u] for t in range(u, d + 1))
         for u in range(d + 1)
     ]
 
-    c0 = sheared[0]
-    alpha = sheared[1] / (c0 * e)
-    beta = (sheared[2] / c0 - binomial(e, 2) * alpha**2) / e
-    power = [Fraction(1)]
+    c0, s1, s2 = sheared[:3]
+    D = c0 * e * e
+    a = s1 * e
+    b = s2 * c0 * e**3 - binomial(e, 2) * s1 * s1 * e
+    q0, q1 = D * D, a * D
+    power = [1]
     for _ in range(e):
-        nxt = [Fraction(0)] * (len(power) + 2)
+        nxt = [0] * (len(power) + 2)
         for t, c in enumerate(power):
-            nxt[t] += c
-            nxt[t + 1] += c * alpha
-            nxt[t + 2] += c * beta
+            nxt[t] += c * q0
+            nxt[t + 1] += c * q1
+            nxt[t + 2] += c * b
         power = nxt
-    return all(c0 * pc == fc for pc, fc in zip(power, sheared))
+    scale = D ** (2 * e)
+    return all(c0 * pc == scale * fc for pc, fc in zip(power, sheared))

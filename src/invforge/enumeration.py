@@ -140,44 +140,64 @@ def component_census(G) -> tuple:
     """(cycles, LL-chains, RR-chains, LR-chains) of a bipartite multigraph
     whose row and column sums are at most 2.
 
-    A component is a cycle when it has as many edges as vertices (a double
-    edge m[i][j] = 2 is a 2-cycle), else a chain.  A chain alternates sides:
-    an odd edge count means LR, and with an even count both ends (one, for
-    an isolated vertex) lie on the side holding more of its vertices.
+    The union-find runs over the e columns only.  Each row is an L vertex
+    of degree at most 2, so it joins at most two columns; its shape is read
+    by the row's own count and index.  A row of sum 0 is an isolated L
+    vertex, an LL chain on its own.  Every other component holds a column,
+    and its chain ends are counted at its root: a pendant row (sum 1) is an
+    L end, and a column of sum c has 2 - c R ends (an isolated column is
+    both ends of an RR chain).  A component with no end is a cycle (a
+    double edge m[i][j] = 2 is a 2-cycle); one with an end of each kind is
+    an LR chain, else both ends lie on one side.
     """
     e = len(G)
-    # vertices 0..e-1 are L, e..2e-1 are R
-    parent = list(range(2 * e))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i in range(e):
-        for j in range(e):
-            if G[i][j]:
-                parent[find(i)] = find(e + j)
-
-    counts = {}  # root -> [vertices, edges, L vertices]
-    for v in range(2 * e):
-        c = counts.setdefault(find(v), [0, 0, 0])
-        c[0] += 1
-        if v < e:
-            c[1] += sum(G[v])
-            c[2] += 1
-
-    cycles = ll = rr = lr = 0
-    for vertices, edges, left in counts.values():
-        if edges == vertices:
-            cycles += 1
-        elif edges % 2:
-            lr += 1
-        elif 2 * left > vertices:
-            ll += 1
+    parent = list(range(e))
+    left = [0] * e  # L ends (pendant rows) and R ends (deficits) per column
+    right = [2] * e
+    ll = 0
+    for row in G:
+        ones = row.count(1)
+        if ones == 2:
+            j = row.index(1)
+            k = row.index(1, j + 1)
+        elif ones:
+            j = row.index(1)
+            right[j] -= 1
+            left[j] += 1
+            continue
+        elif 2 in row:
+            j = k = row.index(2)
         else:
-            rr += 1
+            ll += 1
+            continue
+        right[j] -= 1
+        right[k] -= 1
+        while parent[j] != j:
+            j = parent[j]
+        while parent[k] != k:
+            k = parent[k]
+        parent[j] = k
+
+    for j in range(e):  # fold each column's ends into its root
+        root = j
+        while parent[root] != root:
+            root = parent[root]
+        if root != j:
+            left[root] += left[j]
+            right[root] += right[j]
+
+    cycles = rr = lr = 0
+    for j in range(e):
+        if parent[j] == j:
+            if left[j]:
+                if right[j]:
+                    lr += 1
+                else:
+                    ll += 1
+            elif right[j]:
+                rr += 1
+            else:
+                cycles += 1
     return cycles, ll, rr, lr
 
 
@@ -187,10 +207,12 @@ def n1_brute(e: int, p: int) -> Fraction:
     sum_G (2p)! 2^(2e-2p+C(G)) / [prod m_ij! prod (2-l_i)! prod (2-c_j)!]
     where C(G) counts cycles and l_i, c_j are the row and column sums.
 
-    Each row i divides the weight by prod_j m_ij! (2-l_i)!, looked up once
-    per distinct row, and each column j by (2-c_j)!; each is at most 2, so
-    the terms are summed as integer numerators over 2^(2e), and one
-    Fraction is built at the end.
+    Every multigraph is walked, and component_census (a union-find over its
+    columns) gives its cycles and LR chains; a graph with an LR chain adds
+    nothing.  Each row i divides the weight by prod_j m_ij! (2-l_i)!,
+    looked up once per distinct row, and each column j by (2-c_j)!; each is
+    at most 2, so the terms are summed as integer numerators over 2^(2e),
+    and one Fraction is built at the end.
     """
     if not (0 <= p <= e):
         raise ValueError(f"n1_brute needs 0 <= p <= e, got {(e, p)}")

@@ -13,6 +13,13 @@ monomials is one integer add and a dict lookup hashes one int.  Variables
 registered later take higher bits, and an unused field reads 0, so a key
 means the same monomial at every size its registry has had.
 
+partial() is the one derivative loop: one pass over the terms for any
+number of (variable, order) pairs, each term's factor a falling factorial
+per variable, computed once per distinct pattern of those exponents;
+differentiate(var, times) is its one-pair case.  _degrees_in reads the
+combined degrees in some variables the same way, once per distinct
+pattern, for degree_in and is_homogeneous_in.
+
 substitute() runs one loop over the terms: an unbound variable or a one-term
 image adds to the output key (and scales the coefficient), and a longer image
 is multiplied in as a cached power.  lift() is that loop with no bindings: it
@@ -374,19 +381,21 @@ class Poly:
         if self.registry is not other.registry:
             raise ValueError("registry mismatch (lift one operand first)")
 
-    def _degrees_in(self, names):
+    def _degrees_in(self, names) -> set:
+        """The combined degrees in names of the terms, in one pass: each
+        distinct pattern of their fields is summed once."""
         shifts = [_W * self.registry.index(n) for n in names]
-        return (sum((key >> s) & _MASK for s in shifts) for key in self.terms)
+        fields = sum(_MASK << s for s in shifts)
+        patterns = {key & fields for key in self.terms}
+        return {sum([(key >> s) & _MASK for s in shifts]) for key in patterns}
 
     def degree_in(self, names) -> int:
         """Max combined degree in the given variables; -1 for zero."""
-        if not self.terms:
-            return -1
-        return max(self._degrees_in(names))
+        return max(self._degrees_in(names), default=-1)
 
     def is_homogeneous_in(self, names, degree: int) -> bool:
         """True iff every term has the given combined degree in names."""
-        return all(d == degree for d in self._degrees_in(names))
+        return self._degrees_in(names) <= {degree}
 
     def uses(self, name) -> bool:
         """True iff the variable appears with nonzero exponent."""
@@ -468,18 +477,48 @@ class Poly:
 
     def differentiate(self, var: str, times: int = 1):
         """Iterated exact partial derivative with respect to var."""
-        if times < 0:
-            raise ValueError("negative differentiation count")
-        shift = _W * self.registry.index(var)
-        if not times:
+        return self.partial(((var, times),))
+
+    def partial(self, orders):
+        """The mixed partial derivative taking times derivatives in var for
+        each (var, times) of orders, in one pass over the terms.
+
+        Every name is resolved, and every count checked, before a zero count
+        is dropped; a name given twice adds its counts.  d^t/dx^t x^k is
+        k!/(k-t)! x^(k-t), so a term's factor is one falling factorial per
+        variable, or 0, with no factorial taken, when some exponent is below
+        its count; it is computed once per distinct pattern of the
+        differentiated exponents."""
+        index = self.registry.index
+        counts = {}  # shift -> times
+        for var, times in orders:
+            if times < 0:
+                raise ValueError("negative differentiation count")
+            shift = _W * index(var)
+            counts[shift] = counts.get(shift, 0) + times
+        fields = []
+        drop = mask = 0
+        for shift, times in counts.items():
+            if times:
+                fields.append((shift, times))
+                drop += times << shift
+                mask |= _MASK << shift
+        if not fields:
             return self
-        # d^t/dx^t x^k = k!/(k-t)! x^(k-t): one pass, one falling factorial
-        drop = times << shift
+        factors = {}  # pattern of the fields -> the term's factor
         out = {}
         for key, c in self.terms.items():
-            k = (key >> shift) & _MASK
-            if k >= times:
-                out[key - drop] = c * perm(k, times)
+            pattern = key & mask
+            f = factors.get(pattern)
+            if f is None:
+                f = 0
+                if all((pattern >> shift) & _MASK >= times for shift, times in fields):
+                    f = 1
+                    for shift, times in fields:
+                        f *= perm((pattern >> shift) & _MASK, times)
+                factors[pattern] = f
+            if f:
+                out[key - drop] = c * f
         return Poly._trusted(self.registry, out, self.bound)
 
     def substitute(self, bindings: dict):

@@ -92,9 +92,11 @@ class BinaryForm:
 def omega_apply(P: Poly, k: int) -> Poly:
     """Omega^k P for a polynomial in x0, x1, y0, y1, expanded binomially.
 
-    Branch i differentiates in x1 and y0 first and stops at its first zero
-    derivative; the derivatives commute, so the order changes nothing else.
-    The k+1 branches over the terms of P are held to the work cap first.
+    Branch i is one Poly.partial pass over the terms of P, taking i
+    derivatives in x1 and y0 and k - i in x0 and y1: a term with an
+    exponent below its count drops out before any falling factorial, and
+    +-C(k,i) is computed only for a branch with a surviving term.  The k+1
+    branches over the terms of P are held to the work cap first.
     """
     if k < 0:
         raise ValueError("negative Omega power")
@@ -103,12 +105,8 @@ def omega_apply(P: Poly, k: int) -> Poly:
     (x0, x1), (y0, y1) = X, Y
     total = Poly.zero(P.registry)
     for i in range(k + 1):
-        branch = P
-        for var, times in ((x1, i), (y0, i), (x0, k - i), (y1, k - i)):
-            branch = branch.differentiate(var, times)
-            if branch.is_zero():
-                break
-        else:
+        branch = P.partial(((x1, i), (y0, i), (x0, k - i), (y1, k - i)))
+        if branch.terms:
             sign = -1 if i % 2 else 1
             total = total + branch * (sign * binomial(k, i))
     return total
@@ -290,7 +288,7 @@ def pi_p(G: Poly, p: int) -> BinaryForm:
     n = G.degree_in(X)
     if G.is_zero():
         return BinaryForm(G, 0)
-    if n != G.degree_in(Y) or not (G.is_homogeneous_in(X, n) and G.is_homogeneous_in(Y, n)):
+    if not (G.is_homogeneous_in(X, n) and G.is_homogeneous_in(Y, n)):
         raise ValueError("input is not bihomogeneous of equal degree in both pairs")
     reg = G.registry
     if 2 * p > n:  # every branch takes 2p derivatives in X, past G's degree

@@ -165,6 +165,57 @@ def test_census_matches_chain_ends():
                 assert component_census(G) == tuple(census), G
 
 
+def reference_census(G):
+    """component_census by a union-find over all 2e vertices: a component
+    is a cycle when it has as many edges as vertices, else a chain, LR for
+    an odd edge count, and otherwise with both ends on the side holding
+    more of its vertices."""
+    e = len(G)
+    # vertices 0..e-1 are L, e..2e-1 are R
+    parent = list(range(2 * e))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for i in range(e):
+        for j in range(e):
+            if G[i][j]:
+                parent[find(i)] = find(e + j)
+
+    counts = {}  # root -> [vertices, edges, L vertices]
+    for v in range(2 * e):
+        c = counts.setdefault(find(v), [0, 0, 0])
+        c[0] += 1
+        if v < e:
+            c[1] += sum(G[v])
+            c[2] += 1
+
+    cycles = ll = rr = lr = 0
+    for vertices, edges, left in counts.values():
+        if edges == vertices:
+            cycles += 1
+        elif edges % 2:
+            lr += 1
+        elif 2 * left > vertices:
+            ll += 1
+        else:
+            rr += 1
+    return cycles, ll, rr, lr
+
+
+@pytest.mark.parametrize("e, p", [(e, p) for e in range(5) for p in range(e + 1)] + [(5, 3)])
+def test_census_matches_vertex_union_find(e, p):
+    for G in multigraphs(e, p):
+        assert component_census(G) == reference_census(G), G
+
+
+def test_census_takes_lists():
+    assert component_census([[1, 1], [0, 0]]) == reference_census(((1, 1), (0, 0)))
+
+
 def _components(G):
     e = len(G)
     parent = list(range(2 * e))

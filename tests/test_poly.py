@@ -326,6 +326,23 @@ def test_differentiate():
         p.differentiate("x", -1)
 
 
+def test_partial_takes_mixed_derivatives_in_one_pass():
+    reg, (x, y, z) = make_ring()
+    p = x**3 * y**2 + 5 * x * y**3 * z + y**2
+    want = p.differentiate("x").differentiate("y", 2)
+    assert p.partial((("x", 1), ("y", 2))) == want == 6 * x**2 + 30 * y * z
+    # a name given twice adds its counts; zero counts change nothing
+    assert p.partial((("x", 1), ("z", 0), ("x", 2))) == 6 * y**2
+    assert p.partial((("x", 0), ("y", 0))) == p
+    # a term stops at its first exponent below its count
+    assert p.partial((("z", 1), ("y", 4))).is_zero()
+    # every name is resolved and every count checked, zero counts included
+    with pytest.raises(ValueError, match="unknown variable 'w'"):
+        p.partial((("x", 1), ("w", 0)))
+    with pytest.raises(ValueError, match="negative differentiation count"):
+        p.partial((("x", 0), ("y", -1)))
+
+
 def test_degree_helpers():
     reg, (x, y, z) = make_ring()
     p = x**2 * y + z
@@ -334,6 +351,33 @@ def test_degree_helpers():
     assert p.is_homogeneous_in(["z"], 1) is False
     assert (x**2 + x * y).is_homogeneous_in(["x", "y"], 2)
     assert p.uses("z") and p.uses("y")
+
+
+def test_degree_helpers_on_one_two_and_three_names():
+    reg, (x, y, z) = make_ring()
+    p = 3 * x**2 * y * z**4 + x * y**2 * z**4 - 2 * x**3 * z**4 + y**3
+    for names, degree, homogeneous in (
+        (["y"], 3, False),
+        (["x", "y"], 3, True),
+        (["x", "z", "y"], 7, False),
+    ):
+        assert p.degree_in(names) == degree
+        assert p.is_homogeneous_in(names, degree) is homogeneous
+        assert p.is_homogeneous_in(names, degree + 1) is False
+    assert (p - y**3).is_homogeneous_in(["x", "y", "z"], 7)
+    # the zero Poly has degree -1 and is homogeneous of every degree
+    zero = Poly.zero(reg)
+    for names in (["x"], ["x", "y"], ["x", "y", "z"]):
+        assert zero.degree_in(names) == -1
+        assert zero.is_homogeneous_in(names, 5) is True
+    # a Poly built before its registry grew reads 0 in the new names
+    reg.add("w")
+    w = Poly.variable(reg, "w")
+    assert p.degree_in(["w"]) == 0 and p.is_homogeneous_in(["w"], 0)
+    assert p.degree_in(["x", "w"]) == 3
+    assert p.is_homogeneous_in(["x", "y", "w"], 3)
+    assert (p * w).degree_in(["x", "y", "w"]) == 4
+    assert not (p + w).is_homogeneous_in(["x", "y", "w"], 3)
     assert not (x**2).uses("y")
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invforge import transvect
+from invforge import poly, transvect
 from invforge.poly import Poly, VarRegistry
 from invforge.transvect import (
     X,
@@ -237,22 +237,51 @@ def test_pi_p_squared_bracket():
 
 
 def test_omega_apply_stops_each_branch_at_its_first_zero_derivative(monkeypatch):
-    # on x0^a y1^a every branch i >= 1 vanishes at its first x1 derivative;
-    # only branch 0 takes all four, so k + 4 calls in all
+    # on x0^a y1^a every branch i >= 1 vanishes in x1: each branch is one
+    # Poly.partial pass, and only branch 0 takes a falling factorial, one
+    # in x0 and one in y1
     calls = []
-    differentiate = Poly.differentiate
+    factorials = []
+    partial = Poly.partial
 
-    def counting(self, var, times=1):
-        calls.append(var)
-        return differentiate(self, var, times)
+    def counting(self, orders):
+        calls.append(orders)
+        return partial(self, orders)
 
-    monkeypatch.setattr(Poly, "differentiate", counting)
+    def counting_perm(n, k):
+        factorials.append((n, k))
+        return perm(n, k)
+
+    monkeypatch.setattr(Poly, "partial", counting)
+    monkeypatch.setattr(poly, "perm", counting_perm)
     reg, (x0, x1, y0, y1) = xy4_ring()
     for a, k in ((3, 3), (40, 20), (300, 300)):
         calls.clear()
+        factorials.clear()
         got = omega_apply(x0**a * y1**a, k)
-        assert len(calls) <= k + 4
+        assert len(calls) == k + 1
+        assert factorials == [(a, k), (a, k)]
         assert got == Poly.term(reg, perm(a, k) ** 2, {"x0": a - k, "y1": a - k})
+
+
+def test_omega_apply_takes_binomials_of_surviving_branches_only(monkeypatch):
+    # x0^a y1^a at k = 2p: only branch 0 has a surviving term, so C(k, i)
+    # is computed once, not k + 1 times
+    calls = []
+    binomial = transvect.binomial
+
+    def counting(n, k):
+        calls.append((n, k))
+        return binomial(n, k)
+
+    monkeypatch.setattr(transvect, "binomial", counting)
+    reg, (x0, x1, y0, y1) = xy4_ring()
+    for a, p in ((4, 2), (50, 20), (600, 300)):
+        calls.clear()
+        out = pi_p(x0**a * y1**a, p)
+        assert calls == [(2 * p, 0)]
+        want = {"x0": a - 2 * p, "x1": a - 2 * p}
+        assert out.poly == Poly.term(reg, perm(a, 2 * p) ** 2, want)
 
 
 def test_pi_p_past_the_degree_is_zero_without_a_branch(monkeypatch):
@@ -331,10 +360,10 @@ def test_transvectant_of_windows_that_never_meet_builds_no_weight(monkeypatch):
 
 
 def test_omega_apply_refuses_past_the_cap_before_any_derivative(monkeypatch):
-    def refuse(self, var, times=1):
+    def refuse(self, orders):
         raise AssertionError("a derivative was taken")
 
-    monkeypatch.setattr(Poly, "differentiate", refuse)
+    monkeypatch.setattr(Poly, "partial", refuse)
     reg, (x0, x1, y0, y1) = xy4_ring()
     G = x0**1048576 * y1**1048576 + x1**1048576 * y0**1048576
     # 1,000,001 branches over 2 terms
