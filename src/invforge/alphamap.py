@@ -10,9 +10,11 @@ degree-d monomials.
 
 `alpha_matrix` builds each column from the closed polarization of a
 monomial, (y.dx)^e x^a = e! sum_{|b|=e, b<=a} prod_l C(a_l,b_l) x^(a-b) y^b,
-and stores the matrix sparse, one dict per row.  `ExactMatrix.rank`
-eliminates those rows fraction-free over the integers, dividing each
-reduced row by its content; the rank is exact whether full or not.
+multiplies those in poly's one multiply-accumulate loop on dicts of its
+own packed keys, and stores the matrix sparse, one dict per row.
+`ExactMatrix.rank` eliminates those rows fraction-free over the integers,
+dividing each reduced row by its content; the rank is exact whether full
+or not.
 `alpha_image` is the independent symbolic route (polarize each form,
 multiply) that the tests hold the matrix against.  The work cap bounds
 the labels before the build and the term pairs it multiplies, hence its
@@ -25,7 +27,7 @@ import math
 from operator import mul
 
 from .arith import _compositions, binomial, check_cap, size_cap
-from .poly import Poly, VarRegistry
+from .poly import Poly, VarRegistry, _multiply_into
 from .transvect import polarize
 
 
@@ -155,25 +157,6 @@ def _polar(a, bs, e: int, width: int, yshift: int) -> dict:
     return out
 
 
-def _mul(p: dict, q: dict) -> dict:
-    """Product of two polynomials held as {packed monomial: coefficient}.
-
-    The build does not go through `Poly`: its factors have a handful of
-    terms, so a `Poly.__mul__` call would cost more in registry checks,
-    coefficient settling and exponent-bound upkeep than in the product, and
-    bench/tracing.py would count every such call as poly-layer work
-    (`poly.mul`).  The fields here are (r*e).bit_length() bits wide, enough
-    for the largest exponent re of the bidegree-(re, re) products.
-    """
-    out = {}
-    get = out.get
-    for k1, c1 in p.items():
-        for k2, c2 in q.items():
-            k = k1 + k2
-            out[k] = get(k, 0) + c1 * c2
-    return out
-
-
 def alpha_matrix(n: int, d: int, r: int) -> ExactMatrix:
     """Matrix of alpha_r on degree-d forms in n+1 variables.
 
@@ -184,10 +167,15 @@ def alpha_matrix(n: int, d: int, r: int) -> ExactMatrix:
     m(x) m(y) on the diagonal.  Symmetry of P makes this well defined.
 
     Each column is the product of the closed polarizations (`_polar`) of
-    its r monomials.  The cap is checked twice: before anything is built
-    against the row labels and the r*cols monomials of the column labels,
-    and while building against the term pairs multiplied so far, which
-    bound both the work and the nonzeros stored.
+    its r monomials, as {packed monomial: coefficient} with fields
+    (r*e).bit_length() bits wide, enough for the exponent re.  They go
+    through poly._multiply_into without the Poly wrapper, whose checks and
+    bound upkeep cost more than these products of a handful of terms, and
+    which bench/tracing.py would count as poly.mul.  The cap is checked
+    twice: before anything is built against the row labels and the r*cols
+    monomials of the column labels, and while building against the term
+    pairs multiplied so far, which bound both the work and the nonzeros
+    stored.
     """
     if d % 2:
         raise ValueError(f"alpha_matrix needs even degree, got d={d}")
@@ -232,7 +220,7 @@ def alpha_matrix(n: int, d: int, r: int) -> ExactMatrix:
         if pairs > cap:
             at = f"at column {len(col_labels)} of {ncols}"
             check_cap(pairs, f"matrix build reaches {pairs} multiplied term pairs {at}", cap)
-        return _mul(p, q)
+        return _multiply_into({}, p.items(), q.items(), 1, 0)
 
     # columns come in lex order: share the product of all but the last monomial
     head_key = head = None

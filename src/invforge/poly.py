@@ -36,15 +36,15 @@ coefficients.  exponent_terms() is the view keyed by exponent tuples (one
 entry per variable of the registry as it is now), for readers that need the
 exponents themselves.
 
-Poly.weighted_sum holds the one multiply-accumulate loop.  It groups the
-terms of each operand by their exponents in some named variables and gives
-each pair of groups one int weight, the dot product of the groups' weight
-vectors, built only over the indices both operands reach; each term pair
-of nonzero weight is multiplied once, and its key lowered by a fixed
-power of the named variables.  a * b is its trivial case, one group on
-each side and weight 1; transvect._omega_diagonal groups by x0, x1 and
-lowers by (x0 x1)^k, its weights folding the k+1 Omega branches into one
-per pair of x-exponents.
+_multiply_into is the one multiply-accumulate loop: it adds each term
+pair of two (key, coefficient) lists to a dict, times an int weight, its
+key lowered by a fixed amount, the shorter list in the outer loop.  a * b
+calls it once, and alphamap.alpha_matrix on its own narrower keys.
+Poly.weighted_sum groups each operand's terms by their exponents in some
+named variables and calls it once per pair of groups of nonzero weight,
+the dot product of the groups' weight vectors over the indices both
+reach; transvect._omega_diagonal groups by x0, x1 and lowers by (x0 x1)^k,
+its weights folding the k+1 Omega branches into one per x-exponent pair.
 
 kronecker_digits is the one decoder of a Kronecker-packed int: its
 balanced base-2^width digits, lowest first.  transvect._omega_dense
@@ -239,7 +239,7 @@ class Poly:
         return cls._trusted(registry, {key: c} if c else {}, bound)
 
     @classmethod
-    def weighted_sum(cls, a, b, names=(), lower=0, weights=None):
+    def weighted_sum(cls, a, b, names, lower, weights):
         """sum of w(p, q) * s * t / m^lower over the terms s of a and t of b,
         where p and q are the exponent tuples of s and t in names, m is the
         product of the names, and w(p, q) = sum_i l_i r_i over the indices
@@ -252,34 +252,27 @@ class Poly:
         in names.  Every window is cut to the indices that some group of
         the other operand also covers, before any vector is built, and a
         group whose cut window is empty is dropped.  A pair of groups of
-        weight 0 is skipped, and every other term pair is multiplied once,
-        into one dict, the weight folded into the shorter group.
-        weights=None makes each operand one group of weight 1: with no
-        names that is a * b.  a and b must share a registry, and a weight
-        but an int raises TypeError.  The weights must vanish wherever some
-        p_j + q_j < lower, as a lowered exponent would be negative; this is
-        not checked."""
+        weight 0 is skipped, and every other pair goes through one
+        _multiply_into.  a and b must share a registry, and a weight but an
+        int raises TypeError.  The weights must vanish wherever some p_j +
+        q_j < lower, as a lowered exponent would be negative; this is not
+        checked."""
         registry = a.registry
         if b.registry is not registry:
             raise ValueError("registry mismatch in weighted_sum")
         shifts = [_W * registry.index(n) for n in names]
         drop = sum(lower << s for s in shifts)
-        if weights is None:  # one group a side, of weight 1
-            ga = [(len(a.terms), list(a.terms.items()), 0, 1, [1])]
-            gb = [(len(b.terms), list(b.terms.items()), 0, 1, [1])]
-        else:
-            (lwindow, lentries), (rwindow, rentries) = weights
-            ga = _groups(a.terms, shifts, lwindow)
-            gb = _groups(b.terms, shifts, rwindow)
-            # the indices both operands reach: no weight is built past them
-            lo = max(min([g[2] for g in ga], default=0), min([g[2] for g in gb], default=0))
-            hi = min(max([g[3] for g in ga], default=0), max([g[3] for g in gb], default=0))
-            ga = _weighed(ga, lentries, lo, hi)
-            gb = _weighed(gb, rentries, lo, hi)
+        (lwindow, lentries), (rwindow, rentries) = weights
+        ga = _groups(a.terms, shifts, lwindow)
+        gb = _groups(b.terms, shifts, rwindow)
+        # the indices both operands reach: no weight is built past them
+        lo = max(min([g[1] for g in ga], default=0), min([g[1] for g in gb], default=0))
+        hi = min(max([g[2] for g in ga], default=0), max([g[2] for g in gb], default=0))
+        ga = _weighed(ga, lentries, lo, hi)
+        gb = _weighed(gb, rentries, lo, hi)
         acc = {}
-        get = acc.get
-        for na, sa, la, ha, va in ga:
-            for nb, sb, lb, hb, vb in gb:
+        for sa, la, ha, va in ga:
+            for sb, lb, hb, vb in gb:
                 lo = la if la > lb else lb
                 hi = ha if ha < hb else hb
                 if lo >= hi:
@@ -292,13 +285,7 @@ class Poly:
                     continue
                 if not isinstance(w, int):
                     raise TypeError(f"weight {w!r} is not an int")
-                outer, inner = (sa, sb) if na <= nb else (sb, sa)
-                for ka, ca in outer:
-                    ca *= w
-                    ka -= drop
-                    for kb, cb in inner:
-                        key = ka + kb
-                        acc[key] = get(key, 0) + ca * cb
+                _multiply_into(acc, sa, sb, w, drop)
         bound = a.bound + b.bound if acc else 0
         return cls._trusted(registry, _settle(acc), bound)
 
@@ -457,7 +444,9 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
-        return Poly.weighted_sum(self, other)
+        acc = _multiply_into({}, self.terms.items(), other.terms.items(), 1, 0)
+        bound = self.bound + other.bound if acc else 0
+        return Poly._trusted(self.registry, _settle(acc), bound)
 
     __rmul__ = __mul__
 
@@ -713,8 +702,23 @@ def kronecker_digits(value, width, count) -> list:
     return digits
 
 
+def _multiply_into(acc, left, right, w, drop):
+    """acc, with w * c * d added at key j + k - drop for every (j, c) of
+    left and (k, d) of right, two sized iterables; the shorter one is the
+    outer loop."""
+    outer, inner = (left, right) if len(left) <= len(right) else (right, left)
+    get = acc.get
+    for ka, ca in outer:
+        ca *= w
+        ka -= drop
+        for kb, cb in inner:
+            key = ka + kb
+            acc[key] = get(key, 0) + ca * cb
+    return acc
+
+
 def _groups(terms, shifts, window) -> list:
-    """(size, [(key, coefficient), ...], first, end, p) per tuple p of the
+    """([(key, coefficient), ...], first, end, p) per tuple p of the
     exponents of terms in the fields at shifts: the terms with those
     exponents, and (first, end) = window(p)."""
     fields = sum(_MASK << s for s in shifts)
@@ -728,19 +732,19 @@ def _groups(terms, shifts, window) -> list:
     out = []
     for g, group in groups.items():
         p = tuple([(g >> s) & _MASK for s in shifts])
-        out.append((len(group), group, *window(p), p))
+        out.append((group, *window(p), p))
     return out
 
 
 def _weighed(groups, entries, lo, hi) -> list:
-    """(size, terms, first, end, vector) per group of _groups whose window
+    """(terms, first, end, vector) per group of _groups whose window
     meets lo..hi-1, cut to it, with vector = entries(p, first, end)."""
     out = []
-    for size, group, first, end, p in groups:
+    for group, first, end, p in groups:
         first = first if first > lo else lo
         end = end if end < hi else hi
         if first < end:
-            out.append((size, group, first, end, entries(p, first, end)))
+            out.append((group, first, end, entries(p, first, end)))
     return out
 
 

@@ -96,15 +96,18 @@ def omega_apply(P: Poly, k: int) -> Poly:
     derivatives in x1 and y0 and k - i in x0 and y1: a term with an
     exponent below its count drops out before any falling factorial, and
     +-C(k,i) is computed only for a branch with a surviving term.  The k+1
-    branches over the terms of P are held to the work cap first.
+    branches over the terms of P are held to the work cap, and then only
+    those that the largest exponents of x0, x1, y0, y1 in P allow run.
     """
     if k < 0:
         raise ValueError("negative Omega power")
     work = (k + 1) * len(P.terms)
     check_cap(work, f"Omega^{k} would take {work} Omega branch terms")
     (x0, x1), (y0, y1) = X, Y
+    lo = max(0, k - P.degree_in((x0,)), k - P.degree_in((y1,)))
+    hi = min(k, P.degree_in((x1,)), P.degree_in((y0,)))
     total = Poly.zero(P.registry)
-    for i in range(k + 1):
+    for i in range(lo, hi + 1):
         branch = P.partial(((x1, i), (y0, i), (x0, k - i), (y1, k - i)))
         if branch.terms:
             sign = -1 if i % 2 else 1

@@ -263,6 +263,18 @@ def test_alpha_image_refuses_y_name_in_form_registry():
         alpha_image([x0**2], 1, 1)
 
 
+def test_alpha_image_rejects_bad_arguments():
+    reg = VarRegistry(["x0", "x1"])
+    x0 = Poly.variable(reg, "x0")
+    with pytest.raises(ValueError, match=r"^alpha_image needs e >= 0 and n >= 0, got \(-1, 1\)$"):
+        alpha_image([Poly.zero(reg)], -1, 1)
+    stranger = Poly.variable(VarRegistry(["x0", "x1"]), "x0")
+    with pytest.raises(ValueError, match="^all forms must share one registry$"):
+        alpha_image([x0**2, stranger**2], 1, 1)
+    with pytest.raises(ValueError, match="^form registry lacks variable 'x1'$"):
+        alpha_image([Poly.variable(VarRegistry(["x0"]), "x0") ** 2], 1, 1)
+
+
 def test_alpha_image_degree_mismatch():
     reg = VarRegistry(["x0", "x1"])
     x0 = Poly.variable(reg, "x0")

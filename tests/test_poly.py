@@ -122,6 +122,17 @@ def test_pow_matches_repeated_multiplication():
     assert p**0 == Poly.const(reg, 1)
 
 
+def test_negative_power_rejected_before_any_product(monkeypatch):
+    reg, (x, y, z) = make_ring()
+
+    def refuse(self, other):
+        raise AssertionError("a product was taken")
+
+    monkeypatch.setattr(Poly, "__mul__", refuse)
+    with pytest.raises(ValueError, match="^negative power of a polynomial$"):
+        (x + y) ** -1
+
+
 def test_scalar_paths():
     reg, (x, y, _) = make_ring()
     assert x * 2 == x + x
@@ -241,7 +252,8 @@ def test_weighted_sum_rejects_non_int_weight():
     a = 2 * x**2 * y + 3 * x * z - y
     b = x * y - z + 5
     # no names: one group on each side, weight 1, the product itself
-    assert Poly.weighted_sum(a, b) == a * b
+    one = _side(lambda p: (0, [1]))
+    assert Poly.weighted_sum(a, b, (), 0, (one, one)) == a * b
 
     # w(p, q) = (p0 + q0)(2 p0 - q0 - 1) as the dot product of two vectors
     # over indices 1..3, where both are given
@@ -268,7 +280,7 @@ def test_weighted_sum_rejects_non_int_weight():
     stranger = Poly.variable(VarRegistry(["x", "y", "z"]), "x")
     for a, b in ((stranger, y), (x, stranger)):
         with pytest.raises(ValueError, match="registry mismatch"):
-            Poly.weighted_sum(a, b)
+            Poly.weighted_sum(a, b, (), 0, (one, one))
 
 
 def kronecker_value(digits, width):
@@ -406,6 +418,15 @@ def test_substitute_rejects_unknown_binding():
         (x + y).substitute({"x": y + 1, "nope": y})
 
 
+def test_substitute_rejects_bad_images():
+    reg, (x, y, z) = make_ring()
+    with pytest.raises(TypeError, match="^bindings must map names to Poly values$"):
+        (x + y).substitute({"x": 3})
+    other = VarRegistry(["x", "y", "z"])
+    with pytest.raises(ValueError, match="^registry mismatch among replacement polynomials$"):
+        (x * y).substitute({"x": z, "y": Poly.variable(other, "z")})
+
+
 def test_substitute_into_fresh_registry():
     reg = VarRegistry(["x", "y"])
     x, y = Poly.variable(reg, "x"), Poly.variable(reg, "y")
@@ -423,6 +444,9 @@ def test_coefficient_of():
     assert cof == 3 * y + z
     assert p.coefficient_of({"x": 2, "y": 1}) == Poly.const(reg, 3)
     assert p.coefficient_of({"x": 5}).is_zero()
+    # an exponent past the field matches no term, though 2^32 in the x
+    # field would carry into y's: y alone must not read as x^(2^32) y^0
+    assert y.coefficient_of({"x": 2**32, "y": 0}).is_zero()
 
 
 def test_constant_value():
@@ -512,6 +536,8 @@ def test_negative_exponent_rejected():
     reg = VarRegistry(["x0", "x1"])
     with pytest.raises(ValueError, match="negative exponent"):
         Poly(reg, {(-1, 1): 1})
+    with pytest.raises(ValueError, match="^negative exponent -1 for 'x1'$"):
+        Poly.term(reg, 1, {"x0": 2, "x1": -1})
 
 
 def test_parsed_term_crossing_the_field_exits_1(capsys):
@@ -613,6 +639,7 @@ PARSE_REJECTS = [
     ("x0^y", "expected integer exponent after '^'", 3),
     ("x0^1/2", "expected integer exponent after '^'", 3),
     ("3x0", "missing '*' between coefficient and variable", 1),
+    ("x0*3", "coefficient must lead a term", 3),
     ("x0**2", "dangling '*'", 3),
     ("(x0)", "unexpected character '('", 0),
     ("x0*", "dangling '*'", 3),

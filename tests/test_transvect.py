@@ -60,6 +60,8 @@ def test_zero_form_needs_degree():
         BinaryForm(Poly.zero(reg))
     Z = BinaryForm(Poly.zero(reg), 4)
     assert Z.degree == 4 and Z.is_zero()
+    with pytest.raises(ValueError, match="^negative form degree -1$"):
+        BinaryForm(Poly.zero(reg), -1)
 
 
 # -- Omega ------------------------------------------------------------------
@@ -237,9 +239,8 @@ def test_pi_p_squared_bracket():
 
 
 def test_omega_apply_stops_each_branch_at_its_first_zero_derivative(monkeypatch):
-    # on x0^a y1^a every branch i >= 1 vanishes in x1: each branch is one
-    # Poly.partial pass, and only branch 0 takes a falling factorial, one
-    # in x0 and one in y1
+    # x0^a y1^a has no x1 or y0, so only branch 0 runs: one Poly.partial
+    # pass, taking one falling factorial in x0 and one in y1
     calls = []
     factorials = []
     partial = Poly.partial
@@ -259,9 +260,20 @@ def test_omega_apply_stops_each_branch_at_its_first_zero_derivative(monkeypatch)
         calls.clear()
         factorials.clear()
         got = omega_apply(x0**a * y1**a, k)
-        assert len(calls) == k + 1
+        assert len(calls) == 1
         assert factorials == [(a, k), (a, k)]
         assert got == Poly.term(reg, perm(a, k) ** 2, {"x0": a - k, "y1": a - k})
+
+
+def test_omega_apply_runs_no_branch_that_no_term_survives(monkeypatch):
+    # branch i needs x1^i and y1^(k-i): x0^6 y0^6 has neither at k = 6
+    def refuse(self, orders):
+        raise AssertionError("a derivative was taken")
+
+    monkeypatch.setattr(Poly, "partial", refuse)
+    reg, (x0, x1, y0, y1) = xy4_ring()
+    assert omega_apply(x0**6 * y0**6, 6).is_zero()
+    assert omega_apply(Poly.zero(reg), 6).is_zero()
 
 
 def test_omega_apply_takes_binomials_of_surviving_branches_only(monkeypatch):
@@ -374,6 +386,12 @@ def test_omega_apply_refuses_past_the_cap_before_any_derivative(monkeypatch):
         omega_apply(G, 2)
 
 
+def test_omega_apply_rejects_negative_power():
+    reg, (x0, x1, y0, y1) = xy4_ring()
+    with pytest.raises(ValueError, match="^negative Omega power$"):
+        omega_apply(x0 * y1, -1)
+
+
 def test_pi_p_rejects_unbalanced():
     reg, (x0, x1, y0, y1) = xy4_ring()
     with pytest.raises(ValueError):
@@ -394,6 +412,14 @@ def test_polarize_count_zero_is_identity():
     reg, (x0, x1, y0, y1) = xy4_ring()
     F = x0**2
     assert polarize(F, ["x0", "x1"], ["y0", "y1"], 0) == F
+
+
+def test_polarize_rejects_bad_arguments():
+    reg, (x0, x1, y0, y1) = xy4_ring()
+    with pytest.raises(ValueError, match="^variable lists must have equal length$"):
+        polarize(x0 * x1, X, ("y0",))
+    with pytest.raises(ValueError, match="^negative polarization count$"):
+        polarize(x0, X, ("y0", "y1"), -1)
 
 
 def test_polarize_stops_once_zero(monkeypatch):
