@@ -220,7 +220,7 @@ def alpha_matrix(n: int, d: int, r: int) -> ExactMatrix:
         if pairs > cap:
             at = f"at column {len(col_labels)} of {ncols}"
             check_cap(pairs, f"matrix build reaches {pairs} multiplied term pairs {at}", cap)
-        return _multiply_into({}, p.items(), q.items(), 1, 0)
+        return _multiply_into({}, p.items(), q.items())
 
     # columns come in lex order: share the product of all but the last monomial
     head_key = head = None

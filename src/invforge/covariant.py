@@ -17,14 +17,19 @@ CovariantExpr is the one evaluation path: u_cov() and phi() evaluate one,
 its constructor validates every index set, and evaluate holds its Omega
 work to the work cap.  Every U is computed unnormalized, once per form in
 any order (see evaluate), and scaled once; a Phi is p U(i,j) - q U(i2,j2)
-for the integer ratio p/q of its two constants, scaled once.
+for the integer ratio p/q of its two constants, scaled once.  membership
+only asks whether each member vanishes: it tests the raw U, or p U(i,j)
+- q U(i2,j2), and scales nothing and builds no witness.
 
 A dense integer form stays in integers from the parser to the verdict:
 its memo holds coefficient lists from transvect._omega_dense, so a member
 vanishes when its list is all zero, and only the form evaluate returns is
 built as a Poly.  Symbolic and Fraction forms take the same steps on
-Polys, through transvect._omega_diagonal.  set_S(d) and each member's
-constants are built on first use and kept, once per degree.
+Polys: (F,F)_{2i} through transvect._omega_diagonal, and every U(i,j) of
+one i from one transvect._omega_table of ((F,F)_{2i}, F), which
+multiplies each pair of coefficient groups once for all the j asked.
+set_S(d) and each member's constants are built on first use and kept,
+once per degree.
 """
 
 from fractions import Fraction
@@ -34,7 +39,7 @@ from math import perm
 from .arith import check_cap
 from .closedform import n2
 from .poly import Poly
-from .transvect import X, BinaryForm, _omega_dense, _omega_diagonal
+from .transvect import X, BinaryForm, _omega_dense, _omega_diagonal, _omega_table
 
 
 def in_range(d: int, i: int, j: int) -> bool:
@@ -106,22 +111,29 @@ class CovariantExpr:
         i, j = self.indices[0], self.indices[1]
         return 3 * self.d - 4 * i - 2 * j
 
-    def evaluate(self, F: BinaryForm, cache: dict = None) -> BinaryForm:
+    def evaluate(self, F: BinaryForm, cache: dict = None, zero_test: bool = False):
         """Evaluate on a form of degree d, after holding the Omega work to
         the work cap: 2i+1 branches for (F,F)_{2i} and j+1 for U(i,j), per U
         of the window taken, each over the terms of F (as in membership).  A
         zero F, or a U outside the window, gives the zero form at once.
 
+        zero_test=True returns only whether the member vanishes on F: the
+        raw combination (a U, or p U(i,j) - q U(i2,j2)) is tested as it
+        stands, with no scalar applied and no Poly of the answer built.
+
         A cache dict shared across set members memoizes, for one form F,
         the unnormalized (F,F)_{2i} under key i and U(i,j) under key (i, j),
         each computed once in any member order: coefficient lists for a
-        dense integer F (see _kernel), so that only a nonzero result is
-        built as a Poly, and Polys for any other F.  A cache belongs to the
-        form it was first used with: another form raises ValueError.
+        dense integer F (see _outer), and Polys for any other F, whose U(i,
+        .) all come from one table per i that holds the whole window of j.
+        Without a cache, a table holds only the j this member asks.  A
+        cache belongs to the form it was first used with: another form
+        raises ValueError.
         """
         if F.degree != self.d:
             raise ValueError(f"form has degree {F.degree}, expected {self.d}")
-        if cache is None:
+        shared = cache is not None
+        if not shared:
             cache = {}
         owner = cache.setdefault("form", F.poly)
         if owner is not F.poly and owner != F.poly:
@@ -131,40 +143,52 @@ class CovariantExpr:
         branches = sum(2 * i + j + 2 for i, j in pairs if in_range(d, i, j))
         work = branches * len(F.poly.terms)
         check_cap(work, f"{self.name()} would take {work} Omega branch terms")
-        zero = BinaryForm(Poly.zero(F.poly.registry), max(self.order, 0))
         if not work:  # a zero F, or a U outside the window
-            return zero
+            return True if zero_test else self._zero(F)
         if self.kind == "U":
-            scale = self._constants()
-            combo = self._raw(*self.indices, F, cache)
+            combo = self._raw(*self.indices, F, cache, shared)
+            vanishes = not any(combo) if type(combo) is list else combo.is_zero()
         else:
             i, j, i2, j2 = self.indices
-            p, q, scale = self._constants()
-            a = self._raw(i, j, F, cache)
-            b = self._raw(i2, j2, F, cache)
-            combo = [p * x - q * y for x, y in zip(a, b)] if type(a) is list else a * p - b * q
+            p, q, _ = self._constants()
+            a = self._raw(i, j, F, cache, shared)
+            b = self._raw(i2, j2, F, cache, shared)
+            if type(a) is list:
+                combo = [p * x - q * y for x, y in zip(a, b)]
+                vanishes = not any(combo)
+            else:
+                # p a - q b vanishes iff a and b share every key, in ratio q : p
+                vanishes = a.terms.keys() == b.terms.keys() and all(
+                    p * c == q * b.terms[key] for key, c in a.terms.items()
+                )
+                combo = None  # built only for a nonzero answer
+        if zero_test:
+            return vanishes
+        if vanishes:
+            return self._zero(F)
+        scale = self._constants()[2] if self.kind == "Phi" else self._constants()
+        if combo is None:
+            combo = a * p - b * q
         if type(combo) is not list:
             return BinaryForm(combo * scale, self.order)
-        if not any(combo):
-            return zero
         # scale * c, not c * scale: a Fraction times an int takes no detour
         combo = [scale * c for c in combo]
         box, fill = (X[1:], len(combo)), (X[0], self.order)
         return BinaryForm(Poly.from_slots(F.poly.registry, combo, box, fill), self.order)
 
-    def _raw(self, i, j, F, cache):
+    def _zero(self, F):
+        return BinaryForm(Poly.zero(F.poly.registry), max(self.order, 0))
+
+    def _raw(self, i, j, F, cache, shared):
         # U(i,j) with both transvectants unnormalized, memoized with the
-        # (F,F)_{2i} it is built on
+        # one _outer per i that computes every U(i, .) asked
         raw = cache.get((i, j))
         if raw is None:
-            kernel = cache.get("kernel")
-            if kernel is None:
-                kernel = cache["kernel"] = _kernel(F)
-            f, omega = kernel
-            h = cache.get(i)
-            if h is None:
-                h = cache[i] = omega(f, f, 2 * i)
-            raw = cache[i, j] = omega(h, f, j)
+            outer = cache.get(("outer", i))
+            if outer is None:
+                top = min(self.d, 2 * self.d - 4 * i) if shared else j
+                outer = cache["outer", i] = _outer(F, i, top, cache)
+            raw = cache[i, j] = outer(j)
         return raw
 
     def _constants(self):
@@ -201,15 +225,23 @@ class CovariantExpr:
         return hash((self.kind, self.d, self.indices))
 
 
-def _kernel(F: BinaryForm) -> tuple:
-    """(f, omega) for the memo of evaluate: for a dense integer F
-    (Poly.dense_coefficients), its coefficient list and _omega_dense over
-    one falling-factorial table; else F.poly and _omega_diagonal."""
-    f = F.poly.dense_coefficients(X)
+def _outer(F: BinaryForm, i: int, top: int, cache: dict):
+    """j -> the unnormalized U(i,j), for j <= top, after cache[i] is set to
+    the unnormalized h = (F,F)_{2i}.  For a dense integer F
+    (Poly.dense_coefficients) both steps run _omega_dense on coefficient
+    lists over one falling-factorial table, cache["ff"]; for any other F, h
+    comes from _omega_diagonal and every U(i,j) from one _omega_table of
+    (h, F) up to top, so U(i,j) and U(i,j') share each coefficient
+    product."""
+    f = cache.get("dense", False)
+    if f is False:
+        f = cache["dense"] = F.poly.dense_coefficients(X)
     if f is None:
-        return F.poly, _omega_diagonal
-    ff = [[1] * (2 * F.degree + 1)]  # (F,F)_{2i} has degree 2d-4i <= 2d
-    return f, lambda A, B, k: _omega_dense(A, B, k, ff)
+        h = cache[i] = _omega_diagonal(F.poly, F.poly, 2 * i)
+        return _omega_table(h, F.poly, top)
+    ff = cache.setdefault("ff", [[1] * (2 * F.degree + 1)])  # (F,F)_{2i} has degree <= 2d
+    h = cache[i] = _omega_dense(f, f, 2 * i, ff)
+    return lambda j: _omega_dense(h, f, j, ff)
 
 
 def set_S(d: int) -> list:
@@ -263,7 +295,9 @@ def membership(F: BinaryForm) -> tuple:
     each U(i,j) (k = j) of the index window, which holds every U of S(d),
     each branch over as many terms as F has.  That is 1,812 branches at
     d = 20 and 10,837,702 at d = 400.  Each member's own check in evaluate
-    counts a part of this sum, so it never refuses what this admitted.
+    counts a part of this sum, so it never refuses what this admitted; a
+    grouped table still holds the bits of each weight it would build (see
+    transvect._omega_table).
     """
     d = F.degree
     if d % 2:
@@ -282,7 +316,7 @@ def membership(F: BinaryForm) -> tuple:
     check_cap(work, f"membership would take {work} Omega branch terms over S({d})")
     cache = {}
     for expr in set_S(d):
-        if not expr.evaluate(F, cache).is_zero():
+        if not expr.evaluate(F, cache, zero_test=True):
             return False, expr.name()
     return True, None
 

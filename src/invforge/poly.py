@@ -37,25 +37,31 @@ entry per variable of the registry as it is now), for readers that need the
 exponents themselves.
 
 _multiply_into is the one multiply-accumulate loop: it adds each term
-pair of two (key, coefficient) lists to a dict, times an int weight, its
-key lowered by a fixed amount, the shorter list in the outer loop.  a * b
-calls it once, and alphamap.alpha_matrix on its own narrower keys.
-Poly.weighted_sum groups each operand's terms by their exponents in some
-named variables and calls it once per pair of groups of nonzero weight,
-the dot product of the groups' weight vectors over the indices both
-reach; transvect._omega_diagonal groups by x0, x1 and lowers by (x0 x1)^k,
-its weights folding the k+1 Omega branches into one per x-exponent pair.
+pair of two (key, coefficient) lists to a dict, the shorter list in the
+outer loop.  a * b calls it once, and alphamap.alpha_matrix on its own
+narrower keys.  Poly.pair_sums is the one grouped kernel: a table that
+groups each operand's terms once by their exponents in some named
+variables, and answers call after call a sum over pairs of groups, each
+weighted by the dot product of the groups' weight vectors over the
+indices both reach and lowered by a power of the names.  It multiplies a
+pair of groups once, through _multiply_into, the first time a call weighs
+it, and keeps the product as one packed int, so a later call costs one
+big-int sum per output group.  transvect._omega_table groups by x0, x1
+and lowers by (x0 x1)^k, its weights folding the k+1 Omega branches into
+one per x-exponent pair; every U(i,j) of one (F,F)_{2i} asks one table.
 
-kronecker_digits is the one decoder of a Kronecker-packed int: its
-balanced base-2^width digits, lowest first.  transvect._omega_dense
-multiplies coefficient lists as big ints and takes the digits as the
-output's list; enumeration.tau takes them as its numerators.
-Poly.from_slots is the one way such a list becomes a Poly: it puts the
-entries on the slots of an exponent box and fills one variable in by
-homogeneity (for a binary form, a box over x1 and x0 as the fill).
-Poly.dense_coefficients gives the dense route the coefficient list of an
-integer binary form, so packed keys are read and written only in this
-module.
+kronecker_pack and kronecker_digits are the one packer and the one
+decoder of Kronecker-packed ints: balanced base-2^width digits, lowest
+first, both split in halves so the work grows with the bits times their
+log.  The pair-sum table packs its products with them;
+transvect._omega_dense multiplies coefficient lists as big ints and takes
+the digits as the output's list; enumeration.tau takes them as its
+numerators.  Poly.from_slots is the one way such a list becomes a Poly:
+it puts the entries on the slots of an exponent box and fills one
+variable in by homogeneity (for a binary form, a box over x1 and x0 as
+the fill).  Poly.dense_coefficients gives the dense route the coefficient
+list of an integer binary form, so packed keys are read and written only
+in this module.
 
 Text goes both ways.  str() writes terms in graded lexicographic order,
 highest first; parse() reads terms joined by + or -, each an optional
@@ -82,8 +88,10 @@ zero and only int or Fraction coefficients, with a true exponent bound.
 import re
 from fractions import Fraction
 from functools import reduce
-from math import perm
+from math import lcm, perm
 from operator import mul, or_
+
+from .arith import check_cap
 
 # the one variable-name pattern (see the module docstring)
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -239,55 +247,25 @@ class Poly:
         return cls._trusted(registry, {key: c} if c else {}, bound)
 
     @classmethod
-    def weighted_sum(cls, a, b, names, lower, weights):
-        """sum of w(p, q) * s * t / m^lower over the terms s of a and t of b,
-        where p and q are the exponent tuples of s and t in names, m is the
-        product of the names, and w(p, q) = sum_i l_i r_i over the indices
-        i in both windows, for weights = (left, right).  Each side is a
-        pair (window, entries): window(p) = (first, end) gives the indices
-        first..end-1 its vector covers, and entries(p, lo, hi) the weights
-        [l_lo, ..., l_(hi-1)] of a part lo..hi-1 of that window.
+    def pair_sums(cls, a, b, names, weight_bits):
+        """A table of the sums of w(p, q) * s * t over the terms s of a and
+        t of b, where p and q are the exponent tuples of s and t in names,
+        for weights w asked call by call.  table(lower, weights, bits) is
+        that sum divided by m^lower, m the product of the names, for w(p,
+        q) = sum_i l_i r_i over the indices i in both windows of weights =
+        (left, right).  Each side is a pair (window, entries): window(p) =
+        (first, end) gives the indices first..end-1 its vector covers, and
+        entries(p, lo, hi) the weights [l_lo, ..., l_(hi-1)] of a part
+        lo..hi-1 of that window.
 
-        Each operand's terms are listed once per group of equal exponents
-        in names.  Every window is cut to the indices that some group of
-        the other operand also covers, before any vector is built, and a
-        group whose cut window is empty is dropped.  A pair of groups of
-        weight 0 is skipped, and every other pair goes through one
-        _multiply_into.  a and b must share a registry, and a weight but an
-        int raises TypeError.  The weights must vanish wherever some p_j +
-        q_j < lower, as a lowered exponent would be negative; this is not
-        checked."""
-        registry = a.registry
-        if b.registry is not registry:
-            raise ValueError("registry mismatch in weighted_sum")
-        shifts = [_W * registry.index(n) for n in names]
-        drop = sum(lower << s for s in shifts)
-        (lwindow, lentries), (rwindow, rentries) = weights
-        ga = _groups(a.terms, shifts, lwindow)
-        gb = _groups(b.terms, shifts, rwindow)
-        # the indices both operands reach: no weight is built past them
-        lo = max(min([g[1] for g in ga], default=0), min([g[1] for g in gb], default=0))
-        hi = min(max([g[2] for g in ga], default=0), max([g[2] for g in gb], default=0))
-        ga = _weighed(ga, lentries, lo, hi)
-        gb = _weighed(gb, rentries, lo, hi)
-        acc = {}
-        for sa, la, ha, va in ga:
-            for sb, lb, hb, vb in gb:
-                lo = la if la > lb else lb
-                hi = ha if ha < hb else hb
-                if lo >= hi:
-                    continue
-                if hi - lo == 1:
-                    w = va[lo - la] * vb[lo - lb]
-                else:
-                    w = sum(map(mul, va[lo - la : hi - la], vb[lo - lb : hi - lb]))
-                if not w:
-                    continue
-                if not isinstance(w, int):
-                    raise TypeError(f"weight {w!r} is not an int")
-                _multiply_into(acc, sa, sb, w, drop)
-        bound = a.bound + b.bound if acc else 0
-        return cls._trusted(registry, _settle(acc), bound)
+        Every |w| of a call must be at most 2^bits, for bits <= weight_bits,
+        and an int: ValueError and TypeError otherwise.  Before any entry
+        is built, arith.check_cap holds bits, unless no pair of groups has
+        windows that meet.  The weights must vanish wherever some
+        p_j + q_j < lower, as a lowered exponent would be negative; this is
+        not checked.  a and b must share a registry.  See _PairSums for how
+        a pair of groups is multiplied once, however many calls weigh it."""
+        return _PairSums(a, b, names, weight_bits)
 
     @classmethod
     def from_slots(cls, registry, coeffs, box, fill):
@@ -444,7 +422,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
-        acc = _multiply_into({}, self.terms.items(), other.terms.items(), 1, 0)
+        acc = _multiply_into({}, self.terms.items(), other.terms.items())
         bound = self.bound + other.bound if acc else 0
         return Poly._trusted(self.registry, _settle(acc), bound)
 
@@ -702,25 +680,162 @@ def kronecker_digits(value, width, count) -> list:
     return digits
 
 
-def _multiply_into(acc, left, right, w, drop):
-    """acc, with w * c * d added at key j + k - drop for every (j, c) of
-    left and (k, d) of right, two sized iterables; the shorter one is the
-    outer loop."""
+def kronecker_pack(values, width) -> int:
+    """sum_n values[n] 2^(width*n) for a list of ints, negative ones
+    included: the inverse of kronecker_digits on digits it can return.
+
+    The list is packed in halves, the high half shifted once, down to runs
+    of at most _DIGIT_RUN entries, which are packed one at a time; so the
+    work grows with the bits times their log, not with their square."""
+    n = len(values)
+    if n > _DIGIT_RUN:
+        mid = n >> 1
+        high = kronecker_pack(values[mid:], width)
+        return kronecker_pack(values[:mid], width) + (high << mid * width)
+    value = 0
+    for c in reversed(values):
+        value = (value << width) + c
+    return value
+
+
+def _multiply_into(acc, left, right):
+    """acc, with c * d added at key j + k for every (j, c) of left and
+    (k, d) of right, two sized iterables; the shorter one is the outer
+    loop."""
     outer, inner = (left, right) if len(left) <= len(right) else (right, left)
     get = acc.get
     for ka, ca in outer:
-        ca *= w
-        ka -= drop
         for kb, cb in inner:
             key = ka + kb
             acc[key] = get(key, 0) + ca * cb
     return acc
 
 
-def _groups(terms, shifts, window) -> list:
-    """([(key, coefficient), ...], first, end, p) per tuple p of the
-    exponents of terms in the fields at shifts: the terms with those
-    exponents, and (first, end) = window(p)."""
+class _PairSums:
+    """The table of Poly.pair_sums.
+
+    Each operand's terms are grouped once by their exponents in the
+    names, Fraction coefficients scaled to ints by the lcm of their
+    denominators, which every answer divides back out.  The first call
+    that gives a pair of groups a nonzero weight multiplies the pair, once,
+    through _multiply_into, and keeps the product packed into one int: its
+    coefficient on the n-th monomial of the pair's output group (the two
+    groups' exponents added) is balanced base-2^width digit n.  An output
+    group numbers its monomials as products first reach them, so a number
+    never changes and every packed product stays valid.  A call is one
+    big-int sum of w * product per output group, decoded once by
+    kronecker_digits; a group of one monomial is its own digit.
+
+    width is weight_bits, plus the bits of |a|_1 |b|_inf, plus 2.  A term
+    of a meets at most one term of b in each output monomial, so no
+    coefficient of an answer, and no digit of a product, reaches
+    2^weight_bits |a|_1 |b|_inf, and the balanced digits never carry."""
+
+    __slots__ = (
+        "registry", "shifts", "bits", "width", "scale", "bound",
+        "left", "right", "products", "outputs",
+    )
+
+    def __init__(self, a, b, names, weight_bits):
+        registry = a.registry
+        if b.registry is not registry:
+            raise ValueError("registry mismatch in pair_sums")
+        self.registry = registry
+        self.shifts = [_W * registry.index(n) for n in names]
+        la, aterms = _integral(a.terms)
+        lb, bterms = _integral(b.terms)
+        self.scale = la * lb
+        self.left = _grouped(aterms, self.shifts)
+        self.right = _grouped(bterms, self.shifts)
+        size = sum(map(abs, aterms.values())) * max(map(abs, bterms.values()), default=0)
+        self.bits = weight_bits
+        self.width = weight_bits + size.bit_length() + 2
+        self.bound = a.bound + b.bound
+        # products[left group][right group] = (output group, packed product)
+        self.products = [{} for _ in self.left]
+        self.outputs = {}  # output group -> {key: number}, in number order
+
+    def __call__(self, lower, weights, bits):
+        if bits > self.bits:
+            raise ValueError(f"weights of {bits} bits in a table of {self.bits}")
+        (lwindow, lentries), (rwindow, rentries) = weights
+        left = [(n, *lwindow(p)) for n, (_, p, _) in enumerate(self.left)]
+        right = [(n, *rwindow(q)) for n, (_, q, _) in enumerate(self.right)]
+        # the indices both operands reach: every window is cut to them, and
+        # one left empty is dropped before any weight is built
+        lo = max(min([w[1] for w in left], default=0), min([w[1] for w in right], default=0))
+        hi = min(max([w[2] for w in left], default=0), max([w[2] for w in right], default=0))
+        left = [(n, max(f, lo), min(e, hi)) for n, f, e in left if max(f, lo) < min(e, hi)]
+        right = [(n, max(f, lo), min(e, hi)) for n, f, e in right if max(f, lo) < min(e, hi)]
+        # the bits of one weight, held to the cap only if some pair is weighed
+        meet = any(max(la, lb) < min(ha, hb) for _, la, ha in left for _, lb, hb in right)
+        check_cap(bits if meet else 0, f"a pair weight could take {bits} bits")
+        left = [(n, f, e, lentries(self.left[n][1], f, e)) for n, f, e in left]
+        right = [(n, f, e, rentries(self.right[n][1], f, e)) for n, f, e in right]
+        limit = 1 << bits
+        sums = {}  # output group -> sum of w * packed product
+        for ia, la, ha, va in left:
+            products = self.products[ia]
+            for ib, lb, hb, vb in right:
+                lo = la if la > lb else lb
+                hi = ha if ha < hb else hb
+                if lo >= hi:
+                    continue
+                if hi - lo == 1:
+                    w = va[lo - la] * vb[lo - lb]
+                else:
+                    w = sum(map(mul, va[lo - la : hi - la], vb[lo - lb : hi - lb]))
+                if not w:
+                    continue
+                if type(w) is not int or not -limit <= w <= limit:
+                    if not isinstance(w, int):
+                        raise TypeError(f"weight {w!r} is not an int")
+                    raise ValueError(f"weight {w} is past 2^{bits}")
+                product = products.get(ib)
+                if product is None:
+                    product = self._multiply(ia, ib)
+                group, packed = product
+                sums[group] = sums.get(group, 0) + w * packed
+        drop = sum(lower << s for s in self.shifts)
+        width, outputs = self.width, self.outputs
+        out = {}
+        for group, total in sums.items():
+            if total:
+                index = outputs[group]
+                digits = kronecker_digits(total, width, len(index)) if len(index) > 1 else (total,)
+                out.update({key - drop: c for key, c in zip(index, digits) if c})
+        if self.scale != 1:
+            out = {key: Fraction(c, self.scale) for key, c in out.items()}
+        return Poly._trusted(self.registry, out, self.bound if out else 0)
+
+    def _multiply(self, ia, ib):
+        # the (output group, packed product) of a pair of groups, kept
+        (ga, _, ta), (gb, _, tb) = self.left[ia], self.right[ib]
+        group = ga + gb
+        index = self.outputs.setdefault(group, {})
+        product = _multiply_into({}, ta, tb)
+        # a monomial new to the group takes the next number; zeros past the
+        # numbers in use leave the packed int as it is
+        digits = [0] * (len(index) + len(product))
+        for key, c in product.items():
+            digits[index.setdefault(key, len(index))] = c
+        entry = self.products[ia][ib] = (group, kronecker_pack(digits, self.width))
+        return entry
+
+
+def _integral(terms):
+    """(m, terms times m), m the lcm of the denominators of their
+    coefficients: terms itself when they are all ints."""
+    if all(type(c) is int for c in terms.values()):
+        return 1, terms
+    m = lcm(*[c.denominator for c in terms.values()])
+    return m, {key: (c * m).numerator for key, c in terms.items()}
+
+
+def _grouped(terms, shifts) -> list:
+    """(fields, p, [(key, coefficient), ...]) per tuple p of the exponents
+    of terms in the fields at shifts: those fields of the keys, p, and the
+    terms with those exponents."""
     fields = sum(_MASK << s for s in shifts)
     groups = {}
     for key, c in terms.items():
@@ -729,23 +844,7 @@ def _groups(terms, shifts, window) -> list:
             groups[key & fields] = [(key, c)]
         else:
             group.append((key, c))
-    out = []
-    for g, group in groups.items():
-        p = tuple([(g >> s) & _MASK for s in shifts])
-        out.append((group, *window(p), p))
-    return out
-
-
-def _weighed(groups, entries, lo, hi) -> list:
-    """(terms, first, end, vector) per group of _groups whose window
-    meets lo..hi-1, cut to it, with vector = entries(p, first, end)."""
-    out = []
-    for group, first, end, p in groups:
-        first = first if first > lo else lo
-        end = end if end < hi else hi
-        if first < end:
-            out.append((group, first, end, entries(p, first, end)))
-    return out
+    return [(g, tuple([(g >> s) & _MASK for s in shifts]), group) for g, group in groups.items()]
 
 
 def _settle(terms):

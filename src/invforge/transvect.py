@@ -25,27 +25,32 @@ at degree a) go by Kronecker substitution in _omega_dense, on coefficient
 lists in and out: each Omega branch is one big-int product of
 base-2^width digits two bits wider than the bound (a)_k (b)_k |A|_1
 |B|_inf on every output coefficient, so no digit carries,
-poly.kronecker_digits decodes the one sum, and Poly.from_slots puts the
-list back on x0, x1.  covariant's memo calls _omega_dense directly, with
-one falling-factorial table per form.
-Every other pair goes through one Poly.weighted_sum that multiplies each
-term pair once, by one weight per pair of x-exponents into which
-_omega_weights folds the k+1 branches, and takes no derivative; sides
-whose branch windows never meet build no weight.  This module never
-touches a packed key.
+poly.kronecker_pack packs each side, poly.kronecker_digits decodes the
+one sum, and Poly.from_slots puts the list back on x0, x1.  covariant's
+memo calls _omega_dense directly, with one falling-factorial table per
+form.  Every other pair is the product A B at k = 0, and else goes
+through an _omega_table: one Poly.pair_sums table grouped by x0, x1,
+asked for any k up to the one it was built for, whose weights
+(_omega_weights) fold the k+1 branches into one per pair of
+x-exponents.  It takes no derivative, multiplies each pair of groups
+once however many k weigh it, and builds no weight for sides whose
+branch windows never meet.  covariant's memo keeps one table per
+(F,F)_{2i}, and _omega_diagonal builds one and asks it once.  This
+module never touches a packed key.
 
 transvectant and omega_apply hold their Omega work, branches times input
-terms, to the work cap (arith.check_cap) before any branch runs, and
-_omega_diagonal holds the bits its dense route would pack, summed over the
-branches, as tau holds its packed sum.  A zero raw sum is returned without
-its normalizing scalar.
+terms, to the work cap (arith.check_cap) before any branch runs.
+_omega_diagonal holds the bits its dense route would pack, summed over
+the branches, as tau holds its packed sum, and a table holds the bits of
+one weight, (a)_k (b)_k rounded up by _falling_bits, before it builds
+any.  A zero raw sum is returned without its normalizing scalar.
 """
 
 from fractions import Fraction
 from math import comb, factorial, perm
 
 from .arith import binomial, check_cap
-from .poly import Poly, VarRegistry, kronecker_digits
+from .poly import Poly, VarRegistry, kronecker_digits, kronecker_pack
 
 
 X = ("x0", "x1")
@@ -144,15 +149,16 @@ def _omega_diagonal(apoly: Poly, bpoly: Poly, k: int) -> Poly:
     take the Kronecker route, _omega_dense, once the work cap has held the
     bits it packs: (k+1)(a+b-2k+2) digits of _dense_width bits.  Any other
     pair (symbolic coefficients, a Fraction, a zero, a sparse form such as
-    x0^1048576) goes through one Poly.weighted_sum grouped by x0, x1, with
-    the weights of _omega_weights.  Both routes give the same terms.
+    x0^1048576) is the product A * B at k = 0, and else is asked once of
+    an _omega_table.  Both routes give the same terms.
     """
     A = B = None
     if bpoly.registry is apoly.registry:
         A = apoly.dense_coefficients(X)
         B = A and bpoly.dense_coefficients(X)
     if not B:
-        return Poly.weighted_sum(apoly, bpoly, X, k, _omega_weights(k))
+        # (A, B)_0 is the product, which one multiply loop takes whole
+        return apoly * bpoly if k == 0 else _omega_table(apoly, bpoly, k)(k)
     a, b = len(A) - 1, len(B) - 1
     bits = (k + 1) * (a + b - 2 * k + 2) * _dense_width(A, B, k)
     check_cap(bits, f"the transvectant of order {k} would pack {bits} bits")
@@ -160,21 +166,58 @@ def _omega_diagonal(apoly: Poly, bpoly: Poly, k: int) -> Poly:
     return Poly.from_slots(apoly.registry, C, (X[1:], len(C)), (X[0], len(C) - 1))
 
 
+def _omega_table(apoly: Poly, bpoly: Poly, top: int):
+    """k -> the unnormalized [Omega^k A(x)B(y)] at y:=x, for 0 <= k <= top,
+    from one Poly.pair_sums table grouped by x0, x1: a pair of x-exponent
+    groups is multiplied once, for the first k that weighs it, and every
+    other k reuses the product.
+
+    The weights are those of _omega_weights.  Each is at most (a)_k (b)_k
+    for the degrees a, b in x0, x1 (see _dense_width), at most 2^bits for
+    bits = _falling_bits(a, k) + _falling_bits(b, k), found with no
+    factorial taken.  The table holds the bits of top, and a k whose
+    weights could take more bits than the work cap is refused before any
+    weight is built, unless no pair of x-exponent groups meets.
+    """
+    a, b = apoly.degree_in(X), bpoly.degree_in(X)
+
+    def bits(k):
+        return _falling_bits(a, k) + _falling_bits(b, k)
+
+    table = Poly.pair_sums(apoly, bpoly, X, bits(top))
+    return lambda k: table(k, _omega_weights(k), bits(k))
+
+
+def _falling_bits(n, k) -> int:
+    """The sum of the bit lengths of the factors of the falling factorial
+    (n)_k = n (n-1) ... (n-k+1), so (n)_k <= 2^sum; 0 when k <= 0 or n < 1.
+    The factors of one bit length are counted together: no product and
+    no loop over the k factors."""
+    total = 0
+    t = max(n - k, 0) + 1  # the factors t..n
+    while t <= n:
+        length = t.bit_length()
+        last = min(n, (1 << length) - 1)
+        total += length * (last - t + 1)
+        t = last + 1
+    return total
+
+
 def _omega_weights(k):
-    """(left, right) for Poly.weighted_sum.  Every Omega branch sends a
-    term of A with x-exponents p = (p0, p1) and one of B with x-exponents
-    q = (q0, q1) to the same monomial, so the k+1 branches fold into one
-    weight per pair of x-exponents,
+    """(left, right) for a Poly.pair_sums table.  Every Omega branch sends
+    a term of A with x-exponents p = (p0, p1) and one of B with
+    x-exponents q = (q0, q1) to the same monomial, so the k+1 branches fold
+    into one weight per pair of x-exponents,
 
         sum_i (-1)^i C(k,i) (p0)_{k-i} (p1)_i (q0)_i (q1)_{k-i}
           = sum_i (-1)^i C(p0,k-i) C(p1,i) * k! (q0)_i (q1)_{k-i}
 
     (falling factorials), summed over the branches i both terms survive:
     the window max(0, k-p0) <= i <= min(k, p1) on the left and max(0,
-    k-q1) <= i <= min(k, q0) on the right.  weighted_sum cuts each window
-    to the branches the other side reaches before it builds a vector, so
-    no pair of exponents costs more than the branches it survives, and
-    sides whose windows never meet (x0^a against x0^b at k > 0) cost none.
+    k-q1) <= i <= min(k, q0) on the right.  The table cuts each window to
+    the branches the other side reaches before it builds a vector, so no
+    pair of exponents costs more than the branches it survives, and sides
+    whose windows never meet (x0^a against x0^b at k > 0) cost none.
     """
     scale = None  # k!, taken with the first right vector
 
@@ -226,15 +269,16 @@ def _omega_dense(A, B, k, ff=None) -> list:
     the coefficient list [c_0, ..., c_n] of the raw transvectant, n =
     a+b-2k, or [] when k > min(a, b).
 
-    Branch i packs its derivatives' coefficients as base-2^width digits,
-    alpha_i(s) = A[s] (a-s)_{k-i} (s)_i for s = i..a-k+i and
-    beta_i(t) = B[t] (b-t)_i (t)_{k-i} for t = k-i..b-i (falling
-    factorials, read from the table ff of _falling, grown here to k rows;
-    a caller may pass one of at least max(a, b) + 1 columns to share), and
-    adds +-C(k,i) times the product of the two ints to one sum, whose
-    digit m = s+t-k holds the coefficient of x0^(n-m) x1^m for every
-    branch.  No digit reaches the bound of _dense_width, so the balanced
-    digits never carry, and poly.kronecker_digits unpacks them exactly.
+    Branch i packs its derivatives' coefficients with poly.kronecker_pack
+    as base-2^width digits, alpha_i(s) = A[s] (a-s)_{k-i} (s)_i for s =
+    i..a-k+i and beta_i(t) = B[t] (b-t)_i (t)_{k-i} for t = k-i..b-i
+    (falling factorials, read from the table ff of _falling, grown here to
+    k rows; a caller may pass one of at least max(a, b) + 1 columns to
+    share), and adds +-C(k,i) times the product of the two ints to one
+    sum, whose digit m = s+t-k holds the coefficient of x0^(n-m) x1^m for
+    every branch.  No digit reaches the bound of _dense_width, so the
+    balanced digits never carry, and poly.kronecker_digits unpacks them
+    exactly.
     """
     a, b = len(A) - 1, len(B) - 1
     if not 0 <= k <= min(a, b):
@@ -244,14 +288,10 @@ def _omega_dense(A, B, k, ff=None) -> list:
     total = 0
     for i in range(k + 1):
         fi, fki = ff[i], ff[k - i]
-        pa = 0
-        for s in range(a - k + i, i - 1, -1):
-            pa = (pa << width) + A[s] * fki[a - s] * fi[s]
+        pa = kronecker_pack([A[s] * fki[a - s] * fi[s] for s in range(i, a - k + i + 1)], width)
         if not pa:
             continue
-        pb = 0
-        for t in range(b - i, k - i - 1, -1):
-            pb = (pb << width) + B[t] * fi[b - t] * fki[t]
+        pb = kronecker_pack([B[t] * fi[b - t] * fki[t] for t in range(k - i, b - i + 1)], width)
         total += (-binomial(k, i) if i % 2 else binomial(k, i)) * pa * pb
     return kronecker_digits(total, width, a + b - 2 * k + 1)
 

@@ -250,6 +250,10 @@ def test_long_plethysm_is_fast(capsys):
           "--f", "x0^1000000 + x1^1000000"], None),
         (["pi-p", "--g", "x0^1048576*y1^1048576 + x1^1048576*y0^1048576",
           "--p", "524288"], None),
+        # refused before any Omega weight: one could take more bits than the cap
+        (["transvect", "--a", "x0^1048576", "--b", "x1^1048576", "--k", "200000"], None),
+        (["covariant", "--d", "65536", "--i", "0", "--j", "65536",
+          "--f", "x0^65536 + x1^65536"], None),
     ],
 )
 def test_capped_work_exits_1(capsys, monkeypatch, argv, cap):

@@ -253,29 +253,79 @@ def test_shared_cache_matches_definition():
     assert len(nonzero) == 7  # the Phi's with 2i+j >= 6 on this form
 
 
-def _counting_kernel(monkeypatch):
+def _counting_kernels(monkeypatch):
+    # the k of each (F,F)_{2i} computed, the top of each table built, the
+    # k asked of the tables, and the group pairs multiplied
     import invforge.covariant as covariant
+    import invforge.poly as poly
 
-    calls = []
-    kernel = covariant._omega_diagonal
+    calls = {"inner": [], "tables": [], "outer": [], "products": []}
+    diagonal, table, multiply_into = covariant._omega_diagonal, covariant._omega_table, poly._multiply_into
 
-    def counting(a, b, k):
-        calls.append(k)
-        return kernel(a, b, k)
+    def counting_diagonal(a, b, k):
+        calls["inner"].append(k)
+        return diagonal(a, b, k)
 
-    monkeypatch.setattr(covariant, "_omega_diagonal", counting)
+    def counting_table(a, b, top):
+        calls["tables"].append(top)
+        omega = table(a, b, top)
+
+        def counting_omega(k):
+            calls["outer"].append(k)
+            return omega(k)
+
+        return counting_omega
+
+    def counting_multiply(acc, left, right):
+        calls["products"].append((left, right))
+        return multiply_into(acc, left, right)
+
+    monkeypatch.setattr(covariant, "_omega_diagonal", counting_diagonal)
+    monkeypatch.setattr(covariant, "_omega_table", counting_table)
+    monkeypatch.setattr(poly, "_multiply_into", counting_multiply)
     return calls
 
 
+def _each_pair_multiplied_once(products):
+    # a table keeps its groups' term lists, so a pair of lists is a pair of
+    # groups of one table
+    return len({(id(left), id(right)) for left, right in products}) == len(products)
+
+
 def test_symbolic_member_evaluates_each_transvectant_once(monkeypatch):
-    # (L1 L2)^6 runs through all of S(12): 7 inner (F,F)_{2i} and one outer
-    # transvectant per distinct U(i,j) in the set, 65
-    calls = _counting_kernel(monkeypatch)
+    # (L1 L2)^6 runs through all of S(12): 7 inner (F,F)_{2i}, one table per
+    # i that holds its whole window of j, and one ask per distinct U(i,j)
+    # in the set, 65; each table multiplies a pair of groups once
     reg = xreg(["a0", "a1", "b0", "b1"])
     a0, a1, b0, b1, x0, x1 = (Poly.variable(reg, n) for n in reg.names)
     F = form(((a0 * x0 + a1 * x1) * (b0 * x0 + b1 * x1)) ** 6)
+    calls = _counting_kernels(monkeypatch)
     assert membership(F) == (True, None)
-    assert len(calls) == 72
+    assert calls["inner"] == [2 * i for i in range(7)]
+    assert calls["tables"] == [min(12, 24 - 4 * i) for i in range(7)]
+    assert len(calls["outer"]) == 65
+    assert _each_pair_multiplied_once(calls["products"])
+
+
+def test_symbolic_member_of_degree_10_multiplies_each_product_once(monkeypatch):
+    # S(10) on (L1 L2)^5 takes 53 transvectants: (F,F)_0 = F * F, 5 more
+    # one-shot inner tables and 6 shared ones make 1,072 distinct products
+    # in all, where one product per pair of groups and ask made 5,900
+    import invforge.poly as poly
+
+    reg = xreg(["a0", "a1", "b0", "b1"])
+    a0, a1, b0, b1, x0, x1 = (Poly.variable(reg, n) for n in reg.names)
+    F = form(((a0 * x0 + a1 * x1) * (b0 * x0 + b1 * x1)) ** 5)
+    calls = []
+    multiply_into = poly._multiply_into
+
+    def counting(acc, left, right):
+        calls.append(1)
+        return multiply_into(acc, left, right)
+
+    monkeypatch.setattr(poly, "_multiply_into", counting)
+    assert membership(F) == (True, None)
+    assert len(calls) <= 1200
 
 
 @pytest.mark.parametrize(
@@ -284,14 +334,56 @@ def test_symbolic_member_evaluates_each_transvectant_once(monkeypatch):
     ids=["reversed S(8)", "octavic preset"],
 )
 def test_cache_computes_each_transvectant_once_in_any_order(monkeypatch, members, kernel_calls):
-    # one kernel call per distinct (F,F)_{2i} and per distinct U(i,j)
-    calls = _counting_kernel(monkeypatch)
+    # one kernel call per distinct (F,F)_{2i}, one table per distinct i,
+    # asked once per distinct U(i,j), and each group pair multiplied once
     F = generic_form(xreg(), 8)
+    calls = _counting_kernels(monkeypatch)
     cache = {}
     got = [expr.evaluate(F, cache) for expr in members]
     pairs = {p for e in members for p in zip(e.indices[::2], e.indices[1::2])}
-    assert len(calls) == len(pairs) + len({i for i, _ in pairs}) == kernel_calls
+    inner = {i for i, _ in pairs}
+    assert sorted(calls["inner"]) == sorted(2 * i for i in inner)
+    assert len(calls["tables"]) == len(inner)
+    assert len(calls["outer"]) == len(pairs)
+    assert len(calls["inner"]) + len(calls["outer"]) == kernel_calls
+    assert _each_pair_multiplied_once(calls["products"])
+    monkeypatch.undo()
     assert got == [expr.evaluate(F) for expr in members]
+
+
+def test_zero_test_scales_nothing_and_builds_no_answer(monkeypatch):
+    # zero_test=True says whether each member vanishes, as the evaluated
+    # form does, from the raw combination: no scalar product and no Poly
+    # of the answer, on symbolic, dense integer and Fraction forms
+    reg = xreg(["a0", "a1", "b0", "b1"])
+    a0, a1, b0, b1, x0, x1 = (Poly.variable(reg, n) for n in reg.names)
+    forms = [  # (form, member)
+        (form(((a0 * x0 + a1 * x1) * (b0 * x0 + b1 * x1)) ** 4), True),
+        (form(((a0 * x0 + a1 * x1) * (b0 * x0 + b1 * x1)) ** 3 * (a0 * x0**2 + b1 * x1**2)), False),
+        (form((x0**2 + 3 * x0 * x1 - 2 * x1**2) ** 4), True),
+        (form(x0**8 - 2 * x0**5 * x1**3 + 7 * x1**8), False),
+        (form((x0**2 * Fraction(1, 3) - x1**2) ** 4 + x0**4 * x1**4 * Fraction(1, 5)), False),
+    ]
+    for F, member in forms:
+        want = [expr.evaluate(F).is_zero() for expr in set_S(8)]
+        assert all(want) == member
+
+        def refuse(*args):
+            raise AssertionError("the answer was built")
+
+        def product_only(self, other):
+            # (F,F)_0 is the product F * F; no Poly is scaled
+            assert isinstance(other, Poly), "the answer was scaled"
+            return multiply(self, other)
+
+        multiply = Poly.__mul__
+        monkeypatch.setattr(Poly, "__mul__", product_only)
+        monkeypatch.setattr(Poly, "__rmul__", product_only)
+        monkeypatch.setattr(Poly, "from_slots", refuse)
+        cache = {}
+        got = [expr.evaluate(F, cache, zero_test=True) for expr in set_S(8)]
+        monkeypatch.undo()
+        assert got == want
 
 
 def test_integer_member_takes_the_dense_route(monkeypatch):
@@ -334,7 +426,7 @@ _NONZERO = st.integers(-4, 4).filter(bool)
 def test_packed_route_matches_the_fraction_route(q, e, perturb, data):
     # an integer q^e, or q^e with one coefficient moved, takes the packed
     # route; the same form times 1/2 has Fraction coefficients and takes
-    # weighted_sum.  Vanishing does not see the scale, and U and Phi are
+    # the pair-sum tables.  Vanishing does not see the scale, and U and Phi are
     # cubic in F, so on the halved form they are 1/8 of the dense results.
     reg = xreg()
     x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")

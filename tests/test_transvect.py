@@ -211,8 +211,66 @@ def test_grouped_kernel_matches_branch_formula(aterms, bterms, k):
     reg = VarRegistry(["s", "x0", "x1", "t"])
     A, B = Poly(reg, aterms), Poly(reg, bterms)
     want = _branch_formula(A, B, k)
-    assert Poly.weighted_sum(A, B, X, k, transvect._omega_weights(k)) == want
+    assert transvect._omega_table(A, B, k)(k) == want
     assert _omega_diagonal(A, B, k) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TERMS, _TERMS, st.lists(st.integers(0, 9), min_size=1, max_size=6))
+def test_one_omega_table_answers_every_k(aterms, bterms, ks):
+    # one table asked for several k, in any order and some twice: each
+    # answer is the branch formula at its k, with the lowering x0^k x1^k
+    reg = VarRegistry(["s", "x0", "x1", "t"])
+    A, B = Poly(reg, aterms), Poly(reg, bterms)
+    omega = transvect._omega_table(A, B, max(ks))
+    for k in ks:
+        assert omega(k) == _branch_formula(A, B, k)
+
+
+def test_omega_table_multiplies_each_group_pair_once(monkeypatch):
+    # x0^a sides whose windows never meet build nothing; the groups of a
+    # symbolic pair are multiplied once, by the first k that weighs them
+    reg = VarRegistry(["s", "x0", "x1"])
+    s, x0, x1 = (Poly.variable(reg, n) for n in reg.names)
+    A, B = (s * x0 + x1) ** 4, (x0 - s * x1) ** 3
+    a, b = x0**5, s * x0**4
+    products = []
+    multiply_into = poly._multiply_into
+
+    def counting(acc, left, right):
+        products.append((left, right))
+        return multiply_into(acc, left, right)
+
+    monkeypatch.setattr(poly, "_multiply_into", counting)
+    omega = transvect._omega_table(a, b, 4)
+    assert all(omega(k).is_zero() for k in range(1, 5)) and products == []
+    omega = transvect._omega_table(A, B, 3)
+    for k in (3, 1, 2, 0, 3, 1):
+        assert omega(k) == _branch_formula(A, B, k)
+    pairs = {(id(left), id(right)) for left, right in products}
+    assert len(pairs) == len(products) == 5 * 4  # every pair of x-exponent groups
+
+
+def test_omega_weights_are_held_to_the_cap_by_their_bits(monkeypatch):
+    # one weight of (x0^a, x1^a)_k is (a)_k^2, past 8,000,000 bits at k =
+    # 200,000: refused before it is built; x0^a against x0^a builds none
+    for name in ("comb", "perm", "factorial"):
+        monkeypatch.setattr(transvect, name, None)
+    reg, x0, x1 = xy_ring()
+    a = 1048576
+    with pytest.raises(ValueError, match="^a pair weight could take 8000002 bits, above"):
+        transvectant(BinaryForm(x0**a), BinaryForm(x1**a), 200000)
+    monkeypatch.undo()
+    assert transvectant(BinaryForm(x0**a), BinaryForm(x0**a), 400000).is_zero()
+    # (x0^40 + x1^40, x0^20 - x1^20)_2 takes 3 branches over 4 terms, and
+    # a weight of up to (40)_2 (20)_2 < 2^(6 + 6 + 5 + 5)
+    A, B = BinaryForm(x0**40 + x1**40), BinaryForm(x0**20 - x1**20)
+    want = transvectant(A, B, 2)
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "22")
+    assert transvectant(A, B, 2) == want
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "21")
+    with pytest.raises(ValueError, match="^a pair weight could take 22 bits, above the cap of 21"):
+        transvectant(A, B, 2)
 
 
 def test_grouped_kernel_on_sparse_big_exponents():
