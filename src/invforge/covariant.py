@@ -14,22 +14,23 @@ are e-th powers of quadratics.  membership() evaluates that set on a given
 form and reports the first non-vanishing element as a witness.
 
 CovariantExpr is the one evaluation path: u_cov() and phi() evaluate one,
-its constructor validates every index set, and evaluate holds its Omega
-work to the work cap.  Every U is computed unnormalized, once per form in
-any order (see evaluate), and scaled once; a Phi is p U(i,j) - q U(i2,j2)
-for the integer ratio p/q of its two constants, scaled once.  membership
-only asks whether each member vanishes: it tests the raw U, or p U(i,j)
-- q U(i2,j2), and scales nothing and builds no witness.
+its constructor validates every index set, and evaluate reads each U,
+unnormalized, from a _Window of F that holds their Omega work to the
+work cap.  A lone member builds a window of its own U's and scales its
+answer once; a Phi is p U(i,j) - q U(i2,j2) for the integer ratio p/q
+of its two constants.  membership builds one window of the whole index
+window and only asks whether each member vanishes: nothing is scaled
+and no witness is built.
 
 A dense integer form stays in integers from the parser to the verdict:
-its memo holds coefficient lists from transvect._omega_dense, so a member
-vanishes when its list is all zero, and only the form evaluate returns is
-built as a Poly.  Symbolic and Fraction forms take the same steps on
-Polys: (F,F)_{2i} through transvect._omega_diagonal, and every U(i,j) of
-one i from one transvect._omega_table of ((F,F)_{2i}, F), which
-multiplies each pair of coefficient groups once for all the j asked.
-set_S(d) and each member's constants are built on first use and kept,
-once per degree.
+its window holds coefficient lists from transvect._omega_dense, so a
+member vanishes when its list is all zero, and only the form evaluate
+returns is built as a Poly.  Symbolic and Fraction forms take the same
+steps on Polys: (F,F)_{2i} through transvect._omega_diagonal, and every
+U(i,j) of one i from one transvect._omega_table of ((F,F)_{2i}, F),
+which multiplies each pair of coefficient groups once for all the j the
+window holds.  set_S(d) and each member's constants are built on first
+use and kept, once per degree.
 """
 
 from fractions import Fraction
@@ -111,48 +112,36 @@ class CovariantExpr:
         i, j = self.indices[0], self.indices[1]
         return 3 * self.d - 4 * i - 2 * j
 
-    def evaluate(self, F: BinaryForm, cache: dict = None, zero_test: bool = False):
-        """Evaluate on a form of degree d, after holding the Omega work to
-        the work cap: 2i+1 branches for (F,F)_{2i} and j+1 for U(i,j), per U
-        of the window taken, each over the terms of F (as in membership).  A
-        zero F, or a U outside the window, gives the zero form at once.
+    def evaluate(self, F: BinaryForm, window=None):
+        """Evaluate on a form of degree d.  Alone, it builds a _Window of F
+        for its own U's, which holds their Omega work to the work cap, and
+        returns the exact form; a zero F, or a U outside the index window,
+        gives the zero form at once.
 
-        zero_test=True returns only whether the member vanishes on F: the
-        raw combination (a U, or p U(i,j) - q U(i2,j2)) is tested as it
-        stands, with no scalar applied and no Poly of the answer built.
-
-        A cache dict shared across set members memoizes, for one form F,
-        the unnormalized (F,F)_{2i} under key i and U(i,j) under key (i, j),
-        each computed once in any member order: coefficient lists for a
-        dense integer F (see _outer), and Polys for any other F, whose U(i,
-        .) all come from one table per i that holds the whole window of j.
-        Without a cache, a table holds only the j this member asks.  A
-        cache belongs to the form it was first used with: another form
-        raises ValueError.
+        Given a window of F (membership's holds the whole index window), it
+        returns only whether the member vanishes: the raw combination (a U,
+        or p U(i,j) - q U(i2,j2)) is tested as it stands, with no scalar
+        applied, no Poly of the answer built and no cap of its own checked.
+        A window of another form raises ValueError.
         """
         if F.degree != self.d:
             raise ValueError(f"form has degree {F.degree}, expected {self.d}")
-        shared = cache is not None
-        if not shared:
-            cache = {}
-        owner = cache.setdefault("form", F.poly)
-        if owner is not F.poly and owner != F.poly:
-            raise ValueError("cache was filled for another form")
-        d = self.d
         pairs = zip(self.indices[::2], self.indices[1::2])
-        branches = sum(2 * i + j + 2 for i, j in pairs if in_range(d, i, j))
-        work = branches * len(F.poly.terms)
-        check_cap(work, f"{self.name()} would take {work} Omega branch terms")
-        if not work:  # a zero F, or a U outside the window
-            return True if zero_test else self._zero(F)
+        rows = {i: range(j, j + 1) for i, j in pairs if in_range(self.d, i, j)}
+        given = window is not None
+        if not given:
+            window = _Window(F, rows, f"{self.name()} would take {{}} Omega branch terms")
+        elif window.form is not F.poly and window.form != F.poly:
+            raise ValueError("window was built for another form")
+        if not (rows and window.work):  # a zero F, or a U outside the window
+            return True if given else self._zero(F)
         if self.kind == "U":
-            combo = self._raw(*self.indices, F, cache, shared)
+            combo = window.raw(*self.indices)
             vanishes = not any(combo) if type(combo) is list else combo.is_zero()
         else:
             i, j, i2, j2 = self.indices
             p, q, _ = self._constants()
-            a = self._raw(i, j, F, cache, shared)
-            b = self._raw(i2, j2, F, cache, shared)
+            a, b = window.raw(i, j), window.raw(i2, j2)
             if type(a) is list:
                 combo = [p * x - q * y for x, y in zip(a, b)]
                 vanishes = not any(combo)
@@ -162,7 +151,7 @@ class CovariantExpr:
                     p * c == q * b.terms[key] for key, c in a.terms.items()
                 )
                 combo = None  # built only for a nonzero answer
-        if zero_test:
+        if given:
             return vanishes
         if vanishes:
             return self._zero(F)
@@ -178,18 +167,6 @@ class CovariantExpr:
 
     def _zero(self, F):
         return BinaryForm(Poly.zero(F.poly.registry), max(self.order, 0))
-
-    def _raw(self, i, j, F, cache, shared):
-        # U(i,j) with both transvectants unnormalized, memoized with the
-        # one _outer per i that computes every U(i, .) asked
-        raw = cache.get((i, j))
-        if raw is None:
-            outer = cache.get(("outer", i))
-            if outer is None:
-                top = min(self.d, 2 * self.d - 4 * i) if shared else j
-                outer = cache["outer", i] = _outer(F, i, top, cache)
-            raw = cache[i, j] = outer(j)
-        return raw
 
     def _constants(self):
         # kept after the first call: for U(i,j) its _scale s(i,j); for Phi,
@@ -225,23 +202,49 @@ class CovariantExpr:
         return hash((self.kind, self.d, self.indices))
 
 
-def _outer(F: BinaryForm, i: int, top: int, cache: dict):
-    """j -> the unnormalized U(i,j), for j <= top, after cache[i] is set to
-    the unnormalized h = (F,F)_{2i}.  For a dense integer F
-    (Poly.dense_coefficients) both steps run _omega_dense on coefficient
-    lists over one falling-factorial table, cache["ff"]; for any other F, h
-    comes from _omega_diagonal and every U(i,j) from one _omega_table of
-    (h, F) up to top, so U(i,j) and U(i,j') share each coefficient
-    product."""
-    f = cache.get("dense", False)
-    if f is False:
-        f = cache["dense"] = F.poly.dense_coefficients(X)
-    if f is None:
-        h = cache[i] = _omega_diagonal(F.poly, F.poly, 2 * i)
-        return _omega_table(h, F.poly, top)
-    ff = cache.setdefault("ff", [[1] * (2 * F.degree + 1)])  # (F,F)_{2i} has degree <= 2d
-    h = cache[i] = _omega_dense(f, f, 2 * i, ff)
-    return lambda j: _omega_dense(h, f, j, ff)
+class _Window:
+    """The U(i,j) = ((F,F)_{2i}, F)_j of one form F, both transvectants
+    unnormalized, for each i of rows and each j of the range rows[i]; raw
+    computes each once, on first use, in any order.  Built, it holds their
+    Omega work to the work cap: 2i+1 branches for (F,F)_{2i} of each i and
+    j+1 for each U(i,j), times the terms of F; what words the refusal,
+    with {} for the work.
+
+    For a dense integer F (Poly.dense_coefficients) both steps run
+    _omega_dense on coefficient lists over one falling-factorial table; for
+    any other F, (F,F)_{2i} comes from _omega_diagonal and every U(i,j) of
+    one i from one _omega_table of ((F,F)_{2i}, F) up to the last j of
+    rows[i], so U(i,j) and U(i,j') share each coefficient product.
+    """
+
+    def __init__(self, F: BinaryForm, rows: dict, what: str):
+        # the j+1 over a range of j sum as an arithmetic series
+        branches = sum(2 * i + 1 + len(js) * (js[0] + js[-1] + 2) // 2 for i, js in rows.items())
+        self.work = branches * len(F.poly.terms)
+        check_cap(self.work, what.format(self.work))
+        self.form = F.poly
+        self._rows = rows
+        self._dense = F.poly.dense_coefficients(X)
+        # (F,F)_{2i} has degree <= 2d
+        self._ff = [[1] * (2 * F.degree + 1)] if self._dense else None
+        self._by_i = {}  # i -> (j -> U(i,j))
+        self._raw = {}  # (i, j) -> U(i,j)
+
+    def raw(self, i: int, j: int):
+        """U(i,j): a coefficient list for a dense integer F, else a Poly."""
+        raw = self._raw.get((i, j))
+        if raw is None:
+            if i not in self._by_i:
+                self._by_i[i] = self._row(i)
+            raw = self._raw[i, j] = self._by_i[i](j)
+        return raw
+
+    def _row(self, i):
+        F, f, ff = self.form, self._dense, self._ff
+        if f is None:
+            return _omega_table(_omega_diagonal(F, F, 2 * i), F, self._rows[i][-1])
+        h = _omega_dense(f, f, 2 * i, ff)
+        return lambda j: _omega_dense(h, f, j, ff)
 
 
 def set_S(d: int) -> list:
@@ -290,14 +293,13 @@ def membership(F: BinaryForm) -> tuple:
     vanish on F.  Works for symbolic coefficients too, in which case
     True means the identity holds for every specialization.
 
-    Before any covariant is evaluated, the work cap bounds the Omega
-    work of the whole set: k+1 branches for each (F,F)_{2i} (k = 2i) and
-    each U(i,j) (k = j) of the index window, which holds every U of S(d),
-    each branch over as many terms as F has.  That is 1,812 branches at
-    d = 20 and 10,837,702 at d = 400.  Each member's own check in evaluate
-    counts a part of this sum, so it never refuses what this admitted; a
-    grouped table still holds the bits of each weight it would build (see
-    transvect._omega_table).
+    Before any covariant is evaluated, one _Window of the whole index
+    window, which holds every U of S(d), bounds the Omega work of the
+    whole set: k+1 branches for each (F,F)_{2i} (k = 2i) and each U(i,j)
+    (k = j), each over as many terms as F has.  That is 1,812 branches at
+    d = 20 and 10,837,702 at d = 400.  Every member reads its U's from that
+    window and checks no cap of its own; a grouped table still holds the
+    bits of each weight it would build (see transvect._omega_table).
     """
     d = F.degree
     if d % 2:
@@ -308,15 +310,11 @@ def membership(F: BinaryForm) -> tuple:
         # the zero form is the e-th power of the zero quadratic, and
         # every binary quadratic is trivially its own first power
         return True, None
-    branches = 0  # Omega branches: k+1 for each transvectant of order k
-    for i in range(d // 2 + 1):
-        top = min(d, 2 * d - 4 * i)  # the window holds U(i,j) for j <= top
-        branches += 2 * i + 1 + (top + 1) * (top + 2) // 2
-    work = branches * len(F.poly.terms)
-    check_cap(work, f"membership would take {work} Omega branch terms over S({d})")
-    cache = {}
+    # the index window: every U(i,j) with j <= min(d, 2d - 4i)
+    rows = {i: range(min(d, 2 * d - 4 * i) + 1) for i in range(d // 2 + 1)}
+    window = _Window(F, rows, f"membership would take {{}} Omega branch terms over S({d})")
     for expr in set_S(d):
-        if not expr.evaluate(F, cache, zero_test=True):
+        if not expr.evaluate(F, window):
             return False, expr.name()
     return True, None
 

@@ -26,15 +26,15 @@ lists in and out: each Omega branch is one big-int product of
 base-2^width digits two bits wider than the bound (a)_k (b)_k |A|_1
 |B|_inf on every output coefficient, so no digit carries,
 poly.kronecker_pack packs each side, poly.kronecker_digits decodes the
-one sum, and Poly.from_slots puts the list back on x0, x1.  covariant's
-memo calls _omega_dense directly, with one falling-factorial table per
-form.  Every other pair is the product A B at k = 0, and else goes
+one sum, and Poly.from_slots puts the list back on x0, x1.  A covariant
+window calls _omega_dense directly, with one falling-factorial table per
+window.  Every other pair is the product A B at k = 0, and else goes
 through an _omega_table: one Poly.pair_sums table grouped by x0, x1,
 asked for any k up to the one it was built for, whose weights
 (_omega_weights) fold the k+1 branches into one per pair of
 x-exponents.  It takes no derivative, multiplies each pair of groups
 once however many k weigh it, and builds no weight for sides whose
-branch windows never meet.  covariant's memo keeps one table per
+branch windows never meet.  A covariant window keeps one table per
 (F,F)_{2i}, and _omega_diagonal builds one and asks it once.  This
 module never touches a packed key.
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from invforge.acceptance import is_power_of_quadratic
 from invforge.covariant import (
     CovariantExpr,
+    _Window,
     in_range,
     membership,
     mu,
@@ -27,6 +28,12 @@ def xreg(extra=()):
 
 def form(poly, degree=None):
     return BinaryForm(poly, degree=degree)
+
+
+def index_window(F):
+    # the window membership builds: every U(i,j) of the index window
+    d = F.degree
+    return _Window(F, {i: range(min(d, 2 * d - 4 * i) + 1) for i in range(d // 2 + 1)}, "{}")
 
 
 def quartic(reg, c):
@@ -214,33 +221,36 @@ def test_expr_evaluate_matches_functions():
 
 
 def test_cache_belongs_to_one_form():
+    # a window memoizes the U's of the form it was built for
     reg = xreg()
     x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")
     G = form(x0**4 + x1**4)
     F = form(x0**3 * x1 + 2 * x1**4)
     expr = CovariantExpr("U", 4, (1, 1))
-    cache = {}
-    expr.evaluate(G, cache)
+    window = index_window(G)
+    assert expr.evaluate(G, window) is False
     with pytest.raises(ValueError, match="another form"):
-        expr.evaluate(F, cache)
+        expr.evaluate(F, window)
     want = Fraction(-1, 32) * x0**6 - Fraction(5, 4) * x0**3 * x1**3 + x1**6
     assert expr.evaluate(F).poly == want
-    # an equal form, built apart, may share the cache
-    assert expr.evaluate(form(x0**4 + x1**4), cache) == expr.evaluate(G)
+    # an equal form, built apart, may share the window
+    assert expr.evaluate(form(x0**4 + x1**4), window) is False
+    assert CovariantExpr("U", 4, (0, 1)).evaluate(form(x0**4 + x1**4), window) is True
 
 
 def test_shared_cache_matches_definition():
-    # every member of S(8) through one cache equals its definition from
-    # normalized U's, each evaluated on its own
+    # every member of S(8) equals its definition from normalized U's, each
+    # evaluated on its own, and vanishes through one shared window when
+    # that answer is zero
     rng = random.Random(808)
     reg = xreg()
     x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")
     coeffs = [rng.randint(-4, 4) for _ in range(8)] + [Fraction(1, 3)]
     F = form(sum((c * x0 ** (8 - t) * x1**t for t, c in enumerate(coeffs)), Poly.zero(reg)))
-    cache = {}
+    window = index_window(F)
     nonzero = []
     for expr in set_S(8):
-        got = expr.evaluate(F, cache)
+        got = expr.evaluate(F)
         if expr.kind == "U":
             want = u_cov(8, *expr.indices, F).poly
         else:
@@ -248,6 +258,7 @@ def test_shared_cache_matches_definition():
             want = mu(4, i2, j2) * u_cov(8, i, j, F).poly - mu(4, i, j) * u_cov(8, i2, j2, F).poly
         assert got.poly == want, expr.name()
         assert got.degree == expr.order
+        assert expr.evaluate(F, window) is got.is_zero(), expr.name()
         if expr.kind == "Phi" and not got.is_zero():
             nonzero.append(expr.name())
     assert len(nonzero) == 7  # the Phi's with 2i+j >= 6 on this form
@@ -334,27 +345,32 @@ def test_symbolic_member_of_degree_10_multiplies_each_product_once(monkeypatch):
     ids=["reversed S(8)", "octavic preset"],
 )
 def test_cache_computes_each_transvectant_once_in_any_order(monkeypatch, members, kernel_calls):
-    # one kernel call per distinct (F,F)_{2i}, one table per distinct i,
-    # asked once per distinct U(i,j), and each group pair multiplied once
+    # through the whole index window: one kernel call per distinct
+    # (F,F)_{2i}, one table per distinct i up to that i's top, asked once
+    # per distinct U(i,j), and each group pair multiplied once
     F = generic_form(xreg(), 8)
     calls = _counting_kernels(monkeypatch)
-    cache = {}
-    got = [expr.evaluate(F, cache) for expr in members]
+    window = index_window(F)
+    got = [expr.evaluate(F, window) for expr in members]
     pairs = {p for e in members for p in zip(e.indices[::2], e.indices[1::2])}
     inner = {i for i, _ in pairs}
     assert sorted(calls["inner"]) == sorted(2 * i for i in inner)
-    assert len(calls["tables"]) == len(inner)
+    assert sorted(calls["tables"]) == sorted(min(8, 16 - 4 * i) for i in inner)
     assert len(calls["outer"]) == len(pairs)
     assert len(calls["inner"]) + len(calls["outer"]) == kernel_calls
     assert _each_pair_multiplied_once(calls["products"])
-    monkeypatch.undo()
-    assert got == [expr.evaluate(F) for expr in members]
+    # alone, a member's tables stop at its own j's
+    for expr, vanishes in zip(members, got):
+        for kept in calls.values():
+            kept.clear()
+        assert expr.evaluate(F).is_zero() is vanishes, expr.name()
+        assert calls["tables"] == list(expr.indices[1::2]), expr.name()
 
 
 def test_zero_test_scales_nothing_and_builds_no_answer(monkeypatch):
-    # zero_test=True says whether each member vanishes, as the evaluated
-    # form does, from the raw combination: no scalar product and no Poly
-    # of the answer, on symbolic, dense integer and Fraction forms
+    # through a window, evaluate says whether each member vanishes, as the
+    # evaluated form does, from the raw combination: no scalar product and
+    # no Poly of the answer, on symbolic, dense integer and Fraction forms
     reg = xreg(["a0", "a1", "b0", "b1"])
     a0, a1, b0, b1, x0, x1 = (Poly.variable(reg, n) for n in reg.names)
     forms = [  # (form, member)
@@ -380,8 +396,8 @@ def test_zero_test_scales_nothing_and_builds_no_answer(monkeypatch):
         monkeypatch.setattr(Poly, "__mul__", product_only)
         monkeypatch.setattr(Poly, "__rmul__", product_only)
         monkeypatch.setattr(Poly, "from_slots", refuse)
-        cache = {}
-        got = [expr.evaluate(F, cache, zero_test=True) for expr in set_S(8)]
+        window = index_window(F)
+        got = [expr.evaluate(F, window) for expr in set_S(8)]
         monkeypatch.undo()
         assert got == want
 
@@ -399,7 +415,7 @@ def test_integer_member_takes_the_dense_route(monkeypatch):
         calls.append(k)
         return dense(A, B, k, ff)
 
-    # the memo calls the kernel through covariant, _omega_diagonal through transvect
+    # the window calls the kernel through covariant, _omega_diagonal through transvect
     monkeypatch.setattr(covariant, "_omega_dense", counting)
     monkeypatch.setattr(transvect, "_omega_dense", counting)
     reg = xreg()
@@ -411,6 +427,47 @@ def test_integer_member_takes_the_dense_route(monkeypatch):
     a0, a1, b0, b1, x0, x1 = (Poly.variable(reg, n) for n in reg.names)
     assert membership(form(((a0 * x0 + a1 * x1) * (b0 * x0 + b1 * x1)) ** 4)) == (True, None)
     assert calls == []
+
+
+def test_dense_membership_reads_the_cap_once(monkeypatch):
+    # one window holds the whole set's work; no member checks its own
+    import invforge.arith as arith
+
+    reads = []
+    size_cap = arith.size_cap
+
+    def counting():
+        reads.append(1)
+        return size_cap()
+
+    monkeypatch.setattr(arith, "size_cap", counting)
+    reg = xreg()
+    x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")
+    assert membership(form((x0**2 + 3 * x0 * x1 - 2 * x1**2) ** 6)) == (True, None)
+    assert len(reads) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
+    st.integers(2, 10),
+    st.one_of(st.none(), st.tuples(st.integers(0, 20), st.sampled_from([-1, 1]))),
+)
+def test_membership_agrees_with_the_power_oracle(q, e, moved):
+    # an integer q^e, or q^e with one coefficient moved by one, against the
+    # independent integer oracle, past the desk grid's d <= 8
+    coeffs = [0] * (2 * e + 1)
+    coeffs[0] = 1
+    for _ in range(e):
+        coeffs = [sum(q[s] * coeffs[t - s] for s in range(3) if 0 <= t - s) for t in range(2 * e + 1)]
+    if moved is not None:
+        coeffs[moved[0] % (2 * e + 1)] += moved[1]
+    reg = xreg()
+    x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")
+    F = sum((c * x0 ** (2 * e - t) * x1**t for t, c in enumerate(coeffs)), Poly.zero(reg))
+    member, witness = membership(form(F, 2 * e))
+    assert member == is_power_of_quadratic(coeffs)
+    assert (witness is None) == member
 
 
 _NONZERO = st.integers(-4, 4).filter(bool)
@@ -489,9 +546,10 @@ def test_set_s_vanishes_on_symbolic_quadratic_power():
     )
     Q = (a0 * x0 + a1 * x1) * (b0 * x0 + b1 * x1)
     F = form(Q**2, degree=4)
-    cache = {}
+    window = index_window(F)
     for expr in set_S(4):
-        assert expr.evaluate(F, cache).is_zero(), expr.name()
+        assert expr.evaluate(F).is_zero(), expr.name()
+        assert expr.evaluate(F, window) is True, expr.name()
 
 
 def test_octavic_preset_members():
@@ -507,9 +565,10 @@ def test_octavic_preset_members():
     reg = xreg()
     x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")
     F = form(x0**5 * x1**3)
-    cache = {}
+    window = index_window(F)
     for expr in octavic_preset():
-        assert not expr.evaluate(F, cache).is_zero(), expr.name()
+        assert not expr.evaluate(F).is_zero(), expr.name()
+        assert expr.evaluate(F, window) is False, expr.name()
 
 
 # -- the decision procedure ---------------------------------------------------
@@ -626,8 +685,8 @@ def test_zero_form_evaluates_to_zero_at_once(monkeypatch):
     ids=["x0^4 + x1^4", "quadratic^4"],
 )
 def test_membership_answers_at_its_own_estimate(monkeypatch, power, estimate, want):
-    # each member's own check takes a part of the whole set's estimate, so
-    # none refuses what membership admitted
+    # one window holds the whole set's estimate and no member checks its
+    # own, so membership answers at exactly that cap
     reg = xreg()
     F = form(power(Poly.variable(reg, "x0"), Poly.variable(reg, "x1")))
     monkeypatch.setenv("INVFORGE_SIZE_CAP", str(estimate))
