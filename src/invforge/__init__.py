@@ -47,6 +47,7 @@ from .covariant import (
     octavic_preset,
     phi,
     set_S,
+    spans_ideal,
     u_cov,
 )
 from .plethysm import (
@@ -105,6 +106,7 @@ __all__ = [
     "octavic_preset",
     "phi",
     "set_S",
+    "spans_ideal",
     "u_cov",
     "char_dimension",
     "decompose_plethysm",

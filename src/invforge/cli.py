@@ -13,7 +13,7 @@ from functools import cache
 
 from .acceptance import run_all
 from .alphamap import alpha_rank
-from .arith import rat_str
+from .arith import check_cap, rat_str
 from .closedform import (
     dixon_rhs,
     f32_term,
@@ -29,7 +29,7 @@ from .covariant import membership, u_cov
 from .enumeration import g_closed_form, g_direct, n1_brute, tau, tau_transvectant_check
 from .plethysm import decompose_plethysm, ideal_character, m0, m0_excluded
 from .poly import NAME_RE, Poly, VarRegistry, parse
-from .transvect import BinaryForm, pi_p, transvectant
+from .transvect import BinaryForm, _pi_p_bits, pi_p, transvectant
 
 
 def _parse_poly(text: str, registry: VarRegistry) -> Poly:
@@ -65,8 +65,21 @@ def cmd_transvect(args) -> int:
 def cmd_pi_p(args) -> int:
     reg = VarRegistry(["x0", "x1", "y0", "y1"])
     G = _parse_poly(args.g, reg)
+    # the interpreter turns a B-bit int into D decimal digits in ceil(B/30)
+    # passes over ceil(D/9) base-10^9 limbs; the cap holds those steps for
+    # the largest coefficient the answer could have, before any branch
+    bits = _pi_p_bits(G, args.p)
+    digits = bits * 30103 // 100000 + 1  # 0.30103 >= log10(2)
+    work = -(-bits // 30) * -(-digits // 9)
+    check_cap(work, f"pi-p could print a coefficient of {digits} digits in {work} steps")
     result = pi_p(G, args.p)
-    return _emit({"result": str(result), "degree": result.degree})
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the cap bounded the printing above
+    try:
+        text = str(result)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return _emit({"result": text, "degree": result.degree})
 
 
 def cmd_alpha_rank(args) -> int:

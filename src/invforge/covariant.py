@@ -9,18 +9,24 @@ of order 3d-4i-2j, the rational constants mu_{i,j}, and the combinations
 
     Phi(i,j,i',j') = mu_{i',j'} U(i,j) - mu_{i,j} U(i',j')
 
-assemble into a set S whose common vanishing characterizes the forms that
-are e-th powers of quadratics.  membership() evaluates that set on a given
-form and reports the first non-vanishing element as a witness.
+assemble into a set S(d) whose common vanishing characterizes the forms
+that are e-th powers of quadratics.  S(d) lies in I_3, the cubic slice of
+the ideal of those forms, and is 3-7 times redundant over it: I_3 splits
+into ideal_character(3, d) irreducibles, and each covariant's
+coefficients span one of them.  membership() evaluates one member per
+irreducible, kept by the rule of _rule up to d = _RULE_MAX_D and all of
+S(d) past it, and reports the first non-vanishing kept member as a
+witness.  spans_ideal() is the exact certificate that the kept members
+span I_3, and so all of S(d).
 
 CovariantExpr is the one evaluation path: u_cov() and phi() evaluate one,
 its constructor validates every index set, and evaluate reads each U,
 unnormalized, from a _Window of F that holds their Omega work to the
 work cap.  A lone member builds a window of its own U's and scales its
 answer once; a Phi is p U(i,j) - q U(i2,j2) for the integer ratio p/q
-of its two constants.  membership builds one window of the whole index
-window and only asks whether each member vanishes: nothing is scaled
-and no witness is built.
+of its two constants.  membership builds one window of the U's its kept
+members read and only asks whether each vanishes: nothing is scaled and
+no witness is built.
 
 A dense integer form stays in integers from the parser to the verdict:
 its window holds coefficient lists from transvect._omega_dense, so a
@@ -33,13 +39,17 @@ window holds.  set_S(d) and each member's constants are built on first
 use and kept, once per degree.
 """
 
+import random
+
 from fractions import Fraction
 from functools import lru_cache
 from math import perm
 
+from .alphamap import ExactMatrix
 from .arith import check_cap
 from .closedform import n2
-from .poly import Poly
+from .plethysm import ideal_character
+from .poly import Poly, VarRegistry
 from .transvect import X, BinaryForm, _omega_dense, _omega_diagonal, _omega_table
 
 
@@ -118,16 +128,17 @@ class CovariantExpr:
         returns the exact form; a zero F, or a U outside the index window,
         gives the zero form at once.
 
-        Given a window of F (membership's holds the whole index window), it
-        returns only whether the member vanishes: the raw combination (a U,
-        or p U(i,j) - q U(i2,j2)) is tested as it stands, with no scalar
-        applied, no Poly of the answer built and no cap of its own checked.
+        Given a window of F (membership's holds the U's of its kept
+        members), it returns only whether the member vanishes: the raw
+        combination (a U, or p U(i,j) - q U(i2,j2)) is tested as it stands,
+        with no scalar applied, no Poly of the answer built and no cap of
+        its own checked.
         A window of another form raises ValueError.
         """
         if F.degree != self.d:
             raise ValueError(f"form has degree {F.degree}, expected {self.d}")
         pairs = zip(self.indices[::2], self.indices[1::2])
-        rows = {i: range(j, j + 1) for i, j in pairs if in_range(self.d, i, j)}
+        rows = {i: [j] for i, j in pairs if in_range(self.d, i, j)}
         given = window is not None
         if not given:
             window = _Window(F, rows, f"{self.name()} would take {{}} Omega branch terms")
@@ -202,13 +213,24 @@ class CovariantExpr:
         return hash((self.kind, self.d, self.indices))
 
 
+def _rows(members) -> dict:
+    """i -> the ascending j of every U(i,j) inside the index window that
+    the members read: the rows of their _Window."""
+    rows = {}
+    for expr in members:
+        for i, j in zip(expr.indices[::2], expr.indices[1::2]):
+            if in_range(expr.d, i, j):
+                rows.setdefault(i, set()).add(j)
+    return {i: sorted(js) for i, js in rows.items()}
+
+
 class _Window:
     """The U(i,j) = ((F,F)_{2i}, F)_j of one form F, both transvectants
-    unnormalized, for each i of rows and each j of the range rows[i]; raw
-    computes each once, on first use, in any order.  Built, it holds their
-    Omega work to the work cap: 2i+1 branches for (F,F)_{2i} of each i and
-    j+1 for each U(i,j), times the terms of F; what words the refusal,
-    with {} for the work.
+    unnormalized, for each i of rows and each j of rows[i], an ascending
+    list or range; raw computes each once, on first use, in any order.  Built,
+    it holds their Omega work to the work cap: 2i+1 branches for
+    (F,F)_{2i} of each i and j+1 for each U(i,j), times the terms of F;
+    what words the refusal, with {} for the work.
 
     For a dense integer F (Poly.dense_coefficients) both steps run
     _omega_dense on coefficient lists over one falling-factorial table; for
@@ -218,8 +240,11 @@ class _Window:
     """
 
     def __init__(self, F: BinaryForm, rows: dict, what: str):
-        # the j+1 over a range of j sum as an arithmetic series
-        branches = sum(2 * i + 1 + len(js) * (js[0] + js[-1] + 2) // 2 for i, js in rows.items())
+        branches = 0
+        for i, js in rows.items():
+            # the j+1 over a range of j sum as an arithmetic series
+            ones = len(js) * (js[0] + js[-1] + 2) // 2 if type(js) is range else sum(js) + len(js)
+            branches += 2 * i + 1 + ones
         self.work = branches * len(F.poly.terms)
         check_cap(self.work, what.format(self.work))
         self.form = F.poly
@@ -284,22 +309,104 @@ def _members(d: int) -> tuple:
     return tuple(exprs)
 
 
+# membership evaluates one member per irreducible of I_3 up to this
+# degree, and all of S(d) past it; the certificate spans_ideal is held,
+# in tests/test_covariant.py, to every even d up to it
+_RULE_MAX_D = 32
+
+
+@lru_cache(maxsize=16)
+def _rule(d: int) -> tuple:
+    """(keep, rows): keep[n] says whether membership evaluates the n-th
+    member of S(d), in canonical order, and rows are the U's the kept
+    members read, the rows of their _Window; built once per degree.
+
+    Walking S(d), a member is kept while fewer than ideal_character(3,
+    d)[order] members of its order have been kept: one per irreducible of
+    I_3, so 1, 3, 6, 10 and 15 at d = 4..12 against 7, 15, 26, 40 and 57
+    in S(d).  U(0,1) = (F^2, F)_1, identically zero, is kept first all the
+    same: the tracer check of bench/test_bench.py at d = 4 reads the
+    product F * F of its (F,F)_0.
+
+    Past _RULE_MAX_D every member is kept (keep is None) and rows are the
+    whole index window, every U(i,j) with j <= min(d, 2d - 4i), so the
+    window holds S(d)'s work to the cap before S(d) is built.
+    """
+    if d > _RULE_MAX_D:
+        return None, {i: range(min(d, 2 * d - 4 * i) + 1) for i in range(d // 2 + 1)}
+    members = _members(d)
+    room = ideal_character(3, d)
+    keep = [True]
+    for expr in members[1:]:
+        keep.append(room.get(expr.order, 0) > 0)
+        if keep[-1]:
+            room[expr.order] -= 1
+    return tuple(keep), _rows(x for x, kept in zip(members, keep) if kept)
+
+
+def spans_ideal(members: list) -> bool:
+    """Whether the members, degree-d covariants in I_3 as every member of
+    S(d) is, span I_3, and so every member of S(d): an exact, one-sided
+    certificate.
+
+    Covariants of one order m are linearly independent exactly when their
+    sources, the coefficients of x0^m, are, and the sources of the order-m
+    covariants in I_3 span mult(m) = ideal_character(3, d)[m] dimensions.
+    So the members span I_3 when, for each m, their sources reach rank
+    mult(m) on K = max mult + 2 seeded dense integer forms: the rank of
+    the evaluations is a lower bound for the rank of the sources as
+    cubics, and ExactMatrix.rank is exact.  False means only that these
+    forms found no such rank.
+    """
+    d = members[0].d
+    mult = ideal_character(3, d)
+    members = [expr for expr in members if expr.order in mult]
+    rows = _rows(members)
+    K = max(mult.values()) + 2
+    rng = random.Random(d)
+    reg = VarRegistry(X)
+    sources = {expr: [] for expr in members}
+    for _ in range(K):
+        terms = {(d - t, t): rng.choice((-1, 1)) * rng.randint(1, 9) for t in range(d + 1)}
+        window = _Window(BinaryForm(Poly(reg, terms), d), rows, "spans_ideal would take {}")
+        for expr, row in sources.items():
+            # the x0^order coefficient of the raw combination; 0 for a U
+            # outside the index window
+            pairs = zip(expr.indices[::2], expr.indices[1::2])
+            heads = [(window.raw(i, j) or [0])[0] for i, j in pairs]
+            if expr.kind == "U":
+                row.append(heads[0])
+            else:
+                p, q, _ = expr._constants()
+                row.append(p * heads[0] - q * heads[1])
+    for m, need in mult.items():
+        exprs = [expr for expr in members if expr.order == m]
+        sparse = [{k: c for k, c in enumerate(sources[expr]) if c} for expr in exprs]
+        if ExactMatrix(exprs, range(K), sparse).rank() != need:
+            return False
+    return True
+
+
 def membership(F: BinaryForm) -> tuple:
     """Decide whether a binary form of even degree d = 2e is the e-th
     power of some quadratic, by evaluating the defining covariant set.
 
     Returns (True, None) on membership, else (False, name) where name
-    labels the first set element (in canonical order) that does not
-    vanish on F.  Works for symbolic coefficients too, in which case
-    True means the identity holds for every specialization.
+    labels the first kept member of S(d) (see _rule), in canonical order,
+    that does not vanish on F.  Works for symbolic coefficients too, in
+    which case True means the identity holds for every specialization.
+    The kept members span I_3, and so every member of S(d) (spans_ideal
+    certifies it for every even d <= _RULE_MAX_D), so the verdict is that
+    of all of S(d); only a witness can differ.
 
-    Before any covariant is evaluated, one _Window of the whole index
-    window, which holds every U of S(d), bounds the Omega work of the
-    whole set: k+1 branches for each (F,F)_{2i} (k = 2i) and each U(i,j)
-    (k = j), each over as many terms as F has.  That is 1,812 branches at
-    d = 20 and 10,837,702 at d = 400.  Every member reads its U's from that
-    window and checks no cap of its own; a grouped table still holds the
-    bits of each weight it would build (see transvect._omega_table).
+    Before any covariant is evaluated, one _Window of the U's the kept
+    members read bounds the Omega work of the whole set: k+1 branches for
+    each (F,F)_{2i} (k = 2i) and each U(i,j) (k = j), each over as many
+    terms as F has.  That is 681 branches at d = 20, and 10,837,702 at
+    d = 400, past _RULE_MAX_D, where the window is the whole index window.
+    Every member reads its U's from that window and checks no cap of its
+    own; a grouped table still holds the bits of each weight it would
+    build (see transvect._omega_table).
     """
     d = F.degree
     if d % 2:
@@ -310,10 +417,12 @@ def membership(F: BinaryForm) -> tuple:
         # the zero form is the e-th power of the zero quadratic, and
         # every binary quadratic is trivially its own first power
         return True, None
-    # the index window: every U(i,j) with j <= min(d, 2d - 4i)
-    rows = {i: range(min(d, 2 * d - 4 * i) + 1) for i in range(d // 2 + 1)}
+    keep, rows = _rule(d)
     window = _Window(F, rows, f"membership would take {{}} Omega branch terms over S({d})")
-    for expr in set_S(d):
+    members = set_S(d)
+    if keep is not None:
+        members = [expr for expr, kept in zip(members, keep) if kept]
+    for expr in members:
         if not expr.evaluate(F, window):
             return False, expr.name()
     return True, None

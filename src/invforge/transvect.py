@@ -47,7 +47,7 @@ any.  A zero raw sum is returned without its normalizing scalar.
 """
 
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm
 
 from .arith import binomial, check_cap
 from .poly import Poly, VarRegistry, kronecker_digits, kronecker_pack
@@ -339,6 +339,35 @@ def pi_p(G: Poly, p: int) -> BinaryForm:
     reduced = omega_apply(G, 2 * p)
     diag = reduced.substitute({y: Poly.variable(reg, x) for x, y in zip(X, Y)})
     return BinaryForm(diag, max(2 * n - 4 * p, 0))
+
+
+def _pi_p_bits(G: Poly, p: int) -> int:
+    """A bound, taken before any branch, on the bits of the numerator and of
+    the denominator of every coefficient of pi_p(G, p), G of degree n in X;
+    0 when the answer is zero.
+
+    A term c x^a y^b that some branch i of Omega^k (k = 2p) survives on
+    both sides (the window of omega_apply) adds at most |c| (n)_k^2 to a
+    coefficient: the C(k,i) (a0)_{k-i} (a1)_i sum to (n)_k over i
+    (Vandermonde's identity), and each (b0)_i (b1)_{k-i} is at most (n)_k.
+    Over the lcm L of G's denominators, each coefficient is then N/L' with
+    L' dividing L and |N| at most L sum |c| (n)_k^2, rounded up by
+    _falling_bits.
+    """
+    n = G.degree_in(X)
+    k = 2 * p
+    if not 0 <= k <= n:
+        return 0
+    index = [G.registry.index(v) for v in (*X, *Y)]
+    common = lcm(*(Fraction(c).denominator for c in G.terms.values()))
+    total = 0
+    for exps, c in G.exponent_terms().items():
+        a0, a1, b0, b1 = (exps[i] for i in index)
+        if max(0, k - a0, k - b1) <= min(k, a1, b0):
+            total += abs(c) * common
+    if not total:
+        return 0
+    return max(int(total).bit_length() + 2 * _falling_bits(n, k), common.bit_length())
 
 
 def discriminant(Q: BinaryForm) -> Poly:

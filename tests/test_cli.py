@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import time
@@ -55,6 +56,30 @@ def test_pi_p_constant(capsys):
     )
     assert code == 0
     assert out == '{"result":"12","degree":0}\n'
+
+
+def test_pi_p_prints_past_the_interpreters_digit_limit_within_the_cap(capsys, monkeypatch):
+    # (3000)_3000^2 = 3000!^2 has 18,262 digits, past the interpreter's
+    # int-string limit; the cap holds its printing, and a raised cap prints it
+    argv = ["pi-p", "--g", "x0^3000*y1^3000", "--p", "1500"]
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "4545407")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"].startswith(
+        "pi-p could print a coefficient of 19217 digits in 4545408 steps, above the cap of 4545407"
+    )
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "4545408")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["degree"] == 0 and len(payload["result"]) == 18262
+    limit = sys.get_int_max_str_digits()
+    assert limit != 0  # pi-p put the interpreter's limit back
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(payload["result"]) == math.factorial(3000) ** 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_covariant_golden(capsys):
@@ -254,6 +279,12 @@ def test_long_plethysm_is_fast(capsys):
         (["transvect", "--a", "x0^1048576", "--b", "x1^1048576", "--k", "200000"], None),
         (["covariant", "--d", "65536", "--i", "0", "--j", "65536",
           "--f", "x0^65536 + x1^65536"], None),
+        # refused before any branch: the answer could take past the cap to print
+        (["pi-p", "--g", "x0^3000*y1^3000", "--p", "1500"], None),
+        (["pi-p", "--g", "x0^1048576*y1^1048576", "--p", "524288"], None),
+        # past the rule's degrees: the whole index window, in closed form,
+        # before S(d) is built
+        (["membership", "--d", "100000", "--f", "x0^100000"], None),
     ],
 )
 def test_capped_work_exits_1(capsys, monkeypatch, argv, cap):

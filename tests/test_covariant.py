@@ -1,5 +1,6 @@
 import random
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,10 @@ from hypothesis import strategies as st
 
 from invforge.acceptance import is_power_of_quadratic
 from invforge.covariant import (
+    _RULE_MAX_D,
     CovariantExpr,
+    _rows,
+    _rule,
     _Window,
     in_range,
     membership,
@@ -16,8 +20,10 @@ from invforge.covariant import (
     octavic_preset,
     phi,
     set_S,
+    spans_ideal,
     u_cov,
 )
+from invforge.plethysm import ideal_character
 from invforge.poly import Poly, VarRegistry
 from invforge.transvect import X, BinaryForm, generic_form, transvectant
 
@@ -34,6 +40,11 @@ def index_window(F):
     # the window membership builds: every U(i,j) of the index window
     d = F.degree
     return _Window(F, {i: range(min(d, 2 * d - 4 * i) + 1) for i in range(d // 2 + 1)}, "{}")
+
+
+def kept(d):
+    # the members membership evaluates, in canonical order
+    return [x for x, keep in zip(set_S(d), _rule(d)[0]) if keep]
 
 
 def quartic(reg, c):
@@ -304,24 +315,26 @@ def _each_pair_multiplied_once(products):
 
 
 def test_symbolic_member_evaluates_each_transvectant_once(monkeypatch):
-    # (L1 L2)^6 runs through all of S(12): 7 inner (F,F)_{2i}, one table per
-    # i that holds its whole window of j, and one ask per distinct U(i,j)
-    # in the set, 65; each table multiplies a pair of groups once
+    # (L1 L2)^6 runs through the 16 kept members of S(12): 6 inner
+    # (F,F)_{2i}, one table per i up to the last j its members read, and one
+    # ask per distinct U(i,j) they read, 21; each table multiplies a pair of
+    # groups once
     reg = xreg(["a0", "a1", "b0", "b1"])
     a0, a1, b0, b1, x0, x1 = (Poly.variable(reg, n) for n in reg.names)
     F = form(((a0 * x0 + a1 * x1) * (b0 * x0 + b1 * x1)) ** 6)
     calls = _counting_kernels(monkeypatch)
     assert membership(F) == (True, None)
-    assert calls["inner"] == [2 * i for i in range(7)]
-    assert calls["tables"] == [min(12, 24 - 4 * i) for i in range(7)]
-    assert len(calls["outer"]) == 65
+    assert calls["inner"] == [0, 2, 4, 6, 8, 10]
+    assert calls["tables"] == [12, 12, 10, 3, 7, 3]
+    assert len(calls["outer"]) == 21
     assert _each_pair_multiplied_once(calls["products"])
 
 
 def test_symbolic_member_of_degree_10_multiplies_each_product_once(monkeypatch):
-    # S(10) on (L1 L2)^5 takes 53 transvectants: (F,F)_0 = F * F, 5 more
-    # one-shot inner tables and 6 shared ones make 1,072 distinct products
-    # in all, where one product per pair of groups and ask made 5,900
+    # the 11 kept members of S(10) on (L1 L2)^5 take 20 transvectants:
+    # (F,F)_0 = F * F, 4 more one-shot inner tables and 5 shared ones make
+    # 1,038 distinct products in all; all of S(10) made 1,072, and one
+    # product per pair of groups and ask made 5,900
     import invforge.poly as poly
 
     reg = xreg(["a0", "a1", "b0", "b1"])
@@ -403,8 +416,9 @@ def test_zero_test_scales_nothing_and_builds_no_answer(monkeypatch):
 
 
 def test_integer_member_takes_the_dense_route(monkeypatch):
-    # an integer power of a quadratic runs all of S(12) by Kronecker
-    # substitution; a symbolic member never takes that route
+    # an integer power of a quadratic runs the kept members of S(12) by
+    # Kronecker substitution, 6 inner and 21 outer transvectants; a symbolic
+    # member never takes that route
     import invforge.covariant as covariant
     import invforge.transvect as transvect
 
@@ -421,7 +435,7 @@ def test_integer_member_takes_the_dense_route(monkeypatch):
     reg = xreg()
     x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")
     assert membership(form((x0**2 + 3 * x0 * x1 - 2 * x1**2) ** 6)) == (True, None)
-    assert len(calls) == 72
+    assert len(calls) == 27
     calls.clear()
     reg = xreg(["a0", "a1", "b0", "b1"])
     a0, a1, b0, b1, x0, x1 = (Poly.variable(reg, n) for n in reg.names)
@@ -440,10 +454,12 @@ def test_dense_membership_reads_the_cap_once(monkeypatch):
         reads.append(1)
         return size_cap()
 
-    monkeypatch.setattr(arith, "size_cap", counting)
     reg = xreg()
     x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")
-    assert membership(form((x0**2 + 3 * x0 * x1 - 2 * x1**2) ** 6)) == (True, None)
+    F = form((x0**2 + 3 * x0 * x1 - 2 * x1**2) ** 6)
+    ideal_character(3, 12)  # the rule's partition table, built once per process
+    monkeypatch.setattr(arith, "size_cap", counting)
+    assert membership(F) == (True, None)
     assert len(reads) == 1
 
 
@@ -455,7 +471,9 @@ def test_dense_membership_reads_the_cap_once(monkeypatch):
 )
 def test_membership_agrees_with_the_power_oracle(q, e, moved):
     # an integer q^e, or q^e with one coefficient moved by one, against the
-    # independent integer oracle, past the desk grid's d <= 8
+    # independent integer oracle, past the desk grid's d <= 8; the kept
+    # members decide as all of S(d) does, and the witness is the first kept
+    # member that does not vanish
     coeffs = [0] * (2 * e + 1)
     coeffs[0] = 1
     for _ in range(e):
@@ -465,9 +483,14 @@ def test_membership_agrees_with_the_power_oracle(q, e, moved):
     reg = xreg()
     x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")
     F = sum((c * x0 ** (2 * e - t) * x1**t for t, c in enumerate(coeffs)), Poly.zero(reg))
-    member, witness = membership(form(F, 2 * e))
+    F = form(F, 2 * e)
+    member, witness = membership(F)
     assert member == is_power_of_quadratic(coeffs)
-    assert (witness is None) == member
+    members = set_S(2 * e)
+    window = _Window(F, _rows(members), "{}")
+    vanishes = {expr: expr.evaluate(F, window) for expr in members}
+    assert all(vanishes.values()) == member
+    assert witness == next((x.name() for x in kept(2 * e) if not vanishes[x]), None)
 
 
 _NONZERO = st.integers(-4, 4).filter(bool)
@@ -550,6 +573,85 @@ def test_set_s_vanishes_on_symbolic_quadratic_power():
     for expr in set_S(4):
         assert expr.evaluate(F).is_zero(), expr.name()
         assert expr.evaluate(F, window) is True, expr.name()
+
+
+@pytest.mark.parametrize("d", [6, 8, 10, 12])
+def test_every_member_of_S_vanishes_on_a_symbolic_power(d):
+    # membership reads only the kept members, so this is what holds all of
+    # S(d) in I_3: each member vanishes on (L1 L2)^e, an identity in the
+    # lines' coefficients (d = 4 is the test above)
+    reg = xreg(["a0", "a1", "b0", "b1"])
+    a0, a1, b0, b1, x0, x1 = (Poly.variable(reg, n) for n in reg.names)
+    F = form(((a0 * x0 + a1 * x1) * (b0 * x0 + b1 * x1)) ** (d // 2), d)
+    members = set_S(d)
+    window = _Window(F, _rows(members), "{}")
+    assert [x.name() for x in members if not x.evaluate(F, window)] == []
+
+
+def test_rule_keeps_one_member_per_irreducible():
+    # U(0,1), identically zero, then one member per irreducible of I_3:
+    # 15 of the 57 in S(12)
+    names = [x.name() for x in kept(12)]
+    assert names == [
+        "U(0,1)",
+        *(f"U({i},1)" for i in range(1, 6)),
+        "U(3,3)",
+        "U(4,3)",
+        "U(5,3)",
+        "U(4,7)",
+        *(f"Phi(0,{2 * k},1,{2 * k - 2})" for k in range(3, 7)),
+        "Phi(1,10,2,8)",
+        "Phi(1,12,2,10)",
+    ]
+    assert sum(ideal_character(3, 12).values()) == 15
+
+
+@pytest.mark.parametrize("d", range(4, _RULE_MAX_D + 1, 2))
+def test_kept_members_span_the_cubic_ideal(d):
+    # the certificate membership's exactness rests on, at every degree the
+    # rule is used: after U(0,1), the kept orders are I_3's weights with
+    # their multiplicities, and their sources reach full rank
+    chosen = kept(d)
+    assert chosen[0].name() == "U(0,1)"
+    assert Counter(x.order for x in chosen[1:]) == ideal_character(3, d)
+    assert spans_ideal(chosen)
+    assert _rule(d)[1] == _rows(chosen)
+
+
+def test_membership_evaluates_all_of_S_past_the_rule(monkeypatch):
+    # an integer power of a quadratic at d = 34 runs every member of S(34)
+    # through the whole index window
+    d = _RULE_MAX_D + 2
+    evaluated = []
+    evaluate = CovariantExpr.evaluate
+
+    def counting(self, F, window=None):
+        evaluated.append(self)
+        return evaluate(self, F, window)
+
+    monkeypatch.setattr(CovariantExpr, "evaluate", counting)
+    reg = xreg()
+    x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")
+    assert membership(form((x0**2 + 3 * x0 * x1 - 2 * x1**2) ** (d // 2))) == (True, None)
+    assert evaluated == set_S(d)
+    assert _rule(d)[1] == {i: range(min(d, 2 * d - 4 * i) + 1) for i in range(d // 2 + 1)}
+
+
+def test_certificate_accepts_spanning_sets_and_refuses_smaller_ones():
+    # the octavic preset has one member per weight of I_3, as the kept set
+    # does; the certificate takes both and all of S(8), and refuses the kept
+    # set less any one member, or with a member of a weight of multiplicity
+    # 2 (U(3,3), order 18 at d = 12) replaced by the other one (U(4,1))
+    preset = octavic_preset()
+    assert Counter(x.order for x in preset) == ideal_character(3, 8)
+    chosen = kept(8)[1:]
+    assert spans_ideal(preset) and spans_ideal(chosen) and spans_ideal(set_S(8))
+    for k, dropped in enumerate(chosen):
+        assert not spans_ideal(chosen[:k] + chosen[k + 1:]), dropped.name()
+    chosen = kept(12)
+    doubled = [CovariantExpr("U", 12, (4, 1)) if x.name() == "U(3,3)" else x for x in chosen]
+    assert Counter(x.order for x in doubled) == Counter(x.order for x in chosen)
+    assert spans_ideal(chosen) and not spans_ideal(doubled)
 
 
 def test_octavic_preset_members():
@@ -679,16 +781,21 @@ def test_zero_form_evaluates_to_zero_at_once(monkeypatch):
 @pytest.mark.parametrize(
     "power, estimate, want",
     [
-        (lambda x0, x1: x0**4 + x1**4, 80, (False, "U(1,1)")),
-        (lambda x0, x1: (x0**2 + 3 * x0 * x1 - 2 * x1**2) ** 4, 1584, (True, None)),
+        # U(0,1) and U(1,1): (1 + 2) + (3 + 2) branches over 2 terms
+        (lambda x0, x1: x0**4 + x1**4, 16, (False, "U(1,1)")),
+        # the 7 kept members of S(8) read 9 U's: 56 branches over 9 terms
+        (lambda x0, x1: (x0**2 + 3 * x0 * x1 - 2 * x1**2) ** 4, 504, (True, None)),
     ],
     ids=["x0^4 + x1^4", "quadratic^4"],
 )
 def test_membership_answers_at_its_own_estimate(monkeypatch, power, estimate, want):
-    # one window holds the whole set's estimate and no member checks its
+    # one window holds the kept members' estimate and no member checks its
     # own, so membership answers at exactly that cap
     reg = xreg()
     F = form(power(Poly.variable(reg, "x0"), Poly.variable(reg, "x1")))
+    # the rule's partition table, 9d + 12 steps, is built once per process;
+    # at d = 4 it takes more than the window
+    ideal_character(3, F.degree)
     monkeypatch.setenv("INVFORGE_SIZE_CAP", str(estimate))
     assert membership(F) == want
     monkeypatch.setenv("INVFORGE_SIZE_CAP", str(estimate - 1))

@@ -11,6 +11,7 @@ from invforge.transvect import (
     X,
     BinaryForm,
     _omega_diagonal,
+    _pi_p_bits,
     discriminant,
     generic_form,
     omega_apply,
@@ -360,6 +361,42 @@ def test_pi_p_past_the_degree_is_zero_without_a_branch(monkeypatch):
     reg, (x0, x1, y0, y1) = xy4_ring()
     out = pi_p(x0 * y1 - x1 * y0, 10**9)
     assert out.is_zero() and out.degree == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 6),
+    st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(-40, 40), st.integers(1, 9)),
+        min_size=1,
+        max_size=5,
+    ),
+    st.integers(0, 3),
+)
+def test_pi_p_bits_bound_every_coefficient(n, terms, p):
+    # every numerator and denominator of pi_p(G, p) fits the bound taken
+    # before any branch, and a bound of 0 means the answer is zero
+    reg, (x0, x1, y0, y1) = xy4_ring()
+    G = Poly.zero(reg)
+    for a0, b0, num, den in terms:
+        a0, b0 = a0 % (n + 1), b0 % (n + 1)
+        G = G + Fraction(num, den) * x0**a0 * x1 ** (n - a0) * y0**b0 * y1 ** (n - b0)
+    bits = _pi_p_bits(G, p)
+    coeffs = [Fraction(c) for c in pi_p(G, p).poly.terms.values()]
+    assert all(max(c.numerator.bit_length(), c.denominator.bit_length()) <= bits for c in coeffs)
+    assert bits or not coeffs
+
+
+def test_pi_p_bits_of_a_lone_surviving_term():
+    # x0^a y1^a: one coefficient, (a)_{2p}^2, which the bound overshoots by
+    # under 6% at a = 3000; x0^a y0^a: no branch survives
+    reg, (x0, x1, y0, y1) = xy4_ring()
+    for a, p in ((4, 2), (50, 20), (3000, 1500)):
+        exact = (perm(a, 2 * p) ** 2).bit_length()
+        assert exact <= _pi_p_bits(x0**a * y1**a, p)
+    assert _pi_p_bits(x0**a * y1**a, p) <= exact * 106 // 100
+    assert _pi_p_bits(x0**6 * y0**6, 3) == 0
+    assert _pi_p_bits(x0 * y1, 1) == 0  # 2p past the degree
 
 
 def test_omega_entry_points_hold_branches_times_terms_to_the_cap(monkeypatch):
