@@ -45,8 +45,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import perm
 
+from . import arith
 from .alphamap import ExactMatrix
-from .arith import check_cap
 from .closedform import n2
 from .plethysm import ideal_character
 from .poly import Poly, VarRegistry
@@ -233,7 +233,8 @@ class _Window:
     what words the refusal, with {} for the work.
 
     For a dense integer F (Poly.dense_coefficients) both steps run
-    _omega_dense on coefficient lists over one falling-factorial table; for
+    _omega_dense on coefficient lists over one falling-factorial table,
+    each call holding what it packs to the cap the window read once; for
     any other F, (F,F)_{2i} comes from _omega_diagonal and every U(i,j) of
     one i from one _omega_table of ((F,F)_{2i}, F) up to the last j of
     rows[i], so U(i,j) and U(i,j') share each coefficient product.
@@ -246,7 +247,9 @@ class _Window:
             ones = len(js) * (js[0] + js[-1] + 2) // 2 if type(js) is range else sum(js) + len(js)
             branches += 2 * i + 1 + ones
         self.work = branches * len(F.poly.terms)
-        check_cap(self.work, what.format(self.work))
+        # read once: every _omega_dense call of this window holds its packing to it
+        self._cap = arith.size_cap()
+        arith.check_cap(self.work, what.format(self.work), self._cap)
         self.form = F.poly
         self._rows = rows
         self._dense = F.poly.dense_coefficients(X)
@@ -268,8 +271,8 @@ class _Window:
         F, f, ff = self.form, self._dense, self._ff
         if f is None:
             return _omega_table(_omega_diagonal(F, F, 2 * i), F, self._rows[i][-1])
-        h = _omega_dense(f, f, 2 * i, ff)
-        return lambda j: _omega_dense(h, f, j, ff)
+        h = _omega_dense(f, f, 2 * i, ff, self._cap)
+        return lambda j: _omega_dense(h, f, j, ff, self._cap)
 
 
 def set_S(d: int) -> list:
@@ -405,8 +408,9 @@ def membership(F: BinaryForm) -> tuple:
     terms as F has.  That is 681 branches at d = 20, and 10,837,702 at
     d = 400, past _RULE_MAX_D, where the window is the whole index window.
     Every member reads its U's from that window and checks no cap of its
-    own; a grouped table still holds the bits of each weight it would
-    build (see transvect._omega_table).
+    own.  Each kernel call still holds what it builds (see transvect): a
+    dense one to the cap the window read, so a dense membership reads the
+    cap once, and a grouped table to the cap it reads per call.
     """
     d = F.degree
     if d % 2:

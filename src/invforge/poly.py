@@ -91,7 +91,7 @@ from functools import reduce
 from math import lcm, perm
 from operator import mul, or_
 
-from .arith import check_cap
+from .arith import check_cap, size_cap
 
 # the one variable-name pattern (see the module docstring)
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -259,9 +259,14 @@ class Poly:
         lo..hi-1 of that window.
 
         Every |w| of a call must be at most 2^bits, for bits <= weight_bits,
-        and an int: ValueError and TypeError otherwise.  Before any entry
-        is built, arith.check_cap holds bits, unless no pair of groups has
-        windows that meet.  The weights must vanish wherever some
+        and an int: ValueError and TypeError otherwise.  arith.check_cap
+        holds each call in 30-bit limbs, bits // 30 + 1 for each entry and
+        each product l_i r_i, which it takes to be at most 2^bits too (not
+        checked): before any entry is built, the bits of one weight and the
+        limbs of the entries of every window left once both sides are cut
+        to the indices they share; then, pair by pair, the limbs of the
+        products summed so far.  Sides with no shared index count 0.  The
+        weights must vanish wherever some
         p_j + q_j < lower, as a lowered exponent would be negative; this is
         not checked.  a and b must share a registry.  See _PairSums for how
         a pair of groups is multiplied once, however many calls weigh it."""
@@ -758,6 +763,7 @@ class _PairSums:
     def __call__(self, lower, weights, bits):
         if bits > self.bits:
             raise ValueError(f"weights of {bits} bits in a table of {self.bits}")
+        cap = size_cap()
         (lwindow, lentries), (rwindow, rentries) = weights
         left = [(n, *lwindow(p)) for n, (_, p, _) in enumerate(self.left)]
         right = [(n, *rwindow(q)) for n, (_, q, _) in enumerate(self.right)]
@@ -767,12 +773,20 @@ class _PairSums:
         hi = min(max([w[2] for w in left], default=0), max([w[2] for w in right], default=0))
         left = [(n, max(f, lo), min(e, hi)) for n, f, e in left if max(f, lo) < min(e, hi)]
         right = [(n, max(f, lo), min(e, hi)) for n, f, e in right if max(f, lo) < min(e, hi)]
-        # the bits of one weight, held to the cap only if some pair is weighed
-        meet = any(max(la, lb) < min(ha, hb) for _, la, ha in left for _, lb, hb in right)
-        check_cap(bits if meet else 0, f"a pair weight could take {bits} bits")
+        if not (left and right):
+            left = right = []  # no pair is weighed, so no entry is built
+        else:
+            check_cap(bits, f"a pair weight could take {bits} bits", cap)
+        # each entry, and each product l_i r_i summed into a weight, is at
+        # most 2^bits (as the Omega weights are): at most this many limbs
+        limbs = bits // 30 + 1
+        built = limbs * sum(e - f for side in (left, right) for _, f, e in side)
+        check_cap(built, f"the pair weights would build {built} limbs", cap)
         left = [(n, f, e, lentries(self.left[n][1], f, e)) for n, f, e in left]
         right = [(n, f, e, rentries(self.right[n][1], f, e)) for n, f, e in right]
         limit = 1 << bits
+        room = cap // limbs  # the weight products that fit the cap
+        summed = 0  # weight products so far, one per index two windows share
         sums = {}  # output group -> sum of w * packed product
         for ia, la, ha, va in left:
             products = self.products[ia]
@@ -781,6 +795,9 @@ class _PairSums:
                 hi = ha if ha < hb else hb
                 if lo >= hi:
                     continue
+                summed += hi - lo
+                if summed > room:
+                    break
                 if hi - lo == 1:
                     w = va[lo - la] * vb[lo - lb]
                 else:
@@ -796,6 +813,10 @@ class _PairSums:
                     product = self._multiply(ia, ib)
                 group, packed = product
                 sums[group] = sums.get(group, 0) + w * packed
+            if summed > room:
+                break
+        summed *= limbs
+        check_cap(summed, f"the pair sums reach {summed} limbs of weight products", cap)
         drop = sum(lower << s for s in self.shifts)
         width, outputs = self.width, self.outputs
         out = {}

@@ -39,11 +39,14 @@ branch windows never meet.  A covariant window keeps one table per
 module never touches a packed key.
 
 transvectant and omega_apply hold their Omega work, branches times input
-terms, to the work cap (arith.check_cap) before any branch runs.
-_omega_diagonal holds the bits its dense route would pack, summed over
-the branches, as tau holds its packed sum, and a table holds the bits of
-one weight, (a)_k (b)_k rounded up by _falling_bits, before it builds
-any.  A zero raw sum is returned without its normalizing scalar.
+terms, to the work cap (arith.check_cap) before any branch runs.  Each
+kernel then holds what it builds, counted in 30-bit limbs (CPython's int
+digit): _omega_dense the digits it would pack, before it packs any, and
+a Poly.pair_sums table the weight entries it builds and the weight
+products it sums, besides the bits of one weight, (a)_k (b)_k rounded up
+by _falling_bits.  A covariant window reads the cap once and passes it to
+each of its _omega_dense calls.  A zero raw sum is returned without its
+normalizing scalar.
 """
 
 from fractions import Fraction
@@ -146,11 +149,11 @@ def _omega_diagonal(apoly: Poly, bpoly: Poly, k: int) -> Poly:
     normalization to a single scalar multiply.
 
     Two dense integer forms over one registry (Poly.dense_coefficients)
-    take the Kronecker route, _omega_dense, once the work cap has held the
-    bits it packs: (k+1)(a+b-2k+2) digits of _dense_width bits.  Any other
-    pair (symbolic coefficients, a Fraction, a zero, a sparse form such as
-    x0^1048576) is the product A * B at k = 0, and else is asked once of
-    an _omega_table.  Both routes give the same terms.
+    take the Kronecker route, _omega_dense.  Any other pair (symbolic
+    coefficients, a Fraction, a zero, a sparse form such as x0^1048576)
+    is the product A * B at k = 0, and else is asked once of an
+    _omega_table.  Both routes give the same terms, and each kernel holds
+    its own size to the work cap.
     """
     A = B = None
     if bpoly.registry is apoly.registry:
@@ -159,9 +162,6 @@ def _omega_diagonal(apoly: Poly, bpoly: Poly, k: int) -> Poly:
     if not B:
         # (A, B)_0 is the product, which one multiply loop takes whole
         return apoly * bpoly if k == 0 else _omega_table(apoly, bpoly, k)(k)
-    a, b = len(A) - 1, len(B) - 1
-    bits = (k + 1) * (a + b - 2 * k + 2) * _dense_width(A, B, k)
-    check_cap(bits, f"the transvectant of order {k} would pack {bits} bits")
     C = _omega_dense(A, B, k)
     return Poly.from_slots(apoly.registry, C, (X[1:], len(C)), (X[0], len(C) - 1))
 
@@ -175,9 +175,10 @@ def _omega_table(apoly: Poly, bpoly: Poly, top: int):
     The weights are those of _omega_weights.  Each is at most (a)_k (b)_k
     for the degrees a, b in x0, x1 (see _dense_width), at most 2^bits for
     bits = _falling_bits(a, k) + _falling_bits(b, k), found with no
-    factorial taken.  The table holds the bits of top, and a k whose
-    weights could take more bits than the work cap is refused before any
-    weight is built, unless no pair of x-exponent groups meets.
+    factorial taken.  The table holds the bits of top; each k is held to
+    the work cap by the table itself (see Poly.pair_sums): the bits of one
+    weight and the limbs of its entries before any is built, and the limbs
+    of the weight products while it sums them.
     """
     a, b = apoly.degree_in(X), bpoly.degree_in(X)
 
@@ -264,7 +265,7 @@ def _dense_width(A, B, k) -> int:
     return limit.bit_length() + 2
 
 
-def _omega_dense(A, B, k, ff=None) -> list:
+def _omega_dense(A, B, k, ff=None, cap=None) -> list:
     """_omega_diagonal on coefficient lists, by Kronecker substitution:
     the coefficient list [c_0, ..., c_n] of the raw transvectant, n =
     a+b-2k, or [] when k > min(a, b).
@@ -279,12 +280,18 @@ def _omega_dense(A, B, k, ff=None) -> list:
     every branch.  No digit reaches the bound of _dense_width, so the
     balanced digits never carry, and poly.kronecker_digits unpacks them
     exactly.
+
+    Before anything is packed, the work cap (cap, or arith.size_cap()
+    when None) holds what the k+1 branches would pack: (k+1)(a+b-2k+2)
+    digits of ceil(width/30) 30-bit limbs each.
     """
     a, b = len(A) - 1, len(B) - 1
     if not 0 <= k <= min(a, b):
         return []
-    ff = _falling(ff or [[1] * (max(a, b) + 1)], k)
     width = _dense_width(A, B, k)
+    limbs = (k + 1) * (a + b - 2 * k + 2) * -(-width // 30)
+    check_cap(limbs, f"the transvectant of order {k} would pack {limbs} limbs", cap)
+    ff = _falling(ff or [[1] * (max(a, b) + 1)], k)
     total = 0
     for i in range(k + 1):
         fi, fki = ff[i], ff[k - i]
@@ -301,8 +308,8 @@ def transvectant(A: BinaryForm, B: BinaryForm, k: int) -> BinaryForm:
     once when k > min(a, b), either form is zero, or the raw sum is.
 
     Before any branch runs, the work cap holds the Omega work (branches
-    times input terms); _omega_diagonal then holds the bits its dense
-    route would pack.
+    times input terms); the kernel that _omega_diagonal picks then holds
+    what it builds.
     """
     if k < 0:
         raise ValueError("negative transvectant index")

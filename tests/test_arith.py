@@ -53,6 +53,8 @@ def test_pochhammer():
     assert pochhammer(Fraction(1, 2), 3) == Fraction(1, 2) * Fraction(3, 2) * Fraction(5, 2)
     assert pochhammer(5, 0) == 1
     assert pochhammer(-2, 4) == 0  # hits zero at the third factor
+    with pytest.raises(ValueError, match="^pochhammer requires nonnegative i, got -1$"):
+        pochhammer(3, -1)
 
 
 def test_rat_str():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 import time
@@ -18,6 +19,28 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def _dense_form() -> str:
+    """A dense integer form: 1,001 terms of degree 1000, coefficients 1..9."""
+    r = random.Random(1000)
+    return " + ".join(f"{r.randint(1, 9)}*x0^{1000 - s}*x1^{s}" for s in range(1001))
+
+
+def _sparse_forms() -> list:
+    """Two integer forms of 2,000 terms at degree 5000: too sparse for the
+    dense route, so their transvectants take the grouped one."""
+    r = random.Random(5)
+    forms = []
+    for _ in range(2):
+        exps = sorted(r.sample(range(5001), 2000))
+        forms.append(" + ".join(f"{r.randint(1, 9)}*x0^{5000 - s}*x1^{s}" for s in exps))
+    return forms
+
+
+_DENSE = _dense_form()
+_SPARSE = _sparse_forms()
+_SQUARE = "x0^10000*x1^10000"
 
 
 # -- golden outputs -----------------------------------------------------------
@@ -187,11 +210,32 @@ def test_membership_witnesses_replay_recorded_pool(capsys):
 # -- failure paths ------------------------------------------------------------
 
 
-def test_domain_error_exits_1(capsys):
-    code, out, err = run_cli(capsys, "transvect", "--a", "x0^2", "--b", "x1^2", "--k", "-1")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transvect", "--a", "x0^2", "--b", "x1^2", "--k", "-1"],
+        ["n1", "--e", "2", "--p", "3", "--closed"],
+        ["n1", "--e", "2", "--p", "3", "--brute"],
+        ["plethysm", "--r", "-1", "--d", "2"],
+        ["w", "--p", "-1", "--q", "0", "--k", "0"],
+        ["j", "--s", "-1", "--p", "0"],
+        ["f32", "--a", "1", "--b", "1", "--c", "1", "--d", "1", "--e", "1"],
+        ["dixon", "--a", "0", "--b", "2", "--c", "0"],
+    ],
+)
+def test_domain_error_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     assert "error" in json.loads(err)
+
+
+def test_f32_stops_at_a_vanishing_numerator(capsys):
+    # b = -1: every term past i = 1 carries (b)_i = 0, so the sum of depth 3
+    # stops at 1 + 3
+    argv = ["f32", "--a", "-3", "--b", "-1", "--c", "1", "--d", "1", "--e", "1"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (0, '{"value":"4"}\n')
 
 
 def test_negative_n_alpha_rank_exits_1(capsys):
@@ -285,6 +329,13 @@ def test_long_plethysm_is_fast(capsys):
         # past the rule's degrees: the whole index window, in closed form,
         # before S(d) is built
         (["membership", "--d", "100000", "--f", "x0^100000"], None),
+        # refused before a dense kernel packs: its digits pass the cap in limbs
+        (["covariant", "--d", "1000", "--i", "0", "--j", "50", "--f", _DENSE], None),
+        (["covariant", "--d", "1000", "--i", "0", "--j", "200", "--f", _DENSE], None),
+        # refused by a grouped table: the limbs of its weight entries before
+        # any is built, of the weight products it sums while it sums them
+        (["transvect", "--a", _SQUARE, "--b", _SQUARE, "--k", "10000"], None),
+        (["transvect", "--a", _SPARSE[0], "--b", _SPARSE[1], "--k", "2"], None),
     ],
 )
 def test_capped_work_exits_1(capsys, monkeypatch, argv, cap):
@@ -298,6 +349,23 @@ def test_capped_work_exits_1(capsys, monkeypatch, argv, cap):
     assert code == 1
     assert out == ""
     assert "INVFORGE_SIZE_CAP" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["covariant", "--d", "1000", "--i", "0", "--j", "20", "--f", _DENSE],
+        ["transvect", "--a", _DENSE, "--b", _DENSE, "--k", "20"],
+        ["transvect", "--a", "x0^1000*x1^1000", "--b", "x0^1000*x1^1000", "--k", "1000"],
+    ],
+)
+def test_kernel_holds_answer_under_the_default_cap(capsys, monkeypatch, argv):
+    # a dense kernel packing under the cap in limbs (the dense route of k = 20
+    # would pack about 17 M bits), and a grouped table of 1,001-entry weights
+    monkeypatch.delenv("INVFORGE_SIZE_CAP", raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"] != "0"
 
 
 def test_tau_check_range_error_exits_1(capsys):

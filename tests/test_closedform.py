@@ -124,6 +124,8 @@ def test_power_closed_rejects_nonquadratic():
     x0 = Poly.variable(reg, "x0")
     with pytest.raises(ValueError):
         transvectant_power_closed(1, 1, 0, BinaryForm(x0**3))
+    with pytest.raises(ValueError, match="^needs nonnegative p, q, k$"):
+        transvectant_power_closed(1, 1, -2, BinaryForm(x0**2))
 
 
 def test_f32_frozen():
@@ -219,6 +221,11 @@ def test_n3_range_guards():
         n3(2, 1, 0, 2)  # 2p > re
     with pytest.raises(ValueError):
         n3(2, 1, 4, 0)  # 2p' > (r+1)e
+    # the Chu-Vandermonde factor of every n3
+    with pytest.raises(ValueError, match="^j_closed needs nonnegative s, p$"):
+        j_closed(-1, 0)
+    with pytest.raises(ValueError, match="^j_closed needs nonnegative s, p$"):
+        j_closed(0, -1)
 
 
 def test_n1_closed_small():

@@ -425,9 +425,9 @@ def test_integer_member_takes_the_dense_route(monkeypatch):
     calls = []
     dense = transvect._omega_dense
 
-    def counting(A, B, k, ff=None):
+    def counting(A, B, k, ff=None, cap=None):
         calls.append(k)
-        return dense(A, B, k, ff)
+        return dense(A, B, k, ff, cap)
 
     # the window calls the kernel through covariant, _omega_diagonal through transvect
     monkeypatch.setattr(covariant, "_omega_dense", counting)
@@ -700,6 +700,9 @@ def test_membership_guards():
         membership(form(x0**3))
     with pytest.raises(ValueError):
         membership(form(x0 + x1))
+    # the independent oracle guards its degree the same way
+    with pytest.raises(ValueError, match="^need an even degree >= 2, got 3$"):
+        is_power_of_quadratic([1, 0, 0, 1])
 
 
 def test_membership_rejects_random_quartics():

@@ -132,6 +132,8 @@ def test_ideal_character_guards():
         ideal_character(3, 5)
     with pytest.raises(ValueError):
         ideal_character(1, 4)
+    with pytest.raises(ValueError, match="^decompose_s2 needs re >= 0, got -1$"):
+        decompose_s2(-1)
 
 
 def test_ideal_matches_alpha_kernel_at_r3_d4():

@@ -399,6 +399,89 @@ def test_pi_p_bits_of_a_lone_surviving_term():
     assert _pi_p_bits(x0 * y1, 1) == 0  # 2p past the degree
 
 
+def _limbs(value) -> int:
+    # the 30-bit digits of an int, as the kernels count them
+    return -(-abs(value).bit_length() // 30)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=12),
+    st.lists(st.integers(-50, 50), min_size=1, max_size=12),
+    st.integers(0, 12),
+)
+def test_omega_dense_packs_within_the_limbs_it_holds(A, B, k):
+    # every int _omega_dense packs, over all of its branches, fits the one
+    # count it held to the cap before packing; past min(a, b) it holds and
+    # packs nothing
+    packed, held = [], []
+    pack, check = transvect.kronecker_pack, transvect.check_cap
+
+    def packing(values, width):
+        packed.append(pack(values, width))
+        return packed[-1]
+
+    def holding(work, what, cap=None):
+        held.append(work)
+        return check(work, what, cap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transvect, "kronecker_pack", packing)
+        mp.setattr(transvect, "check_cap", holding)
+        out = transvect._omega_dense(A, B, k)
+    if k > min(len(A), len(B)) - 1:
+        assert (out, held, packed) == ([], [], [])
+        return
+    assert len(held) == 1
+    assert all(x.bit_length() <= 30 * held[0] for x in packed)
+    assert sum(map(_limbs, packed)) <= held[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TERMS, _TERMS, st.integers(0, 9))
+def test_pair_sums_count_every_entry_and_weight_product(aterms, bterms, k):
+    # a table asked for (A, B)_k holds at least the limbs of the weight
+    # entries it builds, and then at least the limbs of the products
+    # l_i r_i it sums, one per index that two groups' windows share: 0
+    # when no windows meet
+    reg = VarRegistry(["s", "x0", "x1", "t"])
+    A, B = Poly(reg, aterms), Poly(reg, bterms)
+    (lwindow, lentries), (rwindow, rentries) = transvect._omega_weights(k)
+    built, held = [], {}
+
+    def recording(entries):
+        def build(p, lo, hi):
+            built.append(entries(p, lo, hi))
+            return built[-1]
+
+        return build
+
+    check = poly.check_cap
+
+    def holding(work, what, cap=None):
+        held[what.split(" ")[3]] = work  # "would" for the entries, "reach" for the sums
+        return check(work, what, cap)
+
+    weights = (lwindow, recording(lentries)), (rwindow, recording(rentries))
+    bits = transvect._falling_bits(A.degree_in(X), k) + transvect._falling_bits(B.degree_in(X), k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "check_cap", holding)
+        got = Poly.pair_sums(A, B, X, bits)(k, weights, bits)
+    assert got == _branch_formula(A, B, k)
+    assert sum(_limbs(x) for vector in built for x in vector) <= held["would"]
+    i0, i1 = (reg.index(x) for x in X)
+    ps = {(e[i0], e[i1]) for e in A.exponent_terms()}
+    qs = {(e[i0], e[i1]) for e in B.exponent_terms()}
+    products = []
+    for p in ps:
+        for q in qs:
+            (lf, le), (rf, re) = lwindow(p), rwindow(q)
+            for i in range(max(lf, rf), min(le, re)):
+                products.append(lentries(p, i, i + 1)[0] * rentries(q, i, i + 1)[0])
+    assert len(products) <= held["reach"] and sum(map(_limbs, products)) <= held["reach"]
+    assert held["reach"] or not products
+
+
 def test_omega_entry_points_hold_branches_times_terms_to_the_cap(monkeypatch):
     reg, (x0, x1, y0, y1) = xy4_ring()
     # sparse, so no packed-bits check: see the dense route's test below
@@ -420,15 +503,18 @@ def test_omega_entry_points_hold_branches_times_terms_to_the_cap(monkeypatch):
 
 
 def test_transvectant_holds_the_dense_route_to_the_cap_by_packed_bits(monkeypatch):
-    # A = sum (s+1) x0^(6-s) x1^s with itself at k = 2: 3 branches over 7 + 7
-    # terms, and 3 branches of 5 + 5 digits of 20 bits, two past the 18 of
-    # (6)_2^2 |A|_1 |A|_inf = 900 * 28 * 7
+    # A = 2^100 sum (s+1) x0^(6-s) x1^s with itself at k = 2: 3 branches over
+    # 7 + 7 terms, and 3 branches of 5 + 5 digits of 220 bits, two past the
+    # 218 of (6)_2^2 |A|_1 |A|_inf = 900 * 28 * 7 * 2^200, so 8 limbs of 30
+    # bits a digit: 240 limbs
     reg, x0, x1 = xy_ring()
     A = BinaryForm(sum(((s + 1) * x0 ** (6 - s) * x1**s for s in range(7)), Poly.zero(reg)))
     want = (
         "8/45*x0^8 + 16/15*x0^7*x1 + 56/15*x0^6*x1^2 + 448/45*x0^5*x1^3 + 112/5*x0^4*x1^4"
         " + 112/5*x0^3*x1^5 + 728/45*x0^2*x1^6 + 128/15*x0*x1^7 + 8/3*x1^8"
     )
+    assert str(transvectant(A, A, 2)) == want
+    A = BinaryForm(A.poly * 2**100)
     reads = []
     dense_coefficients = Poly.dense_coefficients
 
@@ -438,20 +524,24 @@ def test_transvectant_holds_the_dense_route_to_the_cap_by_packed_bits(monkeypatc
 
     # the route is chosen once: one read of each operand
     monkeypatch.setattr(Poly, "dense_coefficients", counting)
-    monkeypatch.setenv("INVFORGE_SIZE_CAP", "600")
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "240")
     full = transvectant(A, A, 2)
-    assert str(full) == want and len(reads) == 2
-    monkeypatch.setenv("INVFORGE_SIZE_CAP", "599")
-    refusal = "^the transvectant of order 2 would pack 600 bits, above"
+    assert str(full.poly * Fraction(1, 2**200)) == want and len(reads) == 2
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "239")
+    refusal = "^the transvectant of order 2 would pack 240 limbs, above the cap of 239 "
     with pytest.raises(ValueError, match=refusal):
         transvectant(A, A, 2)
     with pytest.raises(ValueError, match=refusal):
         _omega_diagonal(A.poly, A.poly, 2)
-    # a Fraction operand takes the grouped route, which packs nothing: held
-    # to branches times terms alone
-    monkeypatch.setenv("INVFORGE_SIZE_CAP", "42")
+    # a Fraction operand takes the grouped route, which packs no digits: its
+    # weights are 12 bits, one limb each, and the table sums 75 weight
+    # products, 5 on each side at each of the 3 branches
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "75")
     half = transvectant(A, BinaryForm(A.poly * Fraction(1, 2)), 2)
     assert half.poly == full.poly * Fraction(1, 2)
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "74")
+    with pytest.raises(ValueError, match="^the pair sums reach 7[5-7] limbs of weight products"):
+        transvectant(A, BinaryForm(A.poly * Fraction(1, 2)), 2)
 
 
 def test_transvectant_of_windows_that_never_meet_builds_no_weight(monkeypatch):
