@@ -3,10 +3,11 @@
 Everything downstream works over arbitrary-precision rationals
 (`fractions.Fraction`, or `int` where integral); this module provides the
 factorial-family helpers (factorial, binomial, Pochhammer symbol) used by
-every closed-form coefficient, the one composition enumerator behind the
-monomial labels of alphamap and the candidate rows of enumeration's walks,
-and the one work cap: size_cap() reads it, and check_cap() holds every work
-estimate to it and words every refusal.
+every closed-form coefficient, falling_bits, the bit bound on a falling
+factorial that sizes the Omega weights, the one composition enumerator
+behind the monomial labels of alphamap and the candidate rows of
+enumeration's walks, and the one work cap: size_cap() reads it, and
+check_cap() holds every work estimate to it and words every refusal.
 """
 
 import os
@@ -50,6 +51,21 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return _comb(n, k)
+
+
+def falling_bits(n, k) -> int:
+    """The sum of the bit lengths of the factors of the falling factorial
+    (n)_k = n (n-1) ... (n-k+1), so (n)_k <= 2^sum; 0 when k <= 0 or n < 1.
+    The factors of one bit length are counted together: no product and
+    no loop over the k factors."""
+    total = 0
+    t = max(n - k, 0) + 1  # the factors t..n
+    while t <= n:
+        length = t.bit_length()
+        last = min(n, (1 << length) - 1)
+        total += length * (last - t + 1)
+        t = last + 1
+    return total
 
 
 def pochhammer(a, i: int) -> Fraction:

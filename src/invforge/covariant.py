@@ -33,7 +33,7 @@ its window holds coefficient lists from transvect._omega_dense, so a
 member vanishes when its list is all zero, and only the form evaluate
 returns is built as a Poly.  Symbolic and Fraction forms take the same
 steps on Polys: (F,F)_{2i} through transvect._omega_diagonal, and every
-U(i,j) of one i from one transvect._omega_table of ((F,F)_{2i}, F),
+U(i,j) of one i from one Poly.omega_table of ((F,F)_{2i}, F),
 which multiplies each pair of coefficient groups once for all the j the
 window holds.  set_S(d) and each member's constants are built on first
 use and kept, once per degree.
@@ -50,7 +50,7 @@ from .alphamap import ExactMatrix
 from .closedform import n2
 from .plethysm import ideal_character
 from .poly import Poly, VarRegistry
-from .transvect import X, BinaryForm, _omega_dense, _omega_diagonal, _omega_table
+from .transvect import X, BinaryForm, _omega_dense, _omega_diagonal
 
 
 def in_range(d: int, i: int, j: int) -> bool:
@@ -236,7 +236,7 @@ class _Window:
     _omega_dense on coefficient lists over one falling-factorial table,
     each call holding what it packs to the cap the window read once; for
     any other F, (F,F)_{2i} comes from _omega_diagonal and every U(i,j) of
-    one i from one _omega_table of ((F,F)_{2i}, F) up to the last j of
+    one i from one Poly.omega_table of ((F,F)_{2i}, F) up to the last j of
     rows[i], so U(i,j) and U(i,j') share each coefficient product.
     """
 
@@ -270,7 +270,7 @@ class _Window:
     def _row(self, i):
         F, f, ff = self.form, self._dense, self._ff
         if f is None:
-            return _omega_table(_omega_diagonal(F, F, 2 * i), F, self._rows[i][-1])
+            return Poly.omega_table(_omega_diagonal(F, F, 2 * i), F, X, self._rows[i][-1])
         h = _omega_dense(f, f, 2 * i, ff, self._cap)
         return lambda j: _omega_dense(h, f, j, ff, self._cap)
 

@@ -39,21 +39,21 @@ exponents themselves.
 _multiply_into is the one multiply-accumulate loop: it adds each term
 pair of two (key, coefficient) lists to a dict, the shorter list in the
 outer loop.  a * b calls it once, and alphamap.alpha_matrix on its own
-narrower keys.  Poly.pair_sums is the one grouped kernel: a table that
-groups each operand's terms once by their exponents in some named
-variables, and answers call after call a sum over pairs of groups, each
-weighted by the dot product of the groups' weight vectors over the
-indices both reach and lowered by a power of the names.  It multiplies a
-pair of groups once, through _multiply_into, the first time a call weighs
-it, and keeps the product as one packed int, so a later call costs one
-big-int sum per output group.  transvect._omega_table groups by x0, x1
-and lowers by (x0 x1)^k, its weights folding the k+1 Omega branches into
-one per x-exponent pair; every U(i,j) of one (F,F)_{2i} asks one table.
+narrower keys.  Poly.omega_table is the one grouped kernel, the Omega
+process of transvectants on a pair of names (x0, x1): a table that
+groups each operand's terms once by their exponents in the names and
+answers, for each k asked, a sum over pairs of groups, each weighted by
+the k+1 Omega branches folded into one int and lowered by (x0 x1)^k.  It
+works out each group's branch window, its weight entries and their bit
+bound itself, multiplies a pair of groups once, through _multiply_into,
+the first time a k weighs it, and keeps the product as one packed int,
+so a later k costs one big-int sum per output group.  Every U(i,j) of
+one (F,F)_{2i} asks one table.
 
 kronecker_pack and kronecker_digits are the one packer and the one
 decoder of Kronecker-packed ints: balanced base-2^width digits, lowest
 first, both split in halves so the work grows with the bits times their
-log.  The pair-sum table packs its products with them;
+log.  The Omega table packs its products with them;
 transvect._omega_dense multiplies coefficient lists as big ints and takes
 the digits as the output's list; enumeration.tau takes them as its
 numerators.  Poly.from_slots is the one way such a list becomes a Poly:
@@ -88,10 +88,10 @@ zero and only int or Fraction coefficients, with a true exponent bound.
 import re
 from fractions import Fraction
 from functools import reduce
-from math import lcm, perm
+from math import comb, factorial, lcm, perm
 from operator import mul, or_
 
-from .arith import check_cap, size_cap
+from .arith import check_cap, falling_bits, size_cap
 
 # the one variable-name pattern (see the module docstring)
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -247,30 +247,39 @@ class Poly:
         return cls._trusted(registry, {key: c} if c else {}, bound)
 
     @classmethod
-    def pair_sums(cls, a, b, names, weight_bits):
-        """A table of the sums of w(p, q) * s * t over the terms s of a and
-        t of b, where p and q are the exponent tuples of s and t in names,
-        for weights w asked call by call.  table(lower, weights, bits) is
-        that sum divided by m^lower, m the product of the names, for w(p,
-        q) = sum_i l_i r_i over the indices i in both windows of weights =
-        (left, right).  Each side is a pair (window, entries): window(p) =
-        (first, end) gives the indices first..end-1 its vector covers, and
-        entries(p, lo, hi) the weights [l_lo, ..., l_(hi-1)] of a part
-        lo..hi-1 of that window.
+    def omega_table(cls, a, b, names, top):
+        """A table of the Omega process on a and b in the pair names = (x0,
+        x1), every other variable a coefficient: table(k), for 0 <= k <=
+        top, is [Omega^k a(x) b(y)] at y:=x, Omega = d^2/dx0 dy1 - d^2/dx1
+        dy0, with no normalizing scalar.
 
-        Every |w| of a call must be at most 2^bits, for bits <= weight_bits,
-        and an int: ValueError and TypeError otherwise.  arith.check_cap
-        holds each call in 30-bit limbs, bits // 30 + 1 for each entry and
-        each product l_i r_i, which it takes to be at most 2^bits too (not
-        checked): before any entry is built, the bits of one weight and the
-        limbs of the entries of every window left once both sides are cut
-        to the indices they share; then, pair by pair, the limbs of the
-        products summed so far.  Sides with no shared index count 0.  The
-        weights must vanish wherever some
-        p_j + q_j < lower, as a lowered exponent would be negative; this is
-        not checked.  a and b must share a registry.  See _PairSums for how
-        a pair of groups is multiplied once, however many calls weigh it."""
-        return _PairSums(a, b, names, weight_bits)
+        Every Omega branch sends a term s of a with exponents p = (p0, p1)
+        in names and a term t of b with exponents q = (q0, q1) to the same
+        monomial s t / (x0 x1)^k, so the k+1 branches fold into one weight
+        per pair of exponents,
+
+            w = sum_i (-1)^i C(k,i) (p0)_{k-i} (p1)_i (q0)_i (q1)_{k-i}
+              = sum_i (-1)^i C(p0,k-i) C(p1,i) * k! (q0)_i (q1)_{k-i}
+
+        (falling factorials), over the branches i both terms survive: the
+        window max(0, k-p0) <= i <= min(k, p1) on the left and max(0,
+        k-q1) <= i <= min(k, q0) on the right.  Each window is cut to the
+        branches the other side reaches before an entry is built, so no
+        pair costs more than the branches it survives, and sides whose
+        windows never meet (x0^a against x0^b at k > 0) cost none.
+
+        Each term of that sum, and by Vandermonde's identity w itself, is
+        at most (a)_k (b)_k for the degrees a, b in names, so at most
+        2^bits for bits = arith.falling_bits(a, k) + falling_bits(b, k).
+        arith.check_cap holds each call, in 30-bit limbs, bits // 30 + 1
+        for each entry and each product of two: before any entry is built,
+        the bits of one weight and the limbs of the entries of every window
+        left once both sides are cut; then, pair by pair, the limbs of the
+        products summed so far, and the term pairs of each pair of groups
+        before it is multiplied.  a and b must share a registry.  See
+        _OmegaTable for how a pair of groups is multiplied once, however
+        many k weigh it."""
+        return _OmegaTable(a, b, names, top)
 
     @classmethod
     def from_slots(cls, registry, coeffs, box, fill):
@@ -716,8 +725,8 @@ def _multiply_into(acc, left, right):
     return acc
 
 
-class _PairSums:
-    """The table of Poly.pair_sums.
+class _OmegaTable:
+    """The table of Poly.omega_table.
 
     Each operand's terms are grouped once by their exponents in the
     names, Fraction coefficients scaled to ints by the lcm of their
@@ -731,20 +740,21 @@ class _PairSums:
     big-int sum of w * product per output group, decoded once by
     kronecker_digits; a group of one monomial is its own digit.
 
-    width is weight_bits, plus the bits of |a|_1 |b|_inf, plus 2.  A term
-    of a meets at most one term of b in each output monomial, so no
-    coefficient of an answer, and no digit of a product, reaches
-    2^weight_bits |a|_1 |b|_inf, and the balanced digits never carry."""
+    width is the weight bits of top, plus the bits of |a|_1 |b|_inf, plus
+    2.  A term of a meets at most one term of b in each output monomial,
+    so while every |w| is at most 2^bits, no coefficient of an answer, and
+    no digit of a product, reaches 2^bits |a|_1 |b|_inf, and the balanced
+    digits never carry; a weight past it raises ArithmeticError."""
 
     __slots__ = (
-        "registry", "shifts", "bits", "width", "scale", "bound",
+        "registry", "shifts", "degrees", "bits", "width", "scale", "bound",
         "left", "right", "products", "outputs",
     )
 
-    def __init__(self, a, b, names, weight_bits):
+    def __init__(self, a, b, names, top):
         registry = a.registry
         if b.registry is not registry:
-            raise ValueError("registry mismatch in pair_sums")
+            raise ValueError("registry mismatch in omega_table")
         self.registry = registry
         self.shifts = [_W * registry.index(n) for n in names]
         la, aterms = _integral(a.terms)
@@ -752,41 +762,50 @@ class _PairSums:
         self.scale = la * lb
         self.left = _grouped(aterms, self.shifts)
         self.right = _grouped(bterms, self.shifts)
+        self.degrees = a.degree_in(names), b.degree_in(names)
         size = sum(map(abs, aterms.values())) * max(map(abs, bterms.values()), default=0)
-        self.bits = weight_bits
-        self.width = weight_bits + size.bit_length() + 2
+        self.bits = self._bits(top)
+        self.width = self.bits + size.bit_length() + 2
         self.bound = a.bound + b.bound
         # products[left group][right group] = (output group, packed product)
         self.products = [{} for _ in self.left]
         self.outputs = {}  # output group -> {key: number}, in number order
 
-    def __call__(self, lower, weights, bits):
-        if bits > self.bits:
-            raise ValueError(f"weights of {bits} bits in a table of {self.bits}")
+    def _bits(self, k):
+        a, b = self.degrees
+        return falling_bits(a, k) + falling_bits(b, k)
+
+    def __call__(self, k):
+        bits = self._bits(k)
         cap = size_cap()
-        (lwindow, lentries), (rwindow, rentries) = weights
-        left = [(n, *lwindow(p)) for n, (_, p, _) in enumerate(self.left)]
-        right = [(n, *rwindow(q)) for n, (_, q, _) in enumerate(self.right)]
-        # the indices both operands reach: every window is cut to them, and
+        left = [(n, p, max(0, k - p[0]), min(k, p[1]) + 1) for n, (_, p, _) in enumerate(self.left)]
+        right = [(n, q, max(0, k - q[1]), min(k, q[0]) + 1) for n, (_, q, _) in enumerate(self.right)]
+        # the branches both operands reach: every window is cut to them, and
         # one left empty is dropped before any weight is built
-        lo = max(min([w[1] for w in left], default=0), min([w[1] for w in right], default=0))
-        hi = min(max([w[2] for w in left], default=0), max([w[2] for w in right], default=0))
-        left = [(n, max(f, lo), min(e, hi)) for n, f, e in left if max(f, lo) < min(e, hi)]
-        right = [(n, max(f, lo), min(e, hi)) for n, f, e in right if max(f, lo) < min(e, hi)]
+        lo = max(min([w[2] for w in left], default=0), min([w[2] for w in right], default=0))
+        hi = min(max([w[3] for w in left], default=0), max([w[3] for w in right], default=0))
+        left = [(n, p, max(f, lo), min(e, hi)) for n, p, f, e in left if max(f, lo) < min(e, hi)]
+        right = [(n, q, max(f, lo), min(e, hi)) for n, q, f, e in right if max(f, lo) < min(e, hi)]
         if not (left and right):
             left = right = []  # no pair is weighed, so no entry is built
         else:
             check_cap(bits, f"a pair weight could take {bits} bits", cap)
         # each entry, and each product l_i r_i summed into a weight, is at
-        # most 2^bits (as the Omega weights are): at most this many limbs
+        # most 2^bits: at most this many limbs
         limbs = bits // 30 + 1
-        built = limbs * sum(e - f for side in (left, right) for _, f, e in side)
+        built = limbs * sum(e - f for side in (left, right) for _, _, f, e in side)
         check_cap(built, f"the pair weights would build {built} limbs", cap)
-        left = [(n, f, e, lentries(self.left[n][1], f, e)) for n, f, e in left]
-        right = [(n, f, e, rentries(self.right[n][1], f, e)) for n, f, e in right]
-        limit = 1 << bits
+        scale = factorial(k) if right else 0
+        left = [(n, f, e, [(-1) ** i * comb(p0, k - i) * comb(p1, i) for i in range(f, e)])
+                for n, (p0, p1), f, e in left]
+        right = [(n, f, e, [scale * perm(q0, i) * perm(q1, k - i) for i in range(f, e)])
+                 for n, (q0, q1), f, e in right]
+        # past the bits of k, the cap was misled; past those of top, the
+        # digits would carry
+        held = min(bits, self.bits)
+        limit = 1 << held
         room = cap // limbs  # the weight products that fit the cap
-        summed = 0  # weight products so far, one per index two windows share
+        summed = 0  # weight products so far, one per branch two windows share
         sums = {}  # output group -> sum of w * packed product
         for ia, la, ha, va in left:
             products = self.products[ia]
@@ -804,20 +823,18 @@ class _PairSums:
                     w = sum(map(mul, va[lo - la : hi - la], vb[lo - lb : hi - lb]))
                 if not w:
                     continue
-                if type(w) is not int or not -limit <= w <= limit:
-                    if not isinstance(w, int):
-                        raise TypeError(f"weight {w!r} is not an int")
-                    raise ValueError(f"weight {w} is past 2^{bits}")
+                if not -limit <= w <= limit:
+                    raise ArithmeticError(f"weight {w} is past 2^{held}")
                 product = products.get(ib)
                 if product is None:
-                    product = self._multiply(ia, ib)
+                    product = self._multiply(ia, ib, cap)
                 group, packed = product
                 sums[group] = sums.get(group, 0) + w * packed
             if summed > room:
                 break
         summed *= limbs
         check_cap(summed, f"the pair sums reach {summed} limbs of weight products", cap)
-        drop = sum(lower << s for s in self.shifts)
+        drop = sum(k << s for s in self.shifts)
         width, outputs = self.width, self.outputs
         out = {}
         for group, total in sums.items():
@@ -829,9 +846,11 @@ class _PairSums:
             out = {key: Fraction(c, self.scale) for key, c in out.items()}
         return Poly._trusted(self.registry, out, self.bound if out else 0)
 
-    def _multiply(self, ia, ib):
+    def _multiply(self, ia, ib, cap):
         # the (output group, packed product) of a pair of groups, kept
         (ga, _, ta), (gb, _, tb) = self.left[ia], self.right[ib]
+        pairs = len(ta) * len(tb)
+        check_cap(pairs, f"a pair of coefficient groups would multiply {pairs} term pairs", cap)
         group = ga + gb
         index = self.outputs.setdefault(group, {})
         product = _multiply_into({}, ta, tb)

@@ -29,30 +29,27 @@ poly.kronecker_pack packs each side, poly.kronecker_digits decodes the
 one sum, and Poly.from_slots puts the list back on x0, x1.  A covariant
 window calls _omega_dense directly, with one falling-factorial table per
 window.  Every other pair is the product A B at k = 0, and else goes
-through an _omega_table: one Poly.pair_sums table grouped by x0, x1,
-asked for any k up to the one it was built for, whose weights
-(_omega_weights) fold the k+1 branches into one per pair of
-x-exponents.  It takes no derivative, multiplies each pair of groups
-once however many k weigh it, and builds no weight for sides whose
-branch windows never meet.  A covariant window keeps one table per
-(F,F)_{2i}, and _omega_diagonal builds one and asks it once.  This
-module never touches a packed key.
+through a Poly.omega_table grouped by x0, x1, which folds the k+1
+branches into one weight per pair of x-exponents, takes no derivative,
+multiplies each pair of groups once however many k weigh it, and builds
+no weight for sides whose branch windows never meet.  A covariant window
+keeps one table per (F,F)_{2i}, and _omega_diagonal builds one and asks
+it once.  This module never touches a packed key.
 
 transvectant and omega_apply hold their Omega work, branches times input
 terms, to the work cap (arith.check_cap) before any branch runs.  Each
-kernel then holds what it builds, counted in 30-bit limbs (CPython's int
-digit): _omega_dense the digits it would pack, before it packs any, and
-a Poly.pair_sums table the weight entries it builds and the weight
-products it sums, besides the bits of one weight, (a)_k (b)_k rounded up
-by _falling_bits.  A covariant window reads the cap once and passes it to
-each of its _omega_dense calls.  A zero raw sum is returned without its
-normalizing scalar.
+kernel then holds what it builds: _omega_dense the 30-bit limbs
+(CPython's int digit) it would pack, before it packs any, and a
+Poly.omega_table its weights and the term pairs of each product it
+takes, as does the product A B at k = 0.  A covariant window reads the
+cap once and passes it to each of its _omega_dense calls.  A zero raw
+sum is returned without its normalizing scalar.
 """
 
 from fractions import Fraction
-from math import comb, factorial, lcm, perm
+from math import lcm, perm
 
-from .arith import binomial, check_cap
+from .arith import binomial, check_cap, falling_bits
 from .poly import Poly, VarRegistry, kronecker_digits, kronecker_pack
 
 
@@ -151,97 +148,23 @@ def _omega_diagonal(apoly: Poly, bpoly: Poly, k: int) -> Poly:
     Two dense integer forms over one registry (Poly.dense_coefficients)
     take the Kronecker route, _omega_dense.  Any other pair (symbolic
     coefficients, a Fraction, a zero, a sparse form such as x0^1048576)
-    is the product A * B at k = 0, and else is asked once of an
-    _omega_table.  Both routes give the same terms, and each kernel holds
-    its own size to the work cap.
+    is the product A * B at k = 0, its term pairs held to the work cap,
+    and else is asked once of a Poly.omega_table.  Both routes give the
+    same terms, and each kernel holds its own size to the work cap.
     """
     A = B = None
     if bpoly.registry is apoly.registry:
         A = apoly.dense_coefficients(X)
         B = A and bpoly.dense_coefficients(X)
-    if not B:
-        # (A, B)_0 is the product, which one multiply loop takes whole
-        return apoly * bpoly if k == 0 else _omega_table(apoly, bpoly, k)(k)
-    C = _omega_dense(A, B, k)
-    return Poly.from_slots(apoly.registry, C, (X[1:], len(C)), (X[0], len(C) - 1))
-
-
-def _omega_table(apoly: Poly, bpoly: Poly, top: int):
-    """k -> the unnormalized [Omega^k A(x)B(y)] at y:=x, for 0 <= k <= top,
-    from one Poly.pair_sums table grouped by x0, x1: a pair of x-exponent
-    groups is multiplied once, for the first k that weighs it, and every
-    other k reuses the product.
-
-    The weights are those of _omega_weights.  Each is at most (a)_k (b)_k
-    for the degrees a, b in x0, x1 (see _dense_width), at most 2^bits for
-    bits = _falling_bits(a, k) + _falling_bits(b, k), found with no
-    factorial taken.  The table holds the bits of top; each k is held to
-    the work cap by the table itself (see Poly.pair_sums): the bits of one
-    weight and the limbs of its entries before any is built, and the limbs
-    of the weight products while it sums them.
-    """
-    a, b = apoly.degree_in(X), bpoly.degree_in(X)
-
-    def bits(k):
-        return _falling_bits(a, k) + _falling_bits(b, k)
-
-    table = Poly.pair_sums(apoly, bpoly, X, bits(top))
-    return lambda k: table(k, _omega_weights(k), bits(k))
-
-
-def _falling_bits(n, k) -> int:
-    """The sum of the bit lengths of the factors of the falling factorial
-    (n)_k = n (n-1) ... (n-k+1), so (n)_k <= 2^sum; 0 when k <= 0 or n < 1.
-    The factors of one bit length are counted together: no product and
-    no loop over the k factors."""
-    total = 0
-    t = max(n - k, 0) + 1  # the factors t..n
-    while t <= n:
-        length = t.bit_length()
-        last = min(n, (1 << length) - 1)
-        total += length * (last - t + 1)
-        t = last + 1
-    return total
-
-
-def _omega_weights(k):
-    """(left, right) for a Poly.pair_sums table.  Every Omega branch sends
-    a term of A with x-exponents p = (p0, p1) and one of B with
-    x-exponents q = (q0, q1) to the same monomial, so the k+1 branches fold
-    into one weight per pair of x-exponents,
-
-        sum_i (-1)^i C(k,i) (p0)_{k-i} (p1)_i (q0)_i (q1)_{k-i}
-          = sum_i (-1)^i C(p0,k-i) C(p1,i) * k! (q0)_i (q1)_{k-i}
-
-    (falling factorials), summed over the branches i both terms survive:
-    the window max(0, k-p0) <= i <= min(k, p1) on the left and max(0,
-    k-q1) <= i <= min(k, q0) on the right.  The table cuts each window to
-    the branches the other side reaches before it builds a vector, so no
-    pair of exponents costs more than the branches it survives, and sides
-    whose windows never meet (x0^a against x0^b at k > 0) cost none.
-    """
-    scale = None  # k!, taken with the first right vector
-
-    def left_window(p):
-        p0, p1 = p
-        return (k - p0 if p0 < k else 0), (p1 if p1 < k else k) + 1
-
-    def left(p, lo, hi):
-        p0, p1 = p
-        return [(-1) ** i * comb(p0, k - i) * comb(p1, i) for i in range(lo, hi)]
-
-    def right_window(q):
-        q0, q1 = q
-        return (k - q1 if q1 < k else 0), (q0 if q0 < k else k) + 1
-
-    def right(q, lo, hi):
-        nonlocal scale
-        if scale is None:
-            scale = factorial(k)
-        q0, q1 = q
-        return [scale * perm(q0, i) * perm(q1, k - i) for i in range(lo, hi)]
-
-    return (left_window, left), (right_window, right)
+    if B:
+        C = _omega_dense(A, B, k)
+        return Poly.from_slots(apoly.registry, C, (X[1:], len(C)), (X[0], len(C) - 1))
+    if k:
+        return Poly.omega_table(apoly, bpoly, X, k)(k)
+    # (A, B)_0 is the product, which one multiply loop takes whole
+    pairs = len(apoly.terms) * len(bpoly.terms)
+    check_cap(pairs, f"the transvectant of order 0 would multiply {pairs} term pairs")
+    return apoly * bpoly
 
 
 def _falling(ff, rows):
@@ -359,7 +282,7 @@ def _pi_p_bits(G: Poly, p: int) -> int:
     (Vandermonde's identity), and each (b0)_i (b1)_{k-i} is at most (n)_k.
     Over the lcm L of G's denominators, each coefficient is then N/L' with
     L' dividing L and |N| at most L sum |c| (n)_k^2, rounded up by
-    _falling_bits.
+    arith.falling_bits.
     """
     n = G.degree_in(X)
     k = 2 * p
@@ -374,7 +297,7 @@ def _pi_p_bits(G: Poly, p: int) -> int:
             total += abs(c) * common
     if not total:
         return 0
-    return max(int(total).bit_length() + 2 * _falling_bits(n, k), common.bit_length())
+    return max(int(total).bit_length() + 2 * falling_bits(n, k), common.bit_length())
 
 
 def discriminant(Q: BinaryForm) -> Poly:

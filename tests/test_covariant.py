@@ -276,21 +276,28 @@ def test_shared_cache_matches_definition():
 
 
 def _counting_kernels(monkeypatch):
-    # the k of each (F,F)_{2i} computed, the top of each table built, the
-    # k asked of the tables, and the group pairs multiplied
+    # the k of each (F,F)_{2i} computed, the top of each table a window
+    # builds, the k asked of those tables, and the group pairs multiplied
     import invforge.covariant as covariant
     import invforge.poly as poly
 
     calls = {"inner": [], "tables": [], "outer": [], "products": []}
-    diagonal, table, multiply_into = covariant._omega_diagonal, covariant._omega_table, poly._multiply_into
+    diagonal, table, multiply_into = covariant._omega_diagonal, Poly.omega_table, poly._multiply_into
+    inner = []  # the k of the (F,F)_{2i} being computed, whose table is its own
 
     def counting_diagonal(a, b, k):
         calls["inner"].append(k)
-        return diagonal(a, b, k)
+        inner.append(k)
+        try:
+            return diagonal(a, b, k)
+        finally:
+            inner.pop()
 
-    def counting_table(a, b, top):
+    def counting_table(a, b, names, top):
+        omega = table(a, b, names, top)
+        if inner:
+            return omega
         calls["tables"].append(top)
-        omega = table(a, b, top)
 
         def counting_omega(k):
             calls["outer"].append(k)
@@ -303,7 +310,7 @@ def _counting_kernels(monkeypatch):
         return multiply_into(acc, left, right)
 
     monkeypatch.setattr(covariant, "_omega_diagonal", counting_diagonal)
-    monkeypatch.setattr(covariant, "_omega_table", counting_table)
+    monkeypatch.setattr(Poly, "omega_table", staticmethod(counting_table))
     monkeypatch.setattr(poly, "_multiply_into", counting_multiply)
     return calls
 
@@ -506,7 +513,7 @@ _NONZERO = st.integers(-4, 4).filter(bool)
 def test_packed_route_matches_the_fraction_route(q, e, perturb, data):
     # an integer q^e, or q^e with one coefficient moved, takes the packed
     # route; the same form times 1/2 has Fraction coefficients and takes
-    # the pair-sum tables.  Vanishing does not see the scale, and U and Phi are
+    # the Omega tables.  Vanishing does not see the scale, and U and Phi are
     # cubic in F, so on the halved form they are 1/8 of the dense results.
     reg = xreg()
     x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")

@@ -344,14 +344,14 @@ def test_tau_matches_reference_accumulation(r, e, p):
 
 def test_tau_multiplies_no_poly(monkeypatch):
     # the products are shifts and subtractions of one packed int, decoded
-    # once: no Poly product and no pair-sum table
+    # once: no Poly product and no Omega table
     want = tau_reference(4, 2, 3)
 
     def refuse(*args):
         raise AssertionError("tau multiplied Poly values")
 
     monkeypatch.setattr(Poly, "__mul__", refuse)
-    monkeypatch.setattr(Poly, "pair_sums", refuse)
+    monkeypatch.setattr(Poly, "omega_table", refuse)
     got = tau(4, 2, 3)
     monkeypatch.undo()
     assert got.terms == want.terms

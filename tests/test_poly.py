@@ -233,102 +233,17 @@ def test_term_rejects_float_coefficient():
     assert Poly.term(reg, Fraction(1, 2), {"x0": 1}) == Poly.variable(reg, "x0") * Fraction(1, 2)
 
 
-def _side(vector):
-    # a pair_sums side from vector(p) = (first, whole vector): its window,
-    # and the part of the vector asked for
-    def window(p):
-        first, entries = vector(p)
-        return first, first + len(entries)
-
-    def entries(p, lo, hi):
-        first, entries = vector(p)
-        return entries[lo - first : hi - first]
-
-    return window, entries
-
-
-def _by_hand(a, b, weight, lower):
-    # sum of weight(p, q) * s * t / x^lower over the term pairs, where p and
-    # q are the exponents of x: a term pair at a time
-    want = Poly.zero(a.registry)
-    for ka, ca in a.exponent_terms().items():
-        for kb, cb in b.exponent_terms().items():
-            w = weight(ka[:1], kb[:1])
-            if w:
-                exps = (ka[0] + kb[0] - lower, ka[1] + kb[1], ka[2] + kb[2])
-                want = want + Poly(a.registry, {exps: w * ca * cb})
-    return want
-
-
-def test_pair_sums_rejects_non_int_weight():
+def test_omega_table_of_order_0_is_the_product():
+    # at k = 0 every weight is 1 and nothing is lowered; Fractions go
+    # through the table's lcm
     reg, (x, y, z) = make_ring()
     a = 2 * x**2 * y + 3 * x * z - y
-    b = x * y - z + 5
-    # no names: one group on each side, weight 1, the product itself
-    one = _side(lambda p: (0, [1]))
-    assert Poly.pair_sums(a, b, (), 0)(0, (one, one), 0) == a * b
-
-    # w(p, q) = (p0 + q0)(2 p0 - q0 - 1) as the dot product of two vectors
-    # over indices 1..3, where both are given
-    left = _side(lambda p: (1, [p[0], 2 * p[0] ** 2 - p[0], 1]))
-    right = _side(lambda q: (0, [5, q[0], 1, -q[0] ** 2 - q[0]]))
-
-    def weight(p, q):
-        return (p[0] + q[0]) * (2 * p[0] - q[0] - 1)
-
-    # grouped by the exponent of x, each term pair scaled by its group's
-    # weight and divided by x; -y * (5 - z) has x-exponent 0 and must get
-    # weight 0, and so has 3*x*z * x*y
-    table = Poly.pair_sums(a, b, ("x",), 4)
-    assert table(1, (left, right), 4) == _by_hand(a, b, weight, 1)
-    # the same table, asked again, answers from the products it holds
-    assert table(1, (left, right), 4) == _by_hand(a, b, weight, 1)
-    for w in (0.1, Fraction(1, 2), Fraction(2)):
-        with pytest.raises(TypeError):
-            Poly.pair_sums(x, y, (), 0)(0, (_side(lambda p: (0, [w])), one), 0)
-    # every weight is held to 2^bits, and bits to the table's
-    with pytest.raises(ValueError, match="past 2"):
-        Poly.pair_sums(x, y, (), 2)(0, (_side(lambda p: (0, [5])), one), 2)
-    assert Poly.pair_sums(x, y, (), 2)(0, (_side(lambda p: (0, [-4])), one), 2) == -4 * x * y
-    with pytest.raises(ValueError, match="table of 2"):
-        Poly.pair_sums(x, y, (), 2)(0, (one, one), 3)
+    b = x * y - z * Fraction(1, 3) + 5
+    assert Poly.omega_table(a, b, ("x", "y"), 0)(0) == a * b
     stranger = Poly.variable(VarRegistry(["x", "y", "z"]), "x")
     for a, b in ((stranger, y), (x, stranger)):
         with pytest.raises(ValueError, match="registry mismatch"):
-            Poly.pair_sums(a, b, (), 0)
-
-
-_SMALL_TERMS = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
-    st.integers(-6, 6) | st.fractions(min_value=-4, max_value=4, max_denominator=5),
-    max_size=6,
-)
-# a weight vector per x-exponent: its first index and its entries
-_VECTORS = st.lists(
-    st.tuples(st.integers(0, 3), st.lists(st.integers(-9, 9), min_size=1, max_size=3)),
-    min_size=4,
-    max_size=4,
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_SMALL_TERMS, _SMALL_TERMS, st.lists(st.tuples(_VECTORS, _VECTORS), min_size=1, max_size=4))
-def test_one_pair_sums_table_answers_every_call(aterms, bterms, calls):
-    # one table, asked for several weights in turn, against the term pairs
-    # taken one at a time; Fractions go through the table's lcm
-    reg = VarRegistry(["x", "y", "z"])
-    a, b = Poly(reg, aterms), Poly(reg, bterms)
-    table = Poly.pair_sums(a, b, ("x",), 10)
-    for lvec, rvec in calls:
-        left, right = _side(lambda p: lvec[p[0]]), _side(lambda q: rvec[q[0]])
-
-        def weight(p, q):
-            (lf, lv), (rf, rv) = lvec[p[0]], rvec[q[0]]
-            return sum(lv[i - lf] * rv[i - rf] for i in range(max(lf, rf), min(lf + len(lv), rf + len(rv))))
-
-        got = table(0, (left, right), 10)
-        assert got == _by_hand(a, b, weight, 0)
-        assert str(got) == str(_by_hand(a, b, weight, 0))
+            Poly.omega_table(a, b, ("x", "y"), 0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, perm
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import given, settings
@@ -212,7 +212,7 @@ def test_grouped_kernel_matches_branch_formula(aterms, bterms, k):
     reg = VarRegistry(["s", "x0", "x1", "t"])
     A, B = Poly(reg, aterms), Poly(reg, bterms)
     want = _branch_formula(A, B, k)
-    assert transvect._omega_table(A, B, k)(k) == want
+    assert Poly.omega_table(A, B, X, k)(k) == want
     assert _omega_diagonal(A, B, k) == want
 
 
@@ -223,7 +223,7 @@ def test_one_omega_table_answers_every_k(aterms, bterms, ks):
     # answer is the branch formula at its k, with the lowering x0^k x1^k
     reg = VarRegistry(["s", "x0", "x1", "t"])
     A, B = Poly(reg, aterms), Poly(reg, bterms)
-    omega = transvect._omega_table(A, B, max(ks))
+    omega = Poly.omega_table(A, B, X, max(ks))
     for k in ks:
         assert omega(k) == _branch_formula(A, B, k)
 
@@ -243,9 +243,9 @@ def test_omega_table_multiplies_each_group_pair_once(monkeypatch):
         return multiply_into(acc, left, right)
 
     monkeypatch.setattr(poly, "_multiply_into", counting)
-    omega = transvect._omega_table(a, b, 4)
+    omega = Poly.omega_table(a, b, X, 4)
     assert all(omega(k).is_zero() for k in range(1, 5)) and products == []
-    omega = transvect._omega_table(A, B, 3)
+    omega = Poly.omega_table(A, B, X, 3)
     for k in (3, 1, 2, 0, 3, 1):
         assert omega(k) == _branch_formula(A, B, k)
     pairs = {(id(left), id(right)) for left, right in products}
@@ -256,7 +256,8 @@ def test_omega_weights_are_held_to_the_cap_by_their_bits(monkeypatch):
     # one weight of (x0^a, x1^a)_k is (a)_k^2, past 8,000,000 bits at k =
     # 200,000: refused before it is built; x0^a against x0^a builds none
     for name in ("comb", "perm", "factorial"):
-        monkeypatch.setattr(transvect, name, None)
+        monkeypatch.setattr(poly, name, None)  # the weights
+    monkeypatch.setattr(transvect, "perm", None)  # the norm
     reg, x0, x1 = xy_ring()
     a = 1048576
     with pytest.raises(ValueError, match="^a pair weight could take 8000002 bits, above"):
@@ -272,6 +273,50 @@ def test_omega_weights_are_held_to_the_cap_by_their_bits(monkeypatch):
     monkeypatch.setenv("INVFORGE_SIZE_CAP", "21")
     with pytest.raises(ValueError, match="^a pair weight could take 22 bits, above the cap of 21"):
         transvectant(A, B, 2)
+
+
+def test_an_undercounted_weight_bound_raises_before_a_wrong_answer(monkeypatch):
+    # with arith.falling_bits held 2 bits low on each side, the weight
+    # (a)_k (b)_k that x0^a gives x1^b at order k passes the bound the
+    # table sizes its digits by: a call raises ArithmeticError, and no
+    # Poly is returned, on integer and symbolic forms alike
+    reg = VarRegistry(["s", "x0", "x1"])
+    s, x0, x1 = (Poly.variable(reg, n) for n in reg.names)
+    cases = [
+        (x0**7, x1**7, 1),
+        (x0**1000 * x1, x1**1001, 5),
+        (s * x0**15 + x1**15, x1**15 - s * x0**15, 1),
+    ]
+    falling_bits = poly.falling_bits
+    monkeypatch.setattr(poly, "falling_bits", lambda n, k: max(falling_bits(n, k) - 2, 0))
+    for A, B, k in cases:
+        with pytest.raises(ArithmeticError, match="^weight -?[0-9]+ is past 2"):
+            Poly.omega_table(A, B, X, k)(k)
+        with pytest.raises(ArithmeticError):
+            transvectant(BinaryForm(A), BinaryForm(B), k)
+    monkeypatch.undo()
+    for A, B, k in cases:
+        assert Poly.omega_table(A, B, X, k)(k) == _branch_formula(A, B, k)
+
+
+def test_each_term_pair_product_is_held_to_the_cap(monkeypatch):
+    # A = x0 G + x1 H and B = x0 H + x1 G, with 28-term G and 21-term H:
+    # (A, B)_0 is one product of 49 * 49 term pairs, and (A, B)_1 two
+    # group products, G G of 784 and H H of 441; each product is held on
+    # its own, so 784 answers though the two make 1,225
+    reg = VarRegistry(["a", "b", "x0", "x1"])
+    a, b, x0, x1 = (Poly.variable(reg, n) for n in reg.names)
+    G, H = (a + b + 1) ** 6, (a - b + 2) ** 5
+    A, B = BinaryForm(x0 * G + x1 * H), BinaryForm(x0 * H + x1 * G)
+    for k, pairs, what in ((0, 2401, "the transvectant of order 0"), (1, 784, "a pair of coefficient groups")):
+        want = transvectant(A, B, k)
+        assert not want.is_zero()
+        monkeypatch.setenv("INVFORGE_SIZE_CAP", str(pairs))
+        assert transvectant(A, B, k) == want
+        monkeypatch.setenv("INVFORGE_SIZE_CAP", str(pairs - 1))
+        with pytest.raises(ValueError, match=f"^{what} would multiply {pairs} term pairs, above"):
+            transvectant(A, B, k)
+        monkeypatch.delenv("INVFORGE_SIZE_CAP")
 
 
 def test_grouped_kernel_on_sparse_big_exponents():
@@ -439,22 +484,21 @@ def test_omega_dense_packs_within_the_limbs_it_holds(A, B, k):
 
 @settings(max_examples=100, deadline=None)
 @given(_TERMS, _TERMS, st.integers(0, 9))
-def test_pair_sums_count_every_entry_and_weight_product(aterms, bterms, k):
+def test_omega_table_counts_every_entry_and_weight_product(aterms, bterms, k):
     # a table asked for (A, B)_k holds at least the limbs of the weight
     # entries it builds, and then at least the limbs of the products
-    # l_i r_i it sums, one per index that two groups' windows share: 0
+    # l_i r_i it sums, one per branch that two groups' windows share: 0
     # when no windows meet
     reg = VarRegistry(["s", "x0", "x1", "t"])
     A, B = Poly(reg, aterms), Poly(reg, bterms)
-    (lwindow, lentries), (rwindow, rentries) = transvect._omega_weights(k)
-    built, held = [], {}
+    combs, perms, held = [], [], {}
 
-    def recording(entries):
-        def build(p, lo, hi):
-            built.append(entries(p, lo, hi))
-            return built[-1]
+    def recording(f, into):
+        def record(*args):
+            into.append(f(*args))
+            return into[-1]
 
-        return build
+        return record
 
     check = poly.check_cap
 
@@ -462,22 +506,25 @@ def test_pair_sums_count_every_entry_and_weight_product(aterms, bterms, k):
         held[what.split(" ")[3]] = work  # "would" for the entries, "reach" for the sums
         return check(work, what, cap)
 
-    weights = (lwindow, recording(lentries)), (rwindow, recording(rentries))
-    bits = transvect._falling_bits(A.degree_in(X), k) + transvect._falling_bits(B.degree_in(X), k)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(poly, "check_cap", holding)
-        got = Poly.pair_sums(A, B, X, bits)(k, weights, bits)
+        mp.setattr(poly, "comb", recording(comb, combs))
+        mp.setattr(poly, "perm", recording(perm, perms))
+        got = Poly.omega_table(A, B, X, k)(k)
     assert got == _branch_formula(A, B, k)
-    assert sum(_limbs(x) for vector in built for x in vector) <= held["would"]
+    # a left entry is +-C(p0,k-i) C(p1,i), a right one k! (q0)_i (q1)_{k-i}
+    built = [x * y for x, y in zip(combs[::2], combs[1::2])]
+    built += [factorial(k) * x * y for x, y in zip(perms[::2], perms[1::2])]
+    assert sum(map(_limbs, built)) <= held["would"]
     i0, i1 = (reg.index(x) for x in X)
     ps = {(e[i0], e[i1]) for e in A.exponent_terms()}
     qs = {(e[i0], e[i1]) for e in B.exponent_terms()}
     products = []
-    for p in ps:
-        for q in qs:
-            (lf, le), (rf, re) = lwindow(p), rwindow(q)
-            for i in range(max(lf, rf), min(le, re)):
-                products.append(lentries(p, i, i + 1)[0] * rentries(q, i, i + 1)[0])
+    for p0, p1 in ps:
+        for q0, q1 in qs:
+            for i in range(max(0, k - p0, k - q1), min(k, p1, q0) + 1):
+                left = comb(p0, k - i) * comb(p1, i)
+                products.append(left * factorial(k) * perm(q0, i) * perm(q1, k - i))
     assert len(products) <= held["reach"] and sum(map(_limbs, products)) <= held["reach"]
     assert held["reach"] or not products
 
@@ -548,7 +595,8 @@ def test_transvectant_of_windows_that_never_meet_builds_no_weight(monkeypatch):
     # x0^a against x0^b: the left side needs i <= 0 and the right side
     # i >= k, so the zero comes before any weight, k! or norm
     for name in ("comb", "perm", "factorial"):
-        monkeypatch.setattr(transvect, name, None)
+        monkeypatch.setattr(poly, name, None)  # the weights
+    monkeypatch.setattr(transvect, "perm", None)  # the norm
     reg, x0, x1 = xy_ring()
     a = 1048576
     out = transvectant(BinaryForm(x0**a), BinaryForm(x0**a), 400000)
