@@ -42,6 +42,7 @@ from .enumeration import (
 from .alphamap import ExactMatrix, alpha_image, alpha_matrix, alpha_rank
 from .covariant import (
     CovariantExpr,
+    covariants,
     membership,
     mu,
     octavic_preset,
@@ -101,6 +102,7 @@ __all__ = [
     "alpha_matrix",
     "alpha_rank",
     "CovariantExpr",
+    "covariants",
     "membership",
     "mu",
     "octavic_preset",

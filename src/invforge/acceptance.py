@@ -26,7 +26,7 @@ from .closedform import (
     n3,
     transvectant_power_closed,
 )
-from .covariant import membership, phi, u_cov
+from .covariant import CovariantExpr, covariants, membership
 from .enumeration import g_closed_form, g_direct, n1_brute, tau, tau_transvectant_check
 from .plethysm import (
     char_dimension,
@@ -212,13 +212,13 @@ def criterion_7() -> tuple:
 
     reg = VarRegistry([f"f{i}" for i in range(9)] + ["x0", "x1"])
     F8 = generic_form(reg, 8)
-    left = phi(8, 0, 6, 1, 4, F8).poly * (-15015)
-    right = u_cov(8, 0, 6, F8).poly * 13 - u_cov(8, 1, 4, F8).poly * 63
-    if left != right:
+    # the six octavic covariants share (F,F)_0, (F,F)_2 and their tables
+    members = [CovariantExpr("Phi", 8, (0, 6, 1, 4)), CovariantExpr("Phi", 8, (0, 8, 1, 6))]
+    members += [CovariantExpr("U", 8, ij) for ij in ((0, 6), (1, 4), (0, 8), (1, 6))]
+    phi1, phi2, u06, u14, u08, u16 = (form.poly for form in covariants(F8, members))
+    if phi1 * (-15015) != u06 * 13 - u14 * 63:
         return False, "13:63 proportionality failed"
-    left = phi(8, 0, 8, 1, 6, F8).poly * 504504
-    right = u_cov(8, 0, 8, F8).poly * 195 - u_cov(8, 1, 6, F8).poly * 2744
-    if left != right:
+    if phi2 * 504504 != u08 * 195 - u16 * 2744:
         return False, "195:2744 proportionality failed"
     return True, "3 symbolic memberships, 60 certified rejections, 3 identities"
 

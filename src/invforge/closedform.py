@@ -8,12 +8,15 @@ closed form N1 of the weighted-multigraph sum.
 
 All values are exact rationals.  Range guards run before any factorial is
 taken, so a factorial of a negative integer is always a caller error here,
-never a silent pole.
+never a silent pole.  Each closed form (and the 3F2 sum) is built as one
+integer numerator and one integer denominator, and one Fraction is made
+at the end, so a value costs one gcd, not one per factor.
 """
 
 from fractions import Fraction
+from math import perm
 
-from .arith import factorial, pochhammer
+from .arith import factorial
 from .poly import Poly
 from .transvect import BinaryForm, discriminant
 
@@ -64,6 +67,11 @@ def n2(p: int, q: int, m: int) -> Fraction:
     """
     if not (0 <= m <= min(p, q)):
         raise ValueError(f"n2 needs 0 <= m <= min(p, q), got {(p, q, m)}")
+    return Fraction(*_n2_parts(p, q, m))
+
+
+def _n2_parts(p: int, q: int, m: int) -> tuple:
+    """n2(p, q, m) as (numerator, denominator), two ints, in range."""
     num = (
         factorial(p)
         * factorial(q)
@@ -80,7 +88,7 @@ def n2(p: int, q: int, m: int) -> Fraction:
         * factorial(p - m)
         * factorial(q - m)
     )
-    return Fraction(num, den)
+    return num, den
 
 
 def transvectant_power_closed(p: int, q: int, k: int, Q: BinaryForm) -> BinaryForm:
@@ -101,38 +109,57 @@ def transvectant_power_closed(p: int, q: int, k: int, Q: BinaryForm) -> BinaryFo
 
 def f32_term(a, b, c, d, e) -> Fraction:
     """Terminating 3F2(a,b,c; d,e; 1) = sum_i (a)_i(b)_i(c)_i/[i!(d)_i(e)_i],
-    for a a nonpositive integer (the sum stops at i = -a)."""
-    a, b, c, d, e = (Fraction(v) for v in (a, b, c, d, e))
+    for a a nonpositive integer (the sum stops at i = -a).
+
+    Summed in integers: with each parameter n/m in lowest terms, term i+1
+    is term i times u/v, u = prod_{a,b,c} (n + i m) * prod_{d,e} m and v =
+    (i+1) prod_{d,e} (n + i m) * prod_{a,b,c} m.  The partial sum stays N/D
+    and the term T/D over the product D of the v so far, so a step is N ->
+    N v + T u, T -> T u, D -> D v, and one Fraction is made at the end.
+    """
+    params = [Fraction(v) for v in (a, b, c, d, e)]
+    a = params[0]
     if a.denominator != 1 or a > 0:
         raise ValueError(f"upper parameter a must be a nonpositive integer, got {a}")
-    depth = -int(a)
-    total = term = Fraction(1)
-    for i in range(depth):
-        num = (a + i) * (b + i) * (c + i)
-        if num == 0:
+    upper = [(x.numerator, x.denominator) for x in params[:3]]
+    lower = [(x.numerator, x.denominator) for x in params[3:]]
+    upper_scale = lower[0][1] * lower[1][1]
+    lower_scale = upper[0][1] * upper[1][1] * upper[2][1]
+    total = term = common = 1
+    for i in range(-a.numerator):
+        u = upper_scale
+        for n, m in upper:
+            u *= n + i * m
+        if u == 0:
             break
-        den = (d + i) * (e + i) * (i + 1)
-        if den == 0:
+        v = (i + 1) * lower_scale
+        for n, m in lower:
+            v *= n + i * m
+        if v == 0:
             raise ValueError(
-                f"zero denominator Pochhammer at index {i + 1} for parameters ({d}, {e})"
+                f"zero denominator Pochhammer at index {i + 1} for parameters "
+                f"({params[3]}, {params[4]})"
             )
-        term = term * num / den
-        total += term
-    return total
+        term *= u
+        total = total * v + term
+        common *= v
+    return Fraction(total, common)
 
 
-def _gamma_exact(z: Fraction):
-    """Gamma at a positive integer or positive half-integer, returned as
-    (rational part, power of sqrt(pi) in {0, 1})."""
-    if z <= 0:
-        raise ValueError(f"nonpositive Gamma argument {z}")
-    if z.denominator == 1:
-        return Fraction(factorial(int(z) - 1)), 0
-    if z.denominator == 2:
-        n = int(z - Fraction(1, 2))
-        # Gamma(n + 1/2) = (2n)! / (4^n n!) * sqrt(pi)
-        return Fraction(factorial(2 * n), 4**n * factorial(n)), 1
-    raise ValueError(f"Gamma argument {z} is neither integer nor half-integer")
+def _gamma_exact(z2):
+    """Gamma(z2/2) at a positive integer or positive half-integer z2/2,
+    returned as (numerator, denominator, power of sqrt(pi) in {0, 1}) of
+    ints."""
+    if z2 <= 0:
+        raise ValueError(f"nonpositive Gamma argument {Fraction(z2, 2)}")
+    if z2 != int(z2):
+        raise ValueError(f"Gamma argument {Fraction(z2, 2)} is neither integer nor half-integer")
+    z2 = int(z2)
+    if z2 % 2 == 0:
+        return factorial(z2 // 2 - 1), 1, 0
+    n = z2 // 2
+    # Gamma(n + 1/2) = (2n)! / (4^n n!) * sqrt(pi)
+    return factorial(2 * n), 4**n * factorial(n), 1
 
 
 def dixon_rhs(a: int, b: int, c: int) -> Fraction:
@@ -142,21 +169,25 @@ def dixon_rhs(a: int, b: int, c: int) -> Fraction:
                   / [G(1-a/2) G(1+a-b-c) G(1+a/2-b) G(1+a/2-c)]
 
     evaluated exactly at integer and half-integer Gamma points.  The sqrt(pi)
-    factors must cancel whenever the cosine factor is nonzero.
+    factors must cancel whenever the cosine factor is nonzero.  Each Gamma
+    is taken at twice its argument, an int, and the eight of them multiply
+    into one numerator and one denominator: one Fraction at the end.
     """
     if a > 0:
         raise ValueError(f"dixon_rhs needs a <= 0, got {a}")
-    ah = Fraction(a, 2)
-    upper = (1 - Fraction(a), 1 + ah - b - c, 1 + Fraction(a) - b, 1 + Fraction(a) - c)
-    lower = (1 - ah, 1 + Fraction(a) - b - c, 1 + ah - b, 1 + ah - c)
-    num, num_s = Fraction(1), 0
-    for z in upper:
-        g, s = _gamma_exact(z)
+    # the Gamma arguments, doubled
+    upper = (2 - 2 * a, 2 + a - 2 * b - 2 * c, 2 + 2 * a - 2 * b, 2 + 2 * a - 2 * c)
+    lower = (2 - a, 2 + 2 * a - 2 * b - 2 * c, 2 + a - 2 * b, 2 + a - 2 * c)
+    num = den = 1
+    num_s = den_s = 0
+    for z2 in upper:
+        g, h, s = _gamma_exact(z2)
         num *= g
+        den *= h
         num_s += s
-    den, den_s = Fraction(1), 0
-    for z in lower:
-        g, s = _gamma_exact(z)
+    for z2 in lower:
+        g, h, s = _gamma_exact(z2)
+        num *= h
         den *= g
         den_s += s
     cos = (1, 0, -1, 0)[a % 4]
@@ -164,32 +195,40 @@ def dixon_rhs(a: int, b: int, c: int) -> Fraction:
         return Fraction(0)
     if num_s != den_s:
         raise ValueError("sqrt(pi) factors do not cancel")
-    return cos * num / den
+    return Fraction(cos * num, den)
 
 
 def j_sum(s: int, p: int) -> Fraction:
-    """sum_beta (-1)^beta 2^(2p-2beta) (s+2p-beta)! / [(2p-2beta)! beta!]."""
+    """sum_beta (-1)^beta 2^(2p-2beta) (s+2p-beta)! / [(2p-2beta)! beta!],
+    summed as integer numerators over (2p)! p!, with one Fraction at the
+    end."""
     if s < 0 or p < 0:
         raise ValueError("j_sum needs nonnegative s, p")
     total = 0
     for beta in range(p + 1):
-        term = Fraction(
-            2 ** (2 * p - 2 * beta) * factorial(s + 2 * p - beta),
-            factorial(2 * p - 2 * beta) * factorial(beta),
-        )
+        # (2p)!/(2p-2beta)! and p!/beta! raise the term to the common denominator
+        term = 2 ** (2 * p - 2 * beta) * factorial(s + 2 * p - beta)
+        term *= perm(2 * p, 2 * beta) * perm(p, p - beta)
         total += -term if beta % 2 else term
-    return Fraction(total)
+    return Fraction(total, factorial(2 * p) * factorial(p))
 
 
 def j_closed(s: int, p: int) -> Fraction:
     """(s+p)! (s+3/2)_p / [p! (1/2)_p], the Chu-Vandermonde value of j_sum."""
     if s < 0 or p < 0:
         raise ValueError("j_closed needs nonnegative s, p")
-    return (
-        factorial(s + p)
-        * pochhammer(s + Fraction(3, 2), p)
-        / (factorial(p) * pochhammer(Fraction(1, 2), p))
-    )
+    return Fraction(*_j_parts(s, p))
+
+
+def _j_parts(s: int, p: int) -> tuple:
+    """j_closed(s, p) as (numerator, denominator), two ints: the halves of
+    (s+3/2)_p / (1/2)_p cancel, leaving prod_i (2s+3+2i) / (2i+1)."""
+    num = factorial(s + p)
+    den = factorial(p)
+    for i in range(p):
+        num *= 2 * s + 3 + 2 * i
+        den *= 2 * i + 1
+    return num, den
 
 
 def n3(r: int, e: int, pprime: int, p: int) -> Fraction:
@@ -222,7 +261,8 @@ def n3(r: int, e: int, pprime: int, p: int) -> Fraction:
         * factorial((r + 1) * e - 2 * pprime)
     )
     sign = -1 if (pprime - p) % 2 else 1
-    return Fraction(sign * num, den) * j_closed(s, p)
+    j_num, j_den = _j_parts(s, p)
+    return Fraction(sign * num * j_num, den * j_den)
 
 
 def n1_closed(e: int, p: int) -> Fraction:
@@ -230,5 +270,5 @@ def n1_closed(e: int, p: int) -> Fraction:
     weighted-multigraph sum."""
     if not (0 <= p <= e):
         raise ValueError(f"n1_closed needs 0 <= p <= e, got {(e, p)}")
-    ratio = Fraction(factorial(2 * e) ** 2, factorial(2 * e - 2 * p) ** 2)
-    return ratio * n2(e, e, p)
+    num, den = _n2_parts(e, e, p)
+    return Fraction(factorial(2 * e) ** 2 * num, factorial(2 * e - 2 * p) ** 2 * den)

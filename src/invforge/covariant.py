@@ -22,11 +22,13 @@ span I_3, and so all of S(d).
 CovariantExpr is the one evaluation path: u_cov() and phi() evaluate one,
 its constructor validates every index set, and evaluate reads each U,
 unnormalized, from a _Window of F that holds their Omega work to the
-work cap.  A lone member builds a window of its own U's and scales its
-answer once; a Phi is p U(i,j) - q U(i2,j2) for the integer ratio p/q
-of its two constants.  membership builds one window of the U's its kept
-members read and only asks whether each vanishes: nothing is scaled and
-no witness is built.
+work cap.  covariants(F, members) gives the exact forms of several
+members from one window of the U's they read, and a lone member's
+evaluate is covariants of it alone; each answer is scaled once, and a
+Phi is p U(i,j) - q U(i2,j2) for the integer ratio p/q of its two
+constants.  membership builds one window of the U's its kept members
+read and only asks, member by member, whether each vanishes: nothing is
+scaled and no witness is built.
 
 A dense integer form stays in integers from the parser to the verdict:
 its window holds coefficient lists from transvect._omega_dense, so a
@@ -123,10 +125,10 @@ class CovariantExpr:
         return 3 * self.d - 4 * i - 2 * j
 
     def evaluate(self, F: BinaryForm, window=None):
-        """Evaluate on a form of degree d.  Alone, it builds a _Window of F
-        for its own U's, which holds their Omega work to the work cap, and
-        returns the exact form; a zero F, or a U outside the index window,
-        gives the zero form at once.
+        """Evaluate on a form of degree d.  Alone, it is covariants(F,
+        [self])[0]: the exact form, read from a _Window of F of its own U's,
+        which holds their Omega work to the work cap; a zero F, or a U
+        outside the index window, gives the zero form at once.
 
         Given a window of F (membership's holds the U's of its kept
         members), it returns only whether the member vanishes: the raw
@@ -135,42 +137,44 @@ class CovariantExpr:
         its own checked.
         A window of another form raises ValueError.
         """
+        if window is None:
+            return covariants(F, [self])[0]
         if F.degree != self.d:
             raise ValueError(f"form has degree {F.degree}, expected {self.d}")
-        pairs = zip(self.indices[::2], self.indices[1::2])
-        rows = {i: [j] for i, j in pairs if in_range(self.d, i, j)}
-        given = window is not None
-        if not given:
-            window = _Window(F, rows, f"{self.name()} would take {{}} Omega branch terms")
-        elif window.form is not F.poly and window.form != F.poly:
+        if window.form is not F.poly and window.form != F.poly:
             raise ValueError("window was built for another form")
-        if not (rows and window.work):  # a zero F, or a U outside the window
-            return True if given else self._zero(F)
+        # a zero F, or a U outside the window (a Phi's pairs are both inside)
+        if not (window.work and in_range(self.d, *self.indices[:2])):
+            return True
         if self.kind == "U":
             combo = window.raw(*self.indices)
-            vanishes = not any(combo) if type(combo) is list else combo.is_zero()
+            return not any(combo) if type(combo) is list else combo.is_zero()
+        i, j, i2, j2 = self.indices
+        p, q, _ = self._constants()
+        a, b = window.raw(i, j), window.raw(i2, j2)
+        if type(a) is list:
+            return not any([p * x - q * y for x, y in zip(a, b)])
+        # p a - q b vanishes iff a and b share every key, in ratio q : p
+        return a.terms.keys() == b.terms.keys() and all(
+            p * c == q * b.terms[key] for key, c in a.terms.items()
+        )
+
+    def _exact(self, F: BinaryForm, window):
+        """The exact form on F, read from window, a _Window of F that holds
+        this member's U's; the scalar is applied once, to the answer."""
+        if F.is_zero() or not in_range(self.d, *self.indices[:2]):
+            return self._zero(F)
+        if self.kind == "U":
+            combo, scale = window.raw(*self.indices), self._constants()
         else:
             i, j, i2, j2 = self.indices
-            p, q, _ = self._constants()
+            p, q, scale = self._constants()
             a, b = window.raw(i, j), window.raw(i2, j2)
-            if type(a) is list:
-                combo = [p * x - q * y for x, y in zip(a, b)]
-                vanishes = not any(combo)
-            else:
-                # p a - q b vanishes iff a and b share every key, in ratio q : p
-                vanishes = a.terms.keys() == b.terms.keys() and all(
-                    p * c == q * b.terms[key] for key, c in a.terms.items()
-                )
-                combo = None  # built only for a nonzero answer
-        if given:
-            return vanishes
-        if vanishes:
-            return self._zero(F)
-        scale = self._constants()[2] if self.kind == "Phi" else self._constants()
-        if combo is None:
-            combo = a * p - b * q
+            combo = [p * x - q * y for x, y in zip(a, b)] if type(a) is list else a * p - b * q
         if type(combo) is not list:
-            return BinaryForm(combo * scale, self.order)
+            return self._zero(F) if combo.is_zero() else BinaryForm(combo * scale, self.order)
+        if not any(combo):
+            return self._zero(F)
         # scale * c, not c * scale: a Fraction times an int takes no detour
         combo = [scale * c for c in combo]
         box, fill = (X[1:], len(combo)), (X[0], self.order)
@@ -273,6 +277,20 @@ class _Window:
             return Poly.omega_table(_omega_diagonal(F, F, 2 * i), F, X, self._rows[i][-1])
         h = _omega_dense(f, f, 2 * i, ff, self._cap)
         return lambda j: _omega_dense(h, f, j, ff, self._cap)
+
+
+def covariants(F: BinaryForm, members) -> list:
+    """The exact forms of members, CovariantExprs of F's degree, on F, in
+    order: each is what its evaluate(F) alone returns.  All are read from
+    one _Window of the U's they read, so a (F,F)_{2i}, a grouped table or a
+    U(i,j) that several members share is computed once; the window holds
+    their Omega work together to the work cap, its refusal naming them."""
+    for expr in members:
+        if F.degree != expr.d:
+            raise ValueError(f"form has degree {F.degree}, expected {expr.d}")
+    names = ", ".join(expr.name() for expr in members)
+    window = _Window(F, _rows(members), f"{names} would take {{}} Omega branch terms")
+    return [expr._exact(F, window) for expr in members]
 
 
 def set_S(d: int) -> list:

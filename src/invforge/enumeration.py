@@ -13,6 +13,7 @@ closed forms except the explicit cross-check helpers.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, prod
 
 from .arith import _compositions, check_cap, factorial, size_cap
@@ -21,13 +22,19 @@ from .poly import Poly, VarRegistry, kronecker_digits
 from .transvect import BinaryForm, pi_p, transvectant
 
 
-def _bordered(margins, transport: bool):
+def _bordered(margins, transport: bool, ordered: bool = False):
     """The square nonnegative integer matrices, of two rows or more, whose
     row sums and column sums both equal margins, with a zero in the last
     diagonal cell (the corner) and, if transport, in every diagonal cell,
     in row-major lexicographic order.  Each is yielded as a tuple of row
     tuples: whole if transport, else without its last row and column; its
     errors name transport_matrices or multigraphs to match.
+
+    If ordered (for n1_brute, with transport off, so the rows above the
+    last share one list of candidates), only the matrices whose rows above
+    the last are in lexicographic order are yielded, one per set of
+    matrices that differ by an order of those rows: the scan at each level
+    starts at the candidate chosen at the level above.
 
     The rows above the last are chosen from the compositions of their
     margins, built up front in lexicographic order; the walk places one
@@ -66,8 +73,8 @@ def _bordered(margins, transport: bool):
             cells += comb(margins[i] + k - 1, margins[i]) * size if k else size
             check_cap(cells, f"{name} would build {cells} cells of candidate rows", cap)
             built[key] = [
-                (pack(row), row if transport else row[:last])
-                for row in _compositions(margins[i], caps)
+                (pack(row), row if transport else row[:last], n)
+                for n, row in enumerate(_compositions(margins[i], caps))
             ]
         levels.append(built[key])
 
@@ -92,7 +99,7 @@ def _bordered(margins, transport: bool):
         i = len(stack) - 1
         room = lefts[i] | guard
         bound = bounds[i]
-        for packed, row in stack[i]:
+        for packed, row, n in stack[i]:
             left = room - packed
             if left & guard != guard:  # the row overfills a column
                 continue
@@ -101,11 +108,12 @@ def _bordered(margins, transport: bool):
                 continue
             rows[i] = row
             if i + 1 < last:
-                tried += len(levels[i + 1])
+                scan = levels[i + 1][n:] if ordered else levels[i + 1]
+                tried += len(scan)
                 if tried > cap:
                     check_cap(tried, f"{name} would try {tried} candidate rows", cap)
                 lefts[i + 1] = left
-                stack.append(iter(levels[i + 1]))
+                stack.append(iter(scan))
                 break
             if transport:
                 yield (*rows, tuple(left >> width * j & field for j in range(size)))
@@ -207,32 +215,47 @@ def n1_brute(e: int, p: int) -> Fraction:
     sum_G (2p)! 2^(2e-2p+C(G)) / [prod m_ij! prod (2-l_i)! prod (2-c_j)!]
     where C(G) counts cycles and l_i, c_j are the row and column sums.
 
-    Every multigraph is walked, and component_census (a union-find over its
-    columns) gives its cycles and LR chains; a graph with an LR chain adds
-    nothing.  Each row i divides the weight by prod_j m_ij! (2-l_i)!,
-    looked up once per distinct row, and each column j by (2-c_j)!; each is
-    at most 2, so the terms are summed as integer numerators over 2^(2e),
-    and one Fraction is built at the end.
+    Every multigraph is walked once up to the order of its rows: the walk
+    of multigraphs, with each row at least the one above it
+    (lexicographically), yields one graph of each class, and the graph
+    stands for its e!/prod_r m_r! row orders, m_r the times row r
+    repeats.  Permuting the L vertices changes neither the weight nor the
+    components.  component_census (a union-find over its columns) gives its
+    cycles and LR chains; a graph with an LR chain adds nothing.  Each row
+    i divides the weight by prod_j m_ij! (2-l_i)!, looked up once per
+    distinct row, and each column j by (2-c_j)!; each is at most 2, so the
+    terms are summed as integer numerators over 2^(2e), and one Fraction
+    is built at the end.
     """
     if not (0 <= p <= e):
         raise ValueError(f"n1_brute needs 0 <= p <= e, got {(e, p)}")
     common = 2 ** (2 * e)
     row_factors = {}  # row -> prod m_ij! (2-l_i)!
     column_factors = [factorial(2 - c) for c in range(3)]
+    orderings = factorial(e)
+    graphs = _bordered([2] * e + [2 * e - 2 * p], transport=False, ordered=True) if e else [()]
     total = 0
-    for G in multigraphs(e, p):
+    for G in graphs:
         cycles, _, _, lr = component_census(G)
         if lr:
             continue
         denom = 1
+        orders = orderings
+        run = 0  # how many rows so far equal the current one
+        last = None
         for row in G:
             f = row_factors.get(row)
             if f is None:
                 f = row_factors[row] = prod(map(factorial, row)) * factorial(2 - sum(row))
             denom *= f
+            # e! / (1 * 2 * ... * m) for each run of m equal rows, one
+            # division at a time, stays an integer throughout
+            run = run + 1 if row == last else 1
+            orders //= run
+            last = row
         for c in map(sum, zip(*G)):
             denom *= column_factors[c]
-        total += common // denom << cycles
+        total += (common // denom << cycles) * orders
     return Fraction(factorial(2 * p) * 2 ** (2 * e - 2 * p) * total, common)
 
 
@@ -377,12 +400,21 @@ def g_direct(r: int, e: int, p: int, pprime: int) -> Poly:
     Omega^{2p'} [ (xy)^{2p} a_x^{re-2p} a_y^{re-2p} b_x^e b_y^e ] at y:=x
 
     over the variables a0, a1, b0, b1, x0, x1, with (xy) = x0 y1 - x1 y0 and
-    a_x = a0 x0 + a1 x1 etc.: pi_p(G, p') of the bracketed G.  Compare with
+    a_x = a0 x0 + a1 x1 etc.: pi_p(G, p') of the bracketed G, which is built
+    once per (r, e, p) and shared by every p'.  Compare with
     n3(r,e,p',p) * a_x^{2(re-p'-p)} b_x^{2(e-p'+p)} (ab)^{2(p'-p)}.
     """
     _check_range("g_direct", r, e, p)
     if not (0 <= 2 * pprime <= (r + 1) * e):
         raise ValueError(f"g_direct needs 0 <= 2p' <= (r+1)e, got pprime={pprime}")
+    return pi_p(_bracket(r, e, p), pprime).poly
+
+
+@lru_cache(maxsize=16)
+def _bracket(r: int, e: int, p: int) -> Poly:
+    """The bracketed G of g_direct, over a registry of its own.  It is kept
+    and handed to every caller, so none may change its terms; its registry
+    may grow, as any registry can, without changing what it means."""
     reg = VarRegistry(["x0", "x1", "y0", "y1", "a0", "a1", "b0", "b1"])
     x0, x1, y0, y1 = (Poly.variable(reg, n) for n in ("x0", "x1", "y0", "y1"))
     a0, a1, b0, b1 = (Poly.variable(reg, n) for n in ("a0", "a1", "b0", "b1"))
@@ -391,8 +423,7 @@ def g_direct(r: int, e: int, p: int, pprime: int) -> Poly:
     a_y = a0 * y0 + a1 * y1
     b_x = b0 * x0 + b1 * x1
     b_y = b0 * y0 + b1 * y1
-    G = xy ** (2 * p) * a_x ** (r * e - 2 * p) * a_y ** (r * e - 2 * p) * b_x**e * b_y**e
-    return pi_p(G, pprime).poly
+    return xy ** (2 * p) * a_x ** (r * e - 2 * p) * a_y ** (r * e - 2 * p) * b_x**e * b_y**e
 
 
 def g_closed_form(r: int, e: int, p: int, pprime: int, registry: VarRegistry) -> Poly:

@@ -13,12 +13,14 @@ monomials is one integer add and a dict lookup hashes one int.  Variables
 registered later take higher bits, and an unused field reads 0, so a key
 means the same monomial at every size its registry has had.
 
-partial() is the one derivative loop: one pass over the terms for any
-number of (variable, order) pairs, each term's factor a falling factorial
-per variable, computed once per distinct pattern of those exponents;
-differentiate(var, times) is its one-pair case.  _degrees_in reads the
-combined degrees in some variables the same way, once per distinct
-pattern, for degree_in and is_homogeneous_in.
+map_exponents() is the one loop that weighs and moves each term by its
+exponents in some variables, computing a weight once per distinct pattern
+of those exponents.  partial() is the derivative on it, one pass over the
+terms for any number of (variable, order) pairs, each term's factor a
+falling factorial per variable; differentiate(var, times) is its one-pair
+case, and transvect.pi_p folds the Omega branches on it.  _degrees_in
+reads the combined degrees in some variables the same way, once per
+distinct pattern, for degree_in and is_homogeneous_in.
 
 substitute() runs one loop over the terms: an unbound variable or a one-term
 image adds to the output key (and scales the coefficient), and a longer image
@@ -462,7 +464,8 @@ class Poly:
 
     def partial(self, orders):
         """The mixed partial derivative taking times derivatives in var for
-        each (var, times) of orders, in one pass over the terms.
+        each (var, times) of orders, in one map_exponents pass over the
+        terms.
 
         Every name is resolved, and every count checked, before a zero count
         is dropped; a name given twice adds its counts.  d^t/dx^t x^k is
@@ -470,37 +473,55 @@ class Poly:
         variable, or 0, with no factorial taken, when some exponent is below
         its count; it is computed once per distinct pattern of the
         differentiated exponents."""
-        index = self.registry.index
-        counts = {}  # shift -> times
+        counts = {}  # name -> times
         for var, times in orders:
             if times < 0:
                 raise ValueError("negative differentiation count")
-            shift = _W * index(var)
-            counts[shift] = counts.get(shift, 0) + times
-        fields = []
-        drop = mask = 0
-        for shift, times in counts.items():
-            if times:
-                fields.append((shift, times))
-                drop += times << shift
-                mask |= _MASK << shift
-        if not fields:
+            self.registry.index(var)
+            counts[var] = counts.get(var, 0) + times
+        names = [var for var, times in counts.items() if times]
+        if not names:
             return self
-        factors = {}  # pattern of the fields -> the term's factor
+        times = [counts[var] for var in names]
+
+        def lower(exps):
+            if any(e < t for e, t in zip(exps, times)):
+                return 0, None
+            f = 1
+            for e, t in zip(exps, times):
+                f *= perm(e, t)
+            return f, tuple([e - t for e, t in zip(exps, times)])
+
+        return self.map_exponents(names, lower)
+
+    def map_exponents(self, names, rule):
+        """The sum of w c m' over the terms c m, where (w, image) = rule(p)
+        for the tuple p of m's exponents in names, and m' is m with those
+        exponents replaced by the tuple image; a term with w = 0 drops out,
+        its image unread.  rule is called once per distinct p, in one pass
+        over the terms."""
+        shifts = [_W * self.registry.index(n) for n in names]
+        fields = sum(_MASK << s for s in shifts)
+        moves = {}  # p's fields -> (w, what adding to a key moves it to image)
+        bound = self.bound
         out = {}
+        get = out.get
         for key, c in self.terms.items():
-            pattern = key & mask
-            f = factors.get(pattern)
-            if f is None:
-                f = 0
-                if all((pattern >> shift) & _MASK >= times for shift, times in fields):
-                    f = 1
-                    for shift, times in fields:
-                        f *= perm((pattern >> shift) & _MASK, times)
-                factors[pattern] = f
-            if f:
-                out[key - drop] = c * f
-        return Poly._trusted(self.registry, out, self.bound)
+            pattern = key & fields
+            move = moves.get(pattern)
+            if move is None:
+                w, image = rule(tuple([(pattern >> s) & _MASK for s in shifts]))
+                move = (0, 0)
+                if w:
+                    if min(image, default=0) < 0:
+                        raise ValueError(f"negative exponent in {image}")
+                    bound = max(bound, max(image, default=0))
+                    move = (w, sum(e << s for e, s in zip(image, shifts)) - pattern)
+                moves[pattern] = move
+            w, step = move
+            if w:
+                out[key + step] = get(key + step, 0) + c * w
+        return Poly._trusted(self.registry, _settle(out), bound)
 
     def substitute(self, bindings: dict):
         """Simultaneous substitution name -> Poly, fully expanded.

@@ -16,7 +16,9 @@ identically zero when k > min(a, b).  Because A(x) depends only on X and
 B(y) only on Y, each Omega branch factors into separate derivatives of A and
 B in x0, x1; the implementation never materializes the product A(x)B(y) in
 four variables.  omega_apply and pi_p act on a given polynomial in all four
-variables, so its registry must hold y0 and y1 as well.
+variables, so its registry must hold y0 and y1 as well.  omega_apply
+expands Omega^k branch by branch, the four-variable reference; pi_p, which
+restricts to y:=x, folds the branches into one weight per term instead.
 
 _omega_diagonal, the one transvectant kernel, has two routes, chosen once
 per call from one Poly.dense_coefficients read of each operand.  Two dense
@@ -36,8 +38,8 @@ no weight for sides whose branch windows never meet.  A covariant window
 keeps one table per (F,F)_{2i}, and _omega_diagonal builds one and asks
 it once.  This module never touches a packed key.
 
-transvectant and omega_apply hold their Omega work, branches times input
-terms, to the work cap (arith.check_cap) before any branch runs.  Each
+transvectant, omega_apply and pi_p hold their Omega work, branches times
+input terms, to the work cap (arith.check_cap) before any branch runs.  Each
 kernel then holds what it builds: _omega_dense the 30-bit limbs
 (CPython's int digit) it would pack, before it packs any, and a
 Poly.omega_table its weights and the term pairs of each product it
@@ -228,7 +230,9 @@ def _omega_dense(A, B, k, ff=None, cap=None) -> list:
 
 def transvectant(A: BinaryForm, B: BinaryForm, k: int) -> BinaryForm:
     """The k-th transvectant (A, B)_k, exactly normalized; the zero form at
-    once when k > min(a, b), either form is zero, or the raw sum is.
+    once when k > min(a, b), either form is zero, A and B are equal Polys
+    (over one registry) and k is odd, since (A, B)_k = (-1)^k (B, A)_k, or
+    the raw sum is zero.
 
     Before any branch runs, the work cap holds the Omega work (branches
     times input terms); the kernel that _omega_diagonal picks then holds
@@ -238,7 +242,7 @@ def transvectant(A: BinaryForm, B: BinaryForm, k: int) -> BinaryForm:
         raise ValueError("negative transvectant index")
     a, b = A.degree, B.degree
     degree = max(a + b - 2 * k, 0)
-    if k > min(a, b) or A.is_zero() or B.is_zero():
+    if k > min(a, b) or A.is_zero() or B.is_zero() or k % 2 and A.poly == B.poly:
         return BinaryForm(Poly.zero(A.poly.registry), degree)
     work = (k + 1) * (len(A.poly.terms) + len(B.poly.terms))
     check_cap(work, f"the transvectant of order {k} would take {work} Omega branch terms")
@@ -255,6 +259,19 @@ def pi_p(G: Poly, p: int) -> BinaryForm:
 
     G must be bihomogeneous of equal degree n in X and Y; the result is
     zero when 2p > n.
+
+    Every branch i of Omega^k (k = 2p) sends a term c x^a y^b to a
+    multiple of x0^(a0+b0-k) x1^(a1+b1-k) at y:=x, so the k+1 branches
+    fold into one weight per term,
+
+        sum_i (-1)^i C(k,i) (a0)_{k-i} (a1)_i (b0)_i (b1)_{k-i},
+
+    over the branches the term survives, max(0, k-a0, k-b1) <= i <=
+    min(k, a1, b0), the window of omega_apply.  One Poly.map_exponents
+    pass over the terms of G weighs each distinct pattern (a0, a1, b0, b1)
+    once, taking +-C(k,i) only for branches some term survives; no branch
+    is built and nothing is substituted.  The k+1 branches over the terms
+    of G are held to the work cap first, as omega_apply holds them.
     """
     if p < 0:
         raise ValueError("negative projection index")
@@ -263,12 +280,24 @@ def pi_p(G: Poly, p: int) -> BinaryForm:
         return BinaryForm(G, 0)
     if not (G.is_homogeneous_in(X, n) and G.is_homogeneous_in(Y, n)):
         raise ValueError("input is not bihomogeneous of equal degree in both pairs")
-    reg = G.registry
     if 2 * p > n:  # every branch takes 2p derivatives in X, past G's degree
-        return BinaryForm(Poly.zero(reg), 0)
-    reduced = omega_apply(G, 2 * p)
-    diag = reduced.substitute({y: Poly.variable(reg, x) for x, y in zip(X, Y)})
-    return BinaryForm(diag, max(2 * n - 4 * p, 0))
+        return BinaryForm(Poly.zero(G.registry), 0)
+    k = 2 * p
+    work = (k + 1) * len(G.terms)
+    check_cap(work, f"Omega^{k} would take {work} Omega branch terms")
+    signed = {}  # i -> (-1)^i C(k, i), taken on first use
+
+    def weigh(exps):
+        a0, a1, b0, b1 = exps
+        w = 0
+        for i in range(max(0, k - a0, k - b1), min(k, a1, b0) + 1):
+            c = signed.get(i)
+            if c is None:
+                c = signed[i] = -binomial(k, i) if i % 2 else binomial(k, i)
+            w += c * perm(a0, k - i) * perm(a1, i) * perm(b0, i) * perm(b1, k - i)
+        return w, (a0 + b0 - k, a1 + b1 - k, 0, 0)
+
+    return BinaryForm(G.map_exponents((*X, *Y), weigh), max(2 * n - 4 * p, 0))
 
 
 def _pi_p_bits(G: Poly, p: int) -> int:

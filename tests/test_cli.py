@@ -38,9 +38,19 @@ def _sparse_forms() -> list:
     return forms
 
 
+def _split_form() -> str:
+    """x0^7 G + x1^7 H with 3,000-term G, H in a, b: with itself at k = 2,
+    the grouped table would multiply G by H, 9 M term pairs."""
+    r = random.Random(7)
+    g, h = (sorted(r.sample([(i, j) for i in range(60) for j in range(60)], 3000)) for _ in range(2))
+    return "+".join([f"{r.randint(1, 9)}*a^{i}*b^{j}*x0^7" for i, j in g]
+                    + [f"{r.randint(1, 9)}*a^{i}*b^{j}*x1^7" for i, j in h])
+
+
 _DENSE = _dense_form()
 _SPARSE = _sparse_forms()
 _SQUARE = "x0^10000*x1^10000"
+_SPLIT = _split_form()
 
 
 # -- golden outputs -----------------------------------------------------------
@@ -180,6 +190,25 @@ def test_n1_styles_agree(capsys):
     _, closed, _ = run_cli(capsys, "n1", "--e", "3", "--p", "2", "--closed")
     _, default, _ = run_cli(capsys, "n1", "--e", "3", "--p", "2")
     assert brute == closed == default
+
+
+def test_n1_brute_answers_each_p_at_e_6(capsys, monkeypatch):
+    # walked up to row order, every p at e = 6 fits the default cap; p = 4
+    # was refused after about 2 s when every row order was walked
+    monkeypatch.delenv("INVFORGE_SIZE_CAP", raising=False)
+    for p in range(7):
+        code, brute, err = run_cli(capsys, "n1", "--e", "6", "--p", str(p), "--brute")
+        assert (code, err) == (0, "")
+        assert brute == run_cli(capsys, "n1", "--e", "6", "--p", str(p), "--closed")[1]
+
+
+def test_transvect_of_a_form_with_itself_at_odd_k_prints_0_at_once(capsys, monkeypatch):
+    # the same form at k = 2 is refused above; at k = 1 antisymmetry answers
+    monkeypatch.delenv("INVFORGE_SIZE_CAP", raising=False)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "transvect", "--a", _SPLIT, "--b", _SPLIT, "--k", "1")
+    assert time.perf_counter() - t0 < 5
+    assert (code, out, err) == (0, '{"result":"0"}\n', "")
 
 
 def test_deterministic_output(capsys):
@@ -336,6 +365,8 @@ def test_long_plethysm_is_fast(capsys):
         # any is built, of the weight products it sums while it sums them
         (["transvect", "--a", _SQUARE, "--b", _SQUARE, "--k", "10000"], None),
         (["transvect", "--a", _SPARSE[0], "--b", _SPARSE[1], "--k", "2"], None),
+        # refused by the hold on the term pairs of one group product
+        (["transvect", "--a", _SPLIT, "--b", _SPLIT, "--k", "2"], None),
     ],
 )
 def test_capped_work_exits_1(capsys, monkeypatch, argv, cap):

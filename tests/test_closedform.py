@@ -134,6 +134,19 @@ def test_f32_frozen():
     assert f32_term(0, 5, 7, 3, 2) == 1  # a=0 leaves only the i=0 term
 
 
+def test_f32_rational_parameters():
+    # the integer sum against term-by-term Fractions, with rational b..e
+    for params in [(-2, Fraction(1, 2), Fraction(3, 2), Fraction(5, 2), Fraction(1, 3)),
+                   (-4, Fraction(-7, 3), 5, Fraction(2, 5), Fraction(-1, 4)),
+                   (-3, 2, Fraction(1, 6), 1, Fraction(9, 2))]:
+        a, b, c, d, e = (Fraction(v) for v in params)
+        total = term = Fraction(1)
+        for i in range(-int(a)):
+            term = term * (a + i) * (b + i) * (c + i) / ((d + i) * (e + i) * (i + 1))
+            total += term
+        assert f32_term(*params) == total, params
+
+
 def test_f32_zero_denominator():
     msg = r"^zero denominator Pochhammer at index 2 for parameters \(-1, 1\)$"
     with pytest.raises(ValueError, match=msg):
@@ -192,12 +205,16 @@ def test_n3_unit_at_origin():
 
 
 def test_n3_witness_nonzero():
-    # p = p' when 2p' <= re, else p = p' - e, always inside the support
-    for r in range(2, 6):
-        for e in range(1, 4):
+    # the paper's witness for the n = 1 case: p = p' when 2p' <= re, else
+    # p = p' - e, always inside the support, over r, e <= 12
+    checked = 0
+    for r in range(2, 13):
+        for e in range(1, 13):
             for pp in range((r + 1) * e // 2 + 1):
                 p = pp if 2 * pp <= r * e else pp - e
                 assert n3(r, e, pp, p) != 0, (r, e, pp)
+                checked += 1
+    assert checked == 3546
 
 
 def test_n3_outside_support_zero():

@@ -11,6 +11,7 @@ from invforge.acceptance import is_power_of_quadratic
 from invforge.covariant import (
     _RULE_MAX_D,
     CovariantExpr,
+    covariants,
     _rows,
     _rule,
     _Window,
@@ -229,6 +230,59 @@ def test_expr_evaluate_matches_functions():
     F = form(x0**4 + 3 * x0 * x1**3)
     assert CovariantExpr("U", 4, (1, 1)).evaluate(F) == u_cov(4, 1, 1, F)
     assert CovariantExpr("Phi", 4, (0, 2, 1, 0)).evaluate(F) == phi(4, 0, 2, 1, 0, F)
+
+
+def _octavic_members():
+    # the six covariants of criterion 7's two proportionalities
+    members = [CovariantExpr("Phi", 8, (0, 6, 1, 4)), CovariantExpr("Phi", 8, (0, 8, 1, 6))]
+    return members + [CovariantExpr("U", 8, ij) for ij in ((0, 6), (1, 4), (0, 8), (1, 6))]
+
+
+def test_covariants_match_each_member_alone():
+    # symbolic, dense integer, Fraction and zero forms; a U outside the
+    # index window among them
+    rng = random.Random(88)
+    reg = xreg()
+    x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")
+    dense = sum((rng.randint(-5, 5) * x0 ** (8 - t) * x1**t for t in range(9)), Poly.zero(reg))
+    forms = [
+        generic_form(xreg([f"f{i}" for i in range(9)]), 8),
+        form(dense),
+        form(dense * Fraction(1, 3) + x0**8),
+        form((x0**2 - 3 * x0 * x1 + x1**2) ** 4),
+        BinaryForm(Poly.zero(reg), 8),
+    ]
+    members = _octavic_members() + [CovariantExpr("U", 8, (4, 1)), CovariantExpr("U", 8, (1, 3))]
+    for F in forms:
+        got = covariants(F, members)
+        assert [g.degree for g in got] == [max(x.order, 0) for x in members]
+        assert got == [x.evaluate(F) for x in members]
+
+
+def test_covariants_read_one_window(monkeypatch):
+    # the octavic six read (F,F)_0 and (F,F)_2 once each, and one table per
+    # i up to its last j, where six lone evaluations take eight of each
+    F = generic_form(xreg([f"f{i}" for i in range(9)]), 8)
+    calls = _counting_kernels(monkeypatch)
+    covariants(F, _octavic_members())
+    assert calls["inner"] == [0, 2]
+    assert calls["tables"] == [8, 6]
+    assert _each_pair_multiplied_once(calls["products"])
+
+
+def test_covariants_hold_their_work_together(monkeypatch):
+    reg = xreg()
+    x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")
+    F = form(x0**4 + x1**4)
+    members = [CovariantExpr("U", 4, (1, 1)), CovariantExpr("U", 4, (1, 3))]
+    # (F,F)_2 once, 3 branches, then 2 + 4 for the outer ones, over 2 terms
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "18")
+    covariants(F, members)
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "17")
+    with pytest.raises(ValueError, match=r"^U\(1,1\), U\(1,3\) would take 18 Omega branch"):
+        covariants(F, members)
+    with pytest.raises(ValueError, match="^form has degree 4, expected 6$"):
+        covariants(F, [CovariantExpr("U", 6, (1, 1))])
 
 
 def test_cache_belongs_to_one_form():

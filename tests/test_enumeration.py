@@ -244,9 +244,55 @@ def test_n1_brute_frozen():
 
 
 def test_n1_brute_matches_closed():
-    for e in range(4):
+    for e in range(6):
         for p in range(e + 1):
             assert n1_brute(e, p) == n1_closed(e, p), (e, p)
+
+
+def _weight(G, p):
+    """The n1 weight of one multigraph, straight from its definition."""
+    e = len(G)
+    cycles, _, _, lr = component_census(G)
+    if lr:
+        return 0
+    denom = 1
+    for row in G:
+        denom *= factorial(2 - sum(row))
+        for m in row:
+            denom *= factorial(m)
+    for col in zip(*G):
+        denom *= factorial(2 - sum(col))
+    return Fraction(factorial(2 * p) * 2 ** (2 * e - 2 * p + cycles), denom)
+
+
+def test_n1_brute_equals_the_sum_over_every_multigraph():
+    # the walk up to row order against the whole row-major stream, graph by
+    # graph, with no closed form
+    for e in range(5):
+        for p in range(e + 1):
+            want = sum((_weight(G, p) for G in multigraphs(e, p)), Fraction(0))
+            assert n1_brute(e, p) == want, (e, p)
+
+
+def test_ordered_walk_yields_one_graph_per_row_order():
+    # the ordered scan yields exactly the graphs of the full stream whose
+    # rows are sorted, in the same order
+    for e in range(1, 5):
+        for p in range(e + 1):
+            margins = [2] * e + [2 * e - 2 * p]
+            ordered = list(enumeration._bordered(margins, transport=False, ordered=True))
+            assert ordered == [G for G in multigraphs(e, p) if list(G) == sorted(G)], (e, p)
+
+
+def test_n1_brute_calls_no_closed_form(monkeypatch):
+    from invforge import closedform
+
+    def refuse(*args):
+        raise AssertionError("a closed form was called")
+
+    for name in ("n1_closed", "n2", "_n2_parts"):
+        monkeypatch.setattr(closedform, name, refuse)
+    assert n1_brute(4, 2) == 51840
 
 
 # -- transportation matrices ------------------------------------------------
@@ -462,12 +508,32 @@ def test_g_direct_trivial_indices():
 
 
 def test_g_direct_matches_closed_form_grid():
-    for r in (2, 3):
-        for p in range(r // 2 + 1):
-            for pp in range((r + 1) // 2 + 1):
-                direct = g_direct(r, 1, p, pp)
-                closed = g_closed_form(r, 1, p, pp, registry=direct.registry)
-                assert direct == closed, (r, p, pp)
+    # the paper's n = 1 operator against n3's normal form, every (p, p')
+    # for r <= 4, e <= 3
+    for r in (2, 3, 4):
+        for e in (1, 2, 3):
+            for p in range(r * e // 2 + 1):
+                for pp in range((r + 1) * e // 2 + 1):
+                    direct = g_direct(r, e, p, pp)
+                    closed = g_closed_form(r, e, p, pp, registry=direct.registry)
+                    assert direct == closed, (r, e, p, pp)
+
+
+def test_g_direct_builds_each_bracket_once(monkeypatch):
+    # every p' of one (r, e, p) folds the same bracketed G
+    seen = []
+    fold = enumeration.pi_p
+
+    def recording(G, pprime):
+        seen.append(G)
+        return fold(G, pprime)
+
+    monkeypatch.setattr(enumeration, "pi_p", recording)
+    enumeration._bracket.cache_clear()
+    outs = [g_direct(3, 2, 1, pp) for pp in range(5)]
+    assert len(seen) == 5 and all(G is seen[0] for G in seen)
+    assert enumeration._bracket.cache_info().misses == 1
+    assert outs[2] == g_closed_form(3, 2, 1, 2, registry=outs[2].registry)
 
 
 def test_g_direct_vanishes_outside_support():

@@ -408,6 +408,59 @@ def test_pi_p_past_the_degree_is_zero_without_a_branch(monkeypatch):
     assert out.is_zero() and out.degree == 0
 
 
+# bihomogeneous terms: (x0 exponent, y0 exponent, coefficient numerator,
+# denominator, exponent of the symbolic s)
+_BIHOMOGENEOUS = st.lists(
+    st.tuples(
+        st.integers(0, 6), st.integers(0, 6), st.integers(-40, 40), st.integers(1, 9),
+        st.integers(0, 2),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 6), _BIHOMOGENEOUS, st.sampled_from(["int", "fraction", "symbolic"]),
+       st.integers(0, 4))
+def test_pi_p_matches_omega_apply_on_the_diagonal(n, terms, kind, p):
+    # the folded branches against the four-variable route: Omega^{2p} G
+    # branch by branch, then y := x
+    reg = VarRegistry(["x0", "x1", "y0", "y1", "s"])
+    x0, x1, y0, y1, s = (Poly.variable(reg, v) for v in reg.names)
+    G = Poly.zero(reg)
+    for a0, b0, num, den, m in terms:
+        a0, b0 = a0 % (n + 1), b0 % (n + 1)
+        c = Fraction(num, den) if kind == "fraction" else num
+        G = G + c * s ** (m if kind == "symbolic" else 0) * x0**a0 * x1 ** (n - a0) * (
+            y0**b0 * y1 ** (n - b0)
+        )
+    got = pi_p(G, p)
+    if G.is_zero() or 2 * p > n:
+        assert got.is_zero()
+        return
+    assert got.poly == omega_apply(G, 2 * p).substitute({"y0": x0, "y1": x1})
+    assert got.degree == 2 * n - 4 * p
+
+
+def test_pi_p_calls_no_table_transvectant_or_branch(monkeypatch):
+    # the oracle behind g_direct stays independent of the transvectant
+    # kernels it is compared with, and builds no branch Poly
+    def refuse(*args, **kwargs):
+        raise AssertionError("pi_p reached another route")
+
+    monkeypatch.setattr(Poly, "omega_table", refuse)
+    monkeypatch.setattr(Poly, "partial", refuse)
+    monkeypatch.setattr(Poly, "substitute", refuse)
+    monkeypatch.setattr(transvect, "transvectant", refuse)
+    monkeypatch.setattr(transvect, "omega_apply", refuse)
+    monkeypatch.setattr(transvect, "_omega_diagonal", refuse)
+    reg, (x0, x1, y0, y1) = xy4_ring()
+    assert pi_p((x0 * y1 - x1 * y0) ** 2, 1).poly.constant_value() == 12
+    G = (x0 * y1 - x1 * y0) ** 2 * (Fraction(1, 3) * x0 * y0 + x1 * y1) ** 3
+    assert pi_p(G, 2).degree == 2
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(0, 6),
@@ -733,6 +786,47 @@ def test_transvectant_self_odd_vanishes():
         F = generic_form(reg, d)
         for k in range(1, d + 1, 2):
             assert transvectant(F, F, k).is_zero()
+
+
+def _equal_forms():
+    # a dense integer form, a Fraction form and a symbolic form, each as two
+    # equal Polys built apart
+    reg, x0, x1 = xy_ring()
+    dense = [x0**5 + 3 * x0**4 * x1 - x0 * x1**4 + 2 * x1**5 for _ in range(2)]
+    third = [Fraction(1, 3) * x0**3 - x0 * x1**2 + x1**3 for _ in range(2)]
+    sreg = VarRegistry(["x0", "x1"])
+    symbolic = [generic_form(sreg, 4).poly, generic_form(sreg, 4).poly]
+    return [dense, third, symbolic]
+
+
+def test_transvectant_of_equal_forms_at_odd_k_is_zero_at_once(monkeypatch):
+    # (A, A)_k = (-1)^k (A, A)_k: no kernel runs at odd k, so no work is
+    # held either
+    def refuse(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(transvect, "_omega_diagonal", refuse)
+    monkeypatch.setenv("INVFORGE_SIZE_CAP", "0")
+    for A, A2 in _equal_forms():
+        d = A.degree_in(X)
+        for k in range(1, d + 1, 2):
+            out = transvectant(BinaryForm(A), BinaryForm(A2), k)
+            assert out.is_zero() and out.degree == 2 * d - 2 * k
+    monkeypatch.undo()
+    # at even k the kernel runs, and with equal but distinct forms it agrees
+    for A, A2 in _equal_forms():
+        assert transvectant(BinaryForm(A), BinaryForm(A2), 2) == transvectant(
+            BinaryForm(A), BinaryForm(A), 2
+        )
+
+
+def test_omega_diagonal_of_equal_forms_is_zero_at_odd_k():
+    # the kernel's own antisymmetry, which transvectant no longer asks at odd k
+    for A, A2 in _equal_forms():
+        d = A.degree_in(X)
+        for k in range(1, d + 1, 2):
+            assert _omega_diagonal(A, A2, k).is_zero(), (A, k)
+        assert not _omega_diagonal(A, A2, 2).is_zero()
 
 
 def test_transvectant_bilinear():
