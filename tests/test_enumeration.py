@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from invforge import enumeration
+from invforge import closedform, enumeration
 from invforge.closedform import n1_closed, n3
 from invforge.enumeration import (
     component_census,
@@ -285,8 +285,6 @@ def test_ordered_walk_yields_one_graph_per_row_order():
 
 
 def test_n1_brute_calls_no_closed_form(monkeypatch):
-    from invforge import closedform
-
     def refuse(*args):
         raise AssertionError("a closed form was called")
 
