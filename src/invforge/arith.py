@@ -2,11 +2,11 @@
 
 Everything downstream works over arbitrary-precision rationals
 (`fractions.Fraction`, or `int` where integral); this module provides the
-factorial-family helpers (factorial, binomial, Pochhammer symbol) used by
-every closed-form coefficient, falling_bits, the bit bound on a falling
-factorial that sizes the Omega weights, the one composition enumerator
-behind the monomial labels of alphamap and the candidate rows of
-enumeration's walks, and the one work cap: size_cap() reads it, and
+factorial-family helpers (factorial, binomial) used by every closed-form
+coefficient, falling_bits, the bit bound on a falling factorial that
+sizes the Omega weights, the one composition enumerator behind the
+monomial labels of alphamap and the candidate rows of enumeration's
+walks, and the one work cap: size_cap() reads it, and
 check_cap() holds every work estimate to it and words every refusal.
 """
 
@@ -66,20 +66,6 @@ def falling_bits(n, k) -> int:
         total += length * (last - t + 1)
         t = last + 1
     return total
-
-
-def pochhammer(a, i: int) -> Fraction:
-    """Rising factorial a(a+1)...(a+i-1); empty product 1 for i = 0.
-
-    The base a may be any rational, including half-integers.
-    """
-    if i < 0:
-        raise ValueError(f"pochhammer requires nonnegative i, got {i}")
-    a = Fraction(a)
-    out = Fraction(1)
-    for step in range(i):
-        out *= a + step
-    return out
 
 
 def _compositions(total: int, caps) -> list:

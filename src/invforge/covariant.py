@@ -20,22 +20,24 @@ witness.  spans_ideal() is the exact certificate that the kept members
 span I_3, and so all of S(d).
 
 CovariantExpr is the one evaluation path: u_cov() and phi() evaluate one,
-its constructor validates every index set, and evaluate reads each U,
-unnormalized, from a _Window of F that holds their Omega work to the
-work cap.  covariants(F, members) gives the exact forms of several
-members from one window of the U's they read, and a lone member's
-evaluate is covariants of it alone; each answer is scaled once, and a
-Phi is p U(i,j) - q U(i2,j2) for the integer ratio p/q of its two
-constants.  membership builds one window of the U's its kept members
-read and only asks, member by member, whether each vanishes: nothing is
-scaled and no witness is built.
+its constructor validates every index set, and every reader forms the
+member's raw combination in one method, _combo: U(i,j) itself, or p
+U(i,j) - q U(i2,j2) for the integer ratio p/q of a Phi's two constants,
+each U unnormalized and read from a _Window of F that holds their Omega
+work to the work cap.  covariants(F, members) gives the exact forms of
+several members from one window of the U's they read, and a lone
+member's evaluate is covariants of it alone; each answer is the raw
+combination times the member's scale, applied once.  membership builds
+one window of the U's its kept members read and only asks, member by
+member, whether each raw combination vanishes: no member scale is
+applied and no witness is built.
 
 A dense integer form stays in integers from the parser to the verdict:
 its window holds coefficient lists from transvect._omega_dense, so a
-member vanishes when its list is all zero, and only the form evaluate
-returns is built as a Poly.  Symbolic and Fraction forms take the same
-steps on Polys: (F,F)_{2i} through transvect._omega_diagonal, and every
-U(i,j) of one i from one Poly.omega_table of ((F,F)_{2i}, F),
+member vanishes when its raw combination is all zero, and only the form
+evaluate returns is built as a Poly.  Symbolic and Fraction forms take
+the same steps on Polys: (F,F)_{2i} through transvect._omega_diagonal,
+and every U(i,j) of one i from one Poly.omega_table of ((F,F)_{2i}, F),
 which multiplies each pair of coefficient groups once for all the j the
 window holds.  set_S(d) and each member's constants are built on first
 use and kept, once per degree.
@@ -131,10 +133,10 @@ class CovariantExpr:
         outside the index window, gives the zero form at once.
 
         Given a window of F (membership's holds the U's of its kept
-        members), it returns only whether the member vanishes: the raw
-        combination (a U, or p U(i,j) - q U(i2,j2)) is tested as it stands,
-        with no scalar applied, no Poly of the answer built and no cap of
-        its own checked.
+        members), it returns only whether the member vanishes: its raw
+        combination (see _combo) is tested as it stands, with no member
+        scale applied, no Poly of the answer built and no cap of its own
+        checked.
         A window of another form raises ValueError.
         """
         if window is None:
@@ -146,50 +148,45 @@ class CovariantExpr:
         # a zero F, or a U outside the window (a Phi's pairs are both inside)
         if not (window.work and in_range(self.d, *self.indices[:2])):
             return True
+        combo = self._combo(window)
+        return not any(combo) if type(combo) is list else combo.is_zero()
+
+    def _combo(self, window):
+        """The raw combination on window: U(i,j), or p U(i,j) - q U(i2,j2)
+        for a Phi with the integers p, q of _constants; a coefficient list
+        for a dense integer form, a Poly otherwise."""
+        a = window.raw(*self.indices[:2])
         if self.kind == "U":
-            combo = window.raw(*self.indices)
-            return not any(combo) if type(combo) is list else combo.is_zero()
-        i, j, i2, j2 = self.indices
+            return a
         p, q, _ = self._constants()
-        a, b = window.raw(i, j), window.raw(i2, j2)
-        if type(a) is list:
-            return not any([p * x - q * y for x, y in zip(a, b)])
-        # p a - q b vanishes iff a and b share every key, in ratio q : p
-        return a.terms.keys() == b.terms.keys() and all(
-            p * c == q * b.terms[key] for key, c in a.terms.items()
-        )
+        b = window.raw(*self.indices[2:])
+        return [p * x - q * y for x, y in zip(a, b)] if type(a) is list else a * p - b * q
 
     def _exact(self, F: BinaryForm, window):
         """The exact form on F, read from window, a _Window of F that holds
         this member's U's; the scalar is applied once, to the answer."""
         if F.is_zero() or not in_range(self.d, *self.indices[:2]):
             return self._zero(F)
-        if self.kind == "U":
-            combo, scale = window.raw(*self.indices), self._constants()
-        else:
-            i, j, i2, j2 = self.indices
-            p, q, scale = self._constants()
-            a, b = window.raw(i, j), window.raw(i2, j2)
-            combo = [p * x - q * y for x, y in zip(a, b)] if type(a) is list else a * p - b * q
-        if type(combo) is not list:
-            return self._zero(F) if combo.is_zero() else BinaryForm(combo * scale, self.order)
-        if not any(combo):
+        combo = self._combo(window)
+        if type(combo) is list:
+            box, fill = (X[1:], len(combo)), (X[0], self.order)
+            combo = Poly.from_slots(F.poly.registry, combo, box, fill)
+        if combo.is_zero():
             return self._zero(F)
-        # scale * c, not c * scale: a Fraction times an int takes no detour
-        combo = [scale * c for c in combo]
-        box, fill = (X[1:], len(combo)), (X[0], self.order)
-        return BinaryForm(Poly.from_slots(F.poly.registry, combo, box, fill), self.order)
+        return BinaryForm(combo * self._constants()[2], self.order)
 
     def _zero(self, F):
         return BinaryForm(Poly.zero(F.poly.registry), max(self.order, 0))
 
     def _constants(self):
-        # kept after the first call: for U(i,j) its _scale s(i,j); for Phi,
-        # c U_raw(i,j) - c2 U_raw(i2,j2) with c = mu_{i2,j2} s(i,j) and c2 =
-        # mu_{i,j} s(i2,j2), the integers p/q = c/c2 and the scale c2/q
+        # kept after the first call: (p, q, scale) with the member equal to
+        # scale times its _combo; (1, 0, s(i,j)) for U(i,j), the _scale
+        # s(i,j).  For Phi, c U_raw(i,j) - c2 U_raw(i2,j2) with c =
+        # mu_{i2,j2} s(i,j) and c2 = mu_{i,j} s(i2,j2), the integers p/q =
+        # c/c2 and the scale c2/q
         if self._scalars is None:
             if self.kind == "U":
-                self._scalars = self._scale(*self.indices)
+                self._scalars = 1, 0, self._scale(*self.indices)
             else:
                 i, j, i2, j2 = self.indices
                 e = self.d // 2
@@ -392,14 +389,8 @@ def spans_ideal(members: list) -> bool:
         window = _Window(BinaryForm(Poly(reg, terms), d), rows, "spans_ideal would take {}")
         for expr, row in sources.items():
             # the x0^order coefficient of the raw combination; 0 for a U
-            # outside the index window
-            pairs = zip(expr.indices[::2], expr.indices[1::2])
-            heads = [(window.raw(i, j) or [0])[0] for i, j in pairs]
-            if expr.kind == "U":
-                row.append(heads[0])
-            else:
-                p, q, _ = expr._constants()
-                row.append(p * heads[0] - q * heads[1])
+            # outside the index window, whose list is empty
+            row.append((expr._combo(window) or [0])[0])
     for m, need in mult.items():
         exprs = [expr for expr in members if expr.order == m]
         sparse = [{k: c for k, c in enumerate(sources[expr]) if c} for expr in exprs]

@@ -1,17 +1,28 @@
 """One test per acceptance criterion; each prints its own pass/fail line.
 
 The battery runs once per session, through `verify-all` (the `verify_all`
-fixture); each test reads its criterion's entry.  The power-extraction
-oracle behind criterion 7 is held to a Fraction reference at the end.
+fixture); each test reads its criterion's entry.  Negative controls then
+break one route of each criterion, by the name acceptance imports, and
+check that its comparison fails with the detail it names.  The
+power-extraction oracle behind criterion 7 is held to a Fraction
+reference at the end.
 """
+
+import contextlib
+import io
+import json
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invforge import acceptance
 from invforge.acceptance import is_power_of_quadratic
 from invforge.arith import binomial
+from invforge.cli import main
+from invforge.transvect import BinaryForm
 
 
 def _check(verify_all, index):
@@ -56,6 +67,81 @@ def test_criterion_8_character_arithmetic(verify_all):
 
 def test_criterion_9_regularity_bound(verify_all):
     _check(verify_all, 9)
+
+
+# -- negative controls ------------------------------------------------------
+
+
+def _off_at(name, point, wrong):
+    """(name, the function acceptance imports under name, answering
+    wrong(answer) when its leading arguments are point)."""
+    real = getattr(acceptance, name)
+
+    def broken(*args, **kwargs):
+        answer = real(*args, **kwargs)
+        return wrong(answer) if args[: len(point)] == point else answer
+
+    return name, broken
+
+
+def _flip(form):
+    return BinaryForm(-form.poly, form.degree)
+
+
+def _plus_one(x):
+    return x + 1
+
+
+def _rank_by(step):
+    return lambda report: dict(report, rank=report["rank"] + step)
+
+
+# criterion, (name, replacement), the detail of its failure
+BROKEN = [
+    (1, _off_at("transvectant_power_closed", (1, 1, 2), _flip), "mismatch at (p,q,k)=(1, 1, 2)"),
+    (2, _off_at("n1_closed", (3, 2), _plus_one), "mismatch at (e,p)=(3, 2): 5184 vs 5185"),
+    (3, _off_at("dixon_rhs", (-1, -1, -2), _plus_one), "3F2 mismatch at (p,q,k)=(1, 2, 1)"),
+    (3, _off_at("j_closed", (5, 3), _plus_one), "J mismatch at (s,p)=(5, 3)"),
+    (
+        4,
+        _off_at("g_closed_form", (3, 2, 1, 2), _plus_one),
+        "mismatch at (r,e,p,p')=(3, 2, 1, 2)",
+    ),
+    (4, _off_at("n3", (3, 1, 2, 1), lambda n: 0), "zero witness at (r,e,p')=(3, 1, 2)"),
+    (
+        5,
+        _off_at("alpha_rank", (1, 6, 3), _rank_by(-1)),
+        "(n,d,r)=(1,6,3) gave {'rows': 55, 'cols': 84, 'rank': 54}, want rank 55",
+    ),
+    (
+        6,
+        _off_at("tau_transvectant_check", (3, 2, 1), lambda ok: False),
+        "identity failed at (r,e,p)=(3, 2, 1)",
+    ),
+    (7, ("membership", lambda F: (False, "U(1,1)")), "symbolic power of degree 4 rejected by U(1,1)"),
+    (7, ("membership", lambda F: (True, None)), "non-power [5, -5, 0, -5, 5] accepted"),
+    (8, _off_at("alpha_rank", (1, 4, 3), _rank_by(1)), "kernel 6 vs character {6: 1}"),
+    (9, _off_at("m0", (2, 3), _plus_one), "m0(2,3) = 6, want 5"),
+]
+
+
+@pytest.mark.parametrize(
+    "index, patch, detail", BROKEN, ids=[f"{index}-{patch[0]}" for index, patch, _ in BROKEN]
+)
+def test_broken_route_fails_its_criterion(monkeypatch, index, patch, detail):
+    monkeypatch.setattr(acceptance, *patch)
+    assert acceptance.CRITERIA[index - 1]() == (False, detail)
+
+
+def test_broken_criterion_fails_verify_all(monkeypatch):
+    monkeypatch.setattr(acceptance, *_off_at("m0", (2, 3), _plus_one))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify-all", "--level", "desk"])
+    assert code == 1
+    assert '"all_passed":false' in out.getvalue()
+    results = json.loads(out.getvalue())["results"]
+    assert [r["criterion"] for r in results if not r["passed"]] == [9]
 
 
 # -- the integer power oracle -----------------------------------------------

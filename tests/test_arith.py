@@ -10,7 +10,6 @@ from invforge.arith import (
     binomial,
     check_cap,
     factorial,
-    pochhammer,
     rat_str,
     size_cap,
 )
@@ -46,15 +45,6 @@ def test_binomial_pascal_rule():
     for n in range(1, 12):
         for k in range(n + 1):
             assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
-def test_pochhammer():
-    assert pochhammer(3, 4) == 3 * 4 * 5 * 6
-    assert pochhammer(Fraction(1, 2), 3) == Fraction(1, 2) * Fraction(3, 2) * Fraction(5, 2)
-    assert pochhammer(5, 0) == 1
-    assert pochhammer(-2, 4) == 0  # hits zero at the third factor
-    with pytest.raises(ValueError, match="^pochhammer requires nonnegative i, got -1$"):
-        pochhammer(3, -1)
 
 
 def test_rat_str():

@@ -164,6 +164,13 @@ def test_dixon_rejects_positive_a():
         dixon_rhs(1, -1, -1)
 
 
+def test_dixon_rejects_a_gamma_argument_off_the_half_integers():
+    # a = -1/3 reaches Gamma(1 - a) = Gamma(4/3)
+    msg = "^Gamma argument 4/3 is neither integer nor half-integer$"
+    with pytest.raises(ValueError, match=msg):
+        dixon_rhs(Fraction(-1, 3), 0, 0)
+
+
 def test_dixon_matches_f32_first_parameterization():
     for q in range(7):
         for p in range(q + 1):

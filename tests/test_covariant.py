@@ -303,6 +303,18 @@ def test_cache_belongs_to_one_form():
     assert CovariantExpr("U", 4, (0, 1)).evaluate(form(x0**4 + x1**4), window) is True
 
 
+def test_window_route_rejects_a_form_of_another_degree():
+    # the degree is checked before the window: a sextic against a
+    # quartic's member, with the quartic's window or the sextic's
+    reg = xreg()
+    x0, x1 = Poly.variable(reg, "x0"), Poly.variable(reg, "x1")
+    G, F = form(x0**4 + x1**4), form(x0**6 - x1**6)
+    expr = CovariantExpr("U", 4, (1, 1))
+    for window in (index_window(G), index_window(F)):
+        with pytest.raises(ValueError, match="^form has degree 6, expected 4$"):
+            expr.evaluate(F, window)
+
+
 def test_shared_cache_matches_definition():
     # every member of S(8) equals its definition from normalized U's, each
     # evaluated on its own, and vanishes through one shared window when
@@ -443,8 +455,10 @@ def test_cache_computes_each_transvectant_once_in_any_order(monkeypatch, members
 
 def test_zero_test_scales_nothing_and_builds_no_answer(monkeypatch):
     # through a window, evaluate says whether each member vanishes, as the
-    # evaluated form does, from the raw combination: no scalar product and
-    # no Poly of the answer, on symbolic, dense integer and Fraction forms
+    # evaluated form does, from the raw combination: no multiply by a
+    # member's Fraction scale, no U scale computed and no Poly of the
+    # answer, on symbolic, dense integer and Fraction forms.  A Phi's raw
+    # combination p a - q b takes integer multiples of Polys.
     reg = xreg(["a0", "a1", "b0", "b1"])
     a0, a1, b0, b1, x0, x1 = (Poly.variable(reg, n) for n in reg.names)
     forms = [  # (form, member)
@@ -457,21 +471,28 @@ def test_zero_test_scales_nothing_and_builds_no_answer(monkeypatch):
     for F, member in forms:
         want = [expr.evaluate(F).is_zero() for expr in set_S(8)]
         assert all(want) == member
+        # each Phi of set_S(8) keeps the constants the exact route computed;
+        # each U is a fresh member, whose scale was never computed
+        members = [x if x.kind == "Phi" else CovariantExpr("U", 8, x.indices) for x in set_S(8)]
 
         def refuse(*args):
             raise AssertionError("the answer was built")
 
-        def product_only(self, other):
-            # (F,F)_0 is the product F * F; no Poly is scaled
-            assert isinstance(other, Poly), "the answer was scaled"
+        def no_scale(self, i, j):
+            raise AssertionError(f"the scale of U({i},{j}) was computed")
+
+        def unscaled(self, other):
+            # (F,F)_0 is the product F * F; a Phi takes int multiples
+            assert type(other) is not Fraction, "the answer was scaled"
             return multiply(self, other)
 
         multiply = Poly.__mul__
-        monkeypatch.setattr(Poly, "__mul__", product_only)
-        monkeypatch.setattr(Poly, "__rmul__", product_only)
+        monkeypatch.setattr(Poly, "__mul__", unscaled)
+        monkeypatch.setattr(Poly, "__rmul__", unscaled)
         monkeypatch.setattr(Poly, "from_slots", refuse)
+        monkeypatch.setattr(CovariantExpr, "_scale", no_scale)
         window = index_window(F)
-        got = [expr.evaluate(F, window) for expr in set_S(8)]
+        got = [expr.evaluate(F, window) for expr in members]
         monkeypatch.undo()
         assert got == want
 
